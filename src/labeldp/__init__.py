@@ -11,21 +11,23 @@ from .data import (
     gen_mixture,
     gen_skewed_binary,
     load_csv,
+    load_csv_features,
     resample_labels,
     split,
     write_csv,
 )
 from .mechanisms import (
+    MECHANISMS,
     MechanismReport,
     PriorTable,
     PrivacyParams,
     account,
     alibi,
-    cluster_prior,
     keep_probability,
     lp_mst,
     pate,
     randomized_response,
+    release,
     rr_with_prior,
 )
 from .metrics import (

@@ -10,7 +10,6 @@ work runs. Numeric output on stdout uses 6 significant digits unless
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import experiments, mechanisms, metrics
 from .attacks import AdversaryKnowledge, marginal_guess, spa
-from .data import CsvFormatError, load_csv
+from .data import CsvFormatError, load_csv, load_csv_features
 from .metrics import BoundQuery, UtilitySpec
 from .models import LogisticHyper, load_model
 
@@ -125,20 +124,11 @@ def cmd_privatize(args) -> int:
         }
     )
     dataset = load_csv(args.input, args.label_column)
-    hyper = LogisticHyper(iterations=args.iterations)
-    if args.mechanism == "rr":
-        labels = mechanisms.randomized_response(
-            dataset.labels, dataset.num_classes, args.epsilon, args.seed
-        )
-        note = mechanisms.BASIC
-    elif args.mechanism == "alibi":
-        report = mechanisms.alibi(dataset, args.epsilon, hyper, args.seed)
-        labels, note = report.labels, report.params.note
-    elif args.mechanism == "lp2st":
-        report = mechanisms.lp_mst(dataset, 2, args.epsilon, args.top_k, hyper, args.seed)
-        labels, note = report.labels, report.params.note
-    else:
-        raise ValueError(f"mechanism {args.mechanism!r} does not emit per-row labels")
+    report = mechanisms.release(
+        args.mechanism, dataset, args.epsilon,
+        LogisticHyper(iterations=args.iterations), args.seed, top_k=args.top_k,
+    )
+    labels, note = report.labels, report.params.note
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("row_index,private_label\n")
         for i, label in enumerate(labels):
@@ -157,24 +147,6 @@ def cmd_privatize(args) -> int:
     return 0
 
 
-def _load_features_only(path: str) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        try:
-            next(reader)  # header row
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        rows = []
-        for row_num, row in enumerate(reader):
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise CsvFormatError(f"{path}: row {row_num}: non-numeric cell") from None
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def cmd_attack(args) -> int:
     _echo(
         {
@@ -188,7 +160,7 @@ def cmd_attack(args) -> int:
         dataset = load_csv(args.input, args.label_column)
         features, true_labels = dataset.features, dataset.labels
     else:
-        features, true_labels = _load_features_only(args.input), None
+        features, true_labels = load_csv_features(args.input), None
     marginal = np.asarray(_floats(args.marginal)) if args.marginal else None
     if args.utility == "weighted":
         if marginal is None:

@@ -220,15 +220,37 @@ def load_csv(path: str, label_column: str) -> Dataset:
     column is parsed as a decimal real. Row order is preserved and
     num_classes is 1 + the largest label index.
     """
+    if not isinstance(label_column, str):
+        raise CsvFormatError(f"{path}: label column must be a name, got {label_column!r}")
+    features, labels = _read_csv(path, label_column)
+    labels_arr = np.asarray(labels, dtype=np.int64)
+    if labels_arr.min() < 0:
+        raise CsvFormatError(f"{path}: negative label {labels_arr.min()}")
+    num_classes = max(2, int(labels_arr.max()) + 1)
+    return Dataset(features, labels_arr, num_classes)
+
+
+def load_csv_features(path: str) -> np.ndarray:
+    """Load every column of a headed CSV as features, with load_csv's checks."""
+    return _read_csv(path, None)[0]
+
+
+def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, list]:
+    """Row loop of the CSV loaders: (n, d) features and the list of labels
+    (empty when label_column is None, which makes every column a feature)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: file is empty") from None
-        if label_column not in header:
-            raise CsvFormatError(f"{path}: label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
+        label_idx = None
+        if label_column is not None:
+            if label_column not in header:
+                raise CsvFormatError(
+                    f"{path}: label column {label_column!r} not in header {header}"
+                )
+            label_idx = header.index(label_column)
 
         features, labels = [], []
         for row_num, row in enumerate(reader):
@@ -236,20 +258,21 @@ def load_csv(path: str, label_column: str) -> Dataset:
                 raise CsvFormatError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                 )
-            raw_label = row[label_idx]
-            try:
-                as_float = float(raw_label)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {row_num}, column {label_column!r}: "
-                    f"non-numeric label {raw_label!r}"
-                ) from None
-            if not as_float.is_integer():
-                raise CsvFormatError(
-                    f"{path}: row {row_num}, column {label_column!r}: "
-                    f"label {raw_label!r} is not an integer"
-                )
-            labels.append(int(as_float))
+            if label_idx is not None:
+                raw_label = row[label_idx]
+                try:
+                    as_float = float(raw_label)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: row {row_num}, column {label_column!r}: "
+                        f"non-numeric label {raw_label!r}"
+                    ) from None
+                if not as_float.is_integer():
+                    raise CsvFormatError(
+                        f"{path}: row {row_num}, column {label_column!r}: "
+                        f"label {raw_label!r} is not an integer"
+                    )
+                labels.append(int(as_float))
             feats = []
             for i, cell in enumerate(row):
                 if i == label_idx:
@@ -263,13 +286,9 @@ def load_csv(path: str, label_column: str) -> Dataset:
                     ) from None
             features.append(feats)
 
-    if not labels:
+    if not features:
         raise CsvFormatError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        raise CsvFormatError(f"{path}: negative label {labels_arr.min()}")
-    num_classes = max(2, int(labels_arr.max()) + 1)
-    return Dataset(np.asarray(features, dtype=np.float64), labels_arr, num_classes)
+    return np.asarray(features, dtype=np.float64), labels
 
 
 def write_csv(dataset: Dataset, path: str, label_column: str = "label") -> None:

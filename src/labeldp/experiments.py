@@ -25,7 +25,7 @@ from .data import (
     load_csv,
     split,
 )
-from .mechanisms import alibi, lp_mst, pate, randomized_response
+from .mechanisms import MECHANISMS, randomized_response, release
 from .metrics import (
     BoundQuery,
     MetricsReport,
@@ -59,6 +59,12 @@ CTR_COLUMNS = [
 ]
 
 
+def _check_mechanisms(names) -> None:
+    for name in names:
+        if name not in MECHANISMS:
+            raise ValueError(f"unknown mechanism {name!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Gaussian-mixture study grid; defaults match the published protocol
@@ -83,6 +89,7 @@ class SimulationConfig:
             raise ValueError("class counts must be >= 2")
         if list(self.epsilons) != sorted(self.epsilons):
             raise ValueError("epsilon grid must be sorted ascending")
+        _check_mechanisms([self.mechanism])
 
 
 def mechanism_pipeline(
@@ -96,23 +103,17 @@ def mechanism_pipeline(
 ):
     """Label-to-model procedure for one mechanism at one epsilon.
 
-    The returned callable takes (features, labels, seed) and yields the
-    trained model, which is the interface eau_monte_carlo expects.
+    The returned callable takes (features, labels, seed), releases private
+    labels through the named mechanism and trains on the released set,
+    yielding the model eau_monte_carlo expects.
     """
 
     def pipeline(features: np.ndarray, labels: np.ndarray, seed: int):
-        ds = Dataset(features, labels, num_classes)
-        if name == "rr":
-            private = randomized_response(labels, num_classes, epsilon, seed)
-            return train_logistic(ds.with_labels(private), hyper, seed)
-        if name == "lp2st":
-            return lp_mst(ds, 2, epsilon, lp2_top_k, hyper, seed).model
-        if name == "alibi":
-            return alibi(ds, epsilon, hyper, seed).model
-        if name == "pate":
-            queries = min(pate_queries, len(ds))
-            return pate(ds, pate_teachers, queries, epsilon / queries, hyper, seed).model
-        raise ValueError(f"unknown mechanism {name!r}")
+        report = release(
+            name, Dataset(features, labels, num_classes), epsilon, hyper, seed,
+            top_k=lp2_top_k, teachers=pate_teachers, queries=pate_queries,
+        )
+        return train_logistic(report.released, hyper, seed)
 
     return pipeline
 
@@ -240,6 +241,7 @@ class CtrConfig:
             raise ValueError("epsilon grid values must be positive or infinite")
         if self.csv_path is None and self.n < 10:
             raise ValueError("synthetic source needs n >= 10")
+        _check_mechanisms(self.mechanisms)
 
 
 def run_ctr(config: CtrConfig) -> list[MetricsReport]:

@@ -1,9 +1,12 @@
-"""Label-DP training mechanisms.
+"""Label-DP mechanisms.
 
 Each mechanism consumes a Dataset and produces a MechanismReport holding
-the trained model, the privatized labels it saw, the accounted privacy
-spend, and per-stage diagnostics. All randomness flows through explicit
-seeds, so identical inputs reproduce identical outputs bit for bit.
+the training set it releases (features plus private labels), the
+accounted privacy spend, and per-stage diagnostics. The guarantee is
+accounted on the released labels; a model trained on them is
+post-processing and is left to the caller. `release` runs a mechanism by
+name. All randomness flows through explicit seeds, so identical inputs
+reproduce identical outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .models import LogisticHyper, Model, train_logistic
+from .models import LogisticHyper, train_logistic
 from .rng import substream
 
 BASIC = "basic-composition"
 PARALLEL = "parallel-composition"
+
+# Names accepted by `release`.
+MECHANISMS = ("rr", "lp2st", "alibi", "pate")
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,21 @@ class PriorTable:
         return self.probs.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MechanismReport:
-    model: Model
+    """What a mechanism releases: a training set whose labels are private,
+    with the privacy spend they carry and diagnostics of the run."""
+
+    released: Dataset
     params: PrivacyParams
-    labels: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Read-only view of the released labels."""
+        view = self.released.labels.view()
+        view.flags.writeable = False
+        return view
 
 
 def account(stage_epsilons, rule: str) -> PrivacyParams:
@@ -146,79 +161,6 @@ def rr_with_prior(
     return np.where(keep, mapped, chosen).astype(np.int64)
 
 
-def cluster_prior(
-    features: np.ndarray,
-    reference_labels: np.ndarray,
-    num_clusters: int,
-    seed: int,
-    num_classes: int | None = None,
-    smoothing: float = 1.0,
-    max_iter: int = 100,
-) -> PriorTable:
-    """Per-row label prior from k-means clusters of min-max normalized features.
-
-    Each row's prior is the additively smoothed label histogram of its
-    cluster. The reference labels must already be privatized or public; the
-    caller owns that accounting. Clusters that empty out during Lloyd
-    iterations are merged into the nearest surviving cluster.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    reference_labels = np.asarray(reference_labels, dtype=np.int64)
-    if num_clusters < 1:
-        raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    n = features.shape[0]
-    if reference_labels.shape[0] != n:
-        raise ValueError("reference_labels length must match features")
-    k = int(num_classes) if num_classes is not None else int(reference_labels.max()) + 1
-
-    lo, hi = features.min(axis=0), features.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    norm = (features - lo) / span
-
-    num_clusters = min(num_clusters, n)
-    rng = substream(seed, "cluster-prior")
-    norm_sq = (norm**2).sum(axis=1)
-    # Distance-weighted (k-means++ style) seeding; duplicates of an existing
-    # centroid carry zero weight, so clusters start at distinct values.
-    picks = [int(rng.integers(n))]
-    while len(picks) < num_clusters:
-        d2 = norm_sq[:, None] - 2.0 * norm @ norm[picks].T + norm_sq[picks][None, :]
-        nearest = np.clip(d2.min(axis=1), 0.0, None)
-        total = nearest.sum()
-        if total == 0:
-            break
-        picks.append(int(rng.choice(n, p=nearest / total)))
-    centroids = norm[picks]
-    assign = None
-    for _ in range(max_iter):
-        dists = norm_sq[:, None] - 2.0 * norm @ centroids.T + (centroids**2).sum(axis=1)
-        new_assign = dists.argmin(axis=1)
-        occupied = np.unique(new_assign)
-        if occupied.size < centroids.shape[0]:
-            # Drop empty clusters; their would-be members already sit with
-            # the nearest surviving centroid.
-            centroids = centroids[occupied]
-            remap = np.full(int(occupied.max()) + 1, -1, dtype=np.int64)
-            remap[occupied] = np.arange(occupied.size)
-            new_assign = remap[new_assign]
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        centroids = np.stack(
-            [norm[assign == c].mean(axis=0) for c in range(centroids.shape[0])]
-        )
-
-    priors = np.empty((n, k))
-    for c in np.unique(assign):
-        members = assign == c
-        counts = np.bincount(reference_labels[members], minlength=k).astype(np.float64)
-        hist = (counts + smoothing) / (counts.sum() + smoothing * k)
-        priors[members] = hist
-    return PriorTable(priors)
-
-
 def lp_mst(
     train: Dataset,
     num_stages: int,
@@ -227,13 +169,13 @@ def lp_mst(
     hyper: LogisticHyper,
     seed: int,
 ) -> MechanismReport:
-    """Multi-stage randomized-response training (one or two stages).
+    """Multi-stage randomized response (one or two stages).
 
-    Stage 1 applies plain RR to a disjoint subset and trains a model. Stage
-    2 uses that model's predictions as a per-row prior for top-k restricted
-    RR on the remaining rows and retrains on the union. Each stage spends
-    epsilon on disjoint rows, so parallel composition keeps the total at
-    epsilon.
+    Stage 1 applies plain RR to a disjoint subset. With two stages, a model
+    trained on the stage-1 labels supplies a per-row prior for top-k
+    restricted RR on the remaining rows, and the release is the union. Each
+    stage spends epsilon on disjoint rows, so parallel composition keeps
+    the total at epsilon.
     """
     if num_stages not in (1, 2):
         raise ValueError(f"num_stages must be 1 or 2, got {num_stages}")
@@ -244,10 +186,11 @@ def lp_mst(
 
     if num_stages == 1:
         private = randomized_response(train.labels, k, epsilon, seed)
-        model = train_logistic(train.with_labels(private), hyper, seed)
         diagnostics["stage_sizes"] = [len(train)]
         diagnostics["flip_rates"] = [float(np.mean(private != train.labels))]
-        return MechanismReport(model, account([epsilon], PARALLEL), private, diagnostics)
+        return MechanismReport(
+            train.with_labels(private), account([epsilon], PARALLEL), diagnostics
+        )
 
     n = len(train)
     perm = substream(seed, "lp-mst-split").permutation(n)
@@ -267,13 +210,14 @@ def lp_mst(
     private = np.empty(n, dtype=np.int64)
     private[idx1] = private1
     private[idx2] = private2
-    model = train_logistic(train.with_labels(private), hyper, seed)
     diagnostics["stage_sizes"] = [int(idx1.size), int(idx2.size)]
     diagnostics["flip_rates"] = [
         float(np.mean(private1 != stage1.labels)),
         float(np.mean(private2 != stage2.labels)),
     ]
-    return MechanismReport(model, account([epsilon, epsilon], PARALLEL), private, diagnostics)
+    return MechanismReport(
+        train.with_labels(private), account([epsilon, epsilon], PARALLEL), diagnostics
+    )
 
 
 def alibi(train: Dataset, epsilon: float, hyper: LogisticHyper, seed: int) -> MechanismReport:
@@ -281,8 +225,9 @@ def alibi(train: Dataset, epsilon: float, hyper: LogisticHyper, seed: int) -> Me
 
     A one-hot label change moves the encoding by 2 in L1, so coordinate-wise
     Laplace noise of scale 2/eps makes the noisy encodings epsilon-label-DP;
-    the denoised labels and the trained model follow by post-processing.
-    Under a uniform prior the MAP label is the argmax of the noisy vector.
+    the denoised labels follow by post-processing. Under a uniform prior the
+    MAP label is the argmax of the noisy vector. ALIBI trains nothing, so
+    hyper is unused; it keeps the signature of the other mechanisms.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -294,13 +239,12 @@ def alibi(train: Dataset, epsilon: float, hyper: LogisticHyper, seed: int) -> Me
     if scale > 0:
         noisy = onehot + substream(seed, "alibi").laplace(0.0, scale, size=onehot.shape)
     denoised = np.argmax(noisy, axis=1).astype(np.int64)
-    model = train_logistic(train.with_labels(denoised), hyper, seed)
     diagnostics = {
         "mechanism": "alibi",
         "noise_scale": scale,
         "agreement_rate": float(np.mean(denoised == train.labels)),
     }
-    return MechanismReport(model, account([epsilon], BASIC), denoised, diagnostics)
+    return MechanismReport(train.with_labels(denoised), account([epsilon], BASIC), diagnostics)
 
 
 def aggregate_votes(histogram: np.ndarray, epsilon_per_query: float, rng) -> int:
@@ -324,14 +268,14 @@ def pate(
     hyper: LogisticHyper,
     seed: int,
 ) -> MechanismReport:
-    """Teacher-ensemble training with noisy sampled voting.
+    """Teacher ensemble with noisy sampled voting.
 
     Teachers train on disjoint label shards. For each student query every
     teacher samples a label from its predictive distribution, the vote
     histogram gets Laplace(2/eps_query) noise, is clamped and renormalized,
-    and the student label is sampled from it. The student trains on the
-    answered queries. Accounting is data-independent basic composition:
-    total epsilon = num_queries * epsilon_per_query.
+    and the student label is sampled from it. The release is the query rows
+    with their answered labels. Accounting is data-independent basic
+    composition: total epsilon = num_queries * epsilon_per_query.
     """
     if num_teachers < 2:
         raise ValueError(f"num_teachers must be >= 2, got {num_teachers}")
@@ -366,9 +310,6 @@ def pate(
         [aggregate_votes(votes[i], epsilon_per_query, agg_rng) for i in range(num_queries)],
         dtype=np.int64,
     )
-    student = train_logistic(
-        Dataset(query_x, student_labels, k), hyper, seed
-    )
     spent = account([epsilon_per_query] * num_queries, BASIC)
     diagnostics = {
         "mechanism": "pate",
@@ -376,4 +317,38 @@ def pate(
         "shard_sizes": [int(s.size) for s in shards],
         "query_count": num_queries,
     }
-    return MechanismReport(student, spent, student_labels, diagnostics)
+    return MechanismReport(Dataset(query_x, student_labels, k), spent, diagnostics)
+
+
+def release(
+    name: str,
+    train: Dataset,
+    epsilon: float,
+    hyper: LogisticHyper,
+    seed: int,
+    top_k: int = 2,
+    teachers: int = 5,
+    queries: int = 50,
+) -> MechanismReport:
+    """Run the mechanism called `name` at a total budget of `epsilon`.
+
+    "rr" is plain k-ary randomized response, which also accepts epsilon 0;
+    "lp2st" is two-stage lp_mst with `top_k`; "alibi" is alibi; "pate" asks
+    min(queries, n) queries of `teachers` teachers, splitting epsilon evenly
+    over them. `hyper` trains the models internal to a mechanism (LP-2ST's
+    stage-1 model, PATE's teachers).
+    """
+    # Mechanisms are looked up as module globals at call time, so a caller
+    # that rebinds them (tracing, tests) sees every call.
+    if name == "rr":
+        private = randomized_response(train.labels, train.num_classes, epsilon, seed)
+        diagnostics = {"mechanism": "rr", "flip_rate": float(np.mean(private != train.labels))}
+        return MechanismReport(train.with_labels(private), account([epsilon], BASIC), diagnostics)
+    if name == "lp2st":
+        return lp_mst(train, 2, epsilon, top_k, hyper, seed)
+    if name == "alibi":
+        return alibi(train, epsilon, hyper, seed)
+    if name == "pate":
+        queries = min(queries, len(train))
+        return pate(train, teachers, queries, epsilon / queries, hyper, seed)
+    raise ValueError(f"unknown mechanism {name!r}")

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,30 @@ def run_cli(capsys, *argv):
 
 def last_record(out):
     return json.loads(out.strip().split("\n")[-1])
+
+
+def patch_train_logistic(monkeypatch, replacement):
+    """Rebind train_logistic in every labeldp module that imported it."""
+    import labeldp.models as models
+
+    original = models.train_logistic
+    for name, module in list(sys.modules.items()):
+        if name.startswith("labeldp") and getattr(module, "train_logistic", None) is original:
+            monkeypatch.setattr(module, "train_logistic", replacement)
+    return original
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Record every train_logistic call made through any labeldp module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = patch_train_logistic(monkeypatch, counted)
+    return calls
 
 
 class TestBoundCommand:
@@ -115,12 +141,65 @@ class TestPrivatizeAndAttack:
         inferred = [line.split(",")[1] for line in out_csv.read_text().strip().split("\n")[1:]]
         assert set(inferred) == {"0"}
 
+    def test_attack_without_labels_rejects_ragged_row(self, tmp_path, capsys):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=1)
+        model_path = tmp_path / "model.txt"
+        save_model(train_logistic(ds, LogisticHyper(iterations=5), seed=0), str(model_path))
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("x0,x1,x2\n1,2,3\n1,2\n")
+        code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
+                               "--input", str(ragged), "--output", str(tmp_path / "o.csv"))
+        assert code == 1
+        assert "row 1 has 2 cells, expected 3" in err
+
     def test_privatize_missing_column_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         code, _, err = run_cli(capsys, "privatize", "--input", str(bad),
                                "--epsilon", "1", "--output", str(tmp_path / "o.csv"))
         assert code == 1 and "label" in err
+
+
+class TestPrivatizeMechanisms:
+    # sha256 of the privatized CSV and the manifest text, for a 60-row,
+    # 3-class mixture at epsilon 1.5, seed 3.
+    PINNED = {
+        "rr": ("d249135d7ed1b1740baff47f6ba46a89580cfc845c917c5f1c0ca8793a8507df",
+               "basic-composition"),
+        "alibi": ("d7e43f5de5a593ba2e1fd3bdead9ed53d17f04013dd48ee5dd032dec1e014e24",
+                  "basic-composition"),
+        "lp2st": ("6d199aa2104df7ec251712a505bca4ba80df8585be56552ad67460cc483dbf37",
+                  "parallel-composition"),
+    }
+
+    @staticmethod
+    def privatize(capsys, monkeypatch, tmp_path, mechanism):
+        monkeypatch.chdir(tmp_path)
+        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 60, seed=0)
+        write_csv(ds, "data.csv")
+        code, _, err = run_cli(capsys, "privatize", "--input", "data.csv",
+                               "--mechanism", mechanism, "--epsilon", "1.5",
+                               "--iterations", "20", "--seed", "3", "--output", "out.csv")
+        assert code == 0, err
+        return (tmp_path / "out.csv").read_bytes(), (tmp_path / "out.csv.manifest.json").read_text()
+
+    @pytest.mark.parametrize("mechanism", ["rr", "alibi", "lp2st"])
+    def test_output_and_manifest_pinned(self, tmp_path, capsys, monkeypatch, mechanism):
+        digest, rule = self.PINNED[mechanism]
+        written, manifest = self.privatize(capsys, monkeypatch, tmp_path, mechanism)
+        assert hashlib.sha256(written).hexdigest() == digest
+        expected = {
+            "accounting_rule": rule, "epsilon": 1.5, "input": "data.csv",
+            "label_column": "label", "mechanism": mechanism, "seed": 3,
+        }
+        assert manifest == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("mechanism, fits", [("rr", 0), ("alibi", 0), ("lp2st", 1)])
+    def test_trains_only_inside_the_mechanism(self, tmp_path, capsys, monkeypatch,
+                                              fit_calls, mechanism, fits):
+        """Privatize releases labels; only LP-2ST's stage-1 model is trained."""
+        self.privatize(capsys, monkeypatch, tmp_path, mechanism)
+        assert len(fit_calls) == fits
 
 
 class TestHarnessCommands:
@@ -169,6 +248,23 @@ class TestHarnessCommands:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
                                "--output", str(tmp_path / "x.csv"))
         assert code == 1 and "bogus" in err
+
+    def test_simulate_rr_accepts_zero_epsilon(self, tmp_path, capsys):
+        args = [a if a != "0.5,2.0" else "0,1" for a in self.SIM_ARGS]
+        code, _, err = run_cli(capsys, *args, "--mechanism", "rr",
+                               "--output", str(tmp_path / "z.csv"))
+        assert code == 0, err
+        assert len((tmp_path / "z.csv").read_text().strip().split("\n")) == 3
+
+    def test_unknown_mechanism_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_logistic ran before the config was validated")
+
+        patch_train_logistic(monkeypatch, refuse)
+        code, _, err = run_cli(capsys, "ctr", "--n", "200", "--mechanisms", "rr,bogus",
+                               "--epsilons", "inf,1.0", "--output", str(tmp_path / "c.csv"))
+        assert code == 1
+        assert "unknown mechanism 'bogus'" in err
 
     def test_thm1_rerun_byte_identical(self, tmp_path, capsys):
         args = ["thm1", "--epsilon", "1.0", "--n-values", "10,20",

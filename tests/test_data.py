@@ -12,6 +12,7 @@ from labeldp.data import (
     gen_mixture,
     gen_skewed_binary,
     load_csv,
+    load_csv_features,
     resample_labels,
     split,
     write_csv,
@@ -173,6 +174,19 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(CsvFormatError, match="click"):
             load_csv(str(path), "click")
+
+    def test_label_column_must_be_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1,0\n")
+        with pytest.raises(CsvFormatError, match="label column"):
+            load_csv(str(path), None)
+
+    def test_features_only_reads_every_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\n0.5,1.0,0\n0.25,2.0,1\n")
+        np.testing.assert_array_equal(
+            load_csv_features(str(path)), [[0.5, 1.0, 0.0], [0.25, 2.0, 1.0]]
+        )
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -81,6 +81,10 @@ class TestSimulation:
         with pytest.raises(ValueError, match="sorted"):
             SimulationConfig(epsilons=(2.0, 0.5))
 
+    def test_unknown_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
+            SimulationConfig(mechanism="bogus")
+
     def test_feature_redraws_emit_extra_rows(self):
         cfg = SimulationConfig(
             class_counts=(2,), dim=4, sigmas=(1.0,), n=20, trials=10,
@@ -136,6 +140,10 @@ class TestCtr:
 
     def test_leau_shared_across_rows(self, ctr_reports):
         assert len({rep.leau for rep in ctr_reports}) == 1
+
+    def test_unknown_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
+            CtrConfig(mechanisms=("rr", "bogus"))
 
     def test_csv_source_uses_estimated_leau(self, tmp_path):
         from labeldp.data import gen_skewed_binary, write_csv

@@ -11,11 +11,12 @@ from labeldp.mechanisms import (
     account,
     aggregate_votes,
     alibi,
-    cluster_prior,
     keep_probability,
+    MECHANISMS,
     lp_mst,
     pate,
     randomized_response,
+    release,
     rr_with_prior,
 )
 from labeldp.models import LogisticHyper, train_logistic
@@ -110,44 +111,6 @@ class TestRrWithPrior:
             rr_with_prior(np.array([0, 0]), np.array([[0.5, 0.5], [0.9, 0.3]]), 2, 1.0, 0)
 
 
-class TestClusterPrior:
-    def test_single_cluster_gives_global_histogram(self):
-        rng = np.random.default_rng(0)
-        features = rng.normal(size=(50, 2))
-        labels = np.array([0] * 30 + [1] * 20)
-        prior = cluster_prior(features, labels, num_clusters=1, seed=0, smoothing=0.0)
-        np.testing.assert_allclose(prior.probs, np.tile([0.6, 0.4], (50, 1)), atol=1e-12)
-
-    def test_pure_separable_clusters_give_one_hot(self):
-        features = np.vstack([np.zeros((10, 2)), np.ones((10, 2)) * 100])
-        labels = np.array([0] * 10 + [1] * 10)
-        prior = cluster_prior(features, labels, num_clusters=2, seed=1, smoothing=0.0)
-        np.testing.assert_allclose(prior.probs[:10], np.tile([1.0, 0.0], (10, 1)))
-        np.testing.assert_allclose(prior.probs[10:], np.tile([0.0, 1.0], (10, 1)))
-
-    def test_mixed_clusters_give_histograms(self):
-        """60/40 split with label-1 rates 0.9 and 0.1: direct histogram oracle."""
-        features = np.vstack([np.zeros((60, 1)), np.full((40, 1), 50.0)])
-        labels = np.concatenate(
-            [np.array([1] * 54 + [0] * 6), np.array([1] * 4 + [0] * 36)]
-        )
-        prior = cluster_prior(features, labels, num_clusters=2, seed=2, smoothing=0.0)
-        np.testing.assert_allclose(prior.probs[:60], np.tile([0.1, 0.9], (60, 1)), atol=1e-12)
-        np.testing.assert_allclose(prior.probs[60:], np.tile([0.9, 0.1], (40, 1)), atol=1e-12)
-
-    def test_smoothing_avoids_zero_probabilities(self):
-        features = np.zeros((5, 1))
-        labels = np.zeros(5, dtype=np.int64)
-        prior = cluster_prior(features, labels, 1, seed=0, num_classes=3, smoothing=1.0)
-        assert np.all(prior.probs > 0)
-
-    def test_more_clusters_than_points_is_capped(self):
-        features = np.arange(4, dtype=float)[:, None]
-        labels = np.array([0, 0, 1, 1])
-        prior = cluster_prior(features, labels, num_clusters=10, seed=3)
-        assert len(prior) == 4
-
-
 class TestLpMst:
     def test_one_stage_equals_plain_rr(self):
         ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 60, seed=0)
@@ -161,7 +124,8 @@ class TestLpMst:
         report = lp_mst(ds, 1, math.inf, top_k=2, hyper=FAST, seed=0)
         np.testing.assert_array_equal(report.labels, ds.labels)
         plain = train_logistic(ds, FAST, seed=0)
-        np.testing.assert_array_equal(report.model.weights, plain.weights)
+        released = train_logistic(report.released, FAST, seed=0)
+        np.testing.assert_array_equal(released.weights, plain.weights)
 
     def test_parallel_accounting_identity(self):
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 40, seed=2)
@@ -186,7 +150,7 @@ class TestLpMst:
         a = lp_mst(ds, 2, 1.0, top_k=2, hyper=FAST, seed=8)
         b = lp_mst(ds, 2, 1.0, top_k=2, hyper=FAST, seed=8)
         np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
+        assert a.diagnostics == b.diagnostics
 
 
 class TestAlibi:
@@ -287,7 +251,50 @@ class TestPate:
         a = pate(ds, 3, 15, 0.5, FAST, seed=7)
         b = pate(ds, 3, 15, 0.5, FAST, seed=7)
         np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
+        np.testing.assert_array_equal(a.released.features, b.released.features)
+
+
+class TestRelease:
+    def test_rr_is_plain_randomized_response_with_basic_accounting(self):
+        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 60, seed=0)
+        report = release("rr", ds, 0.7, FAST, seed=4)
+        np.testing.assert_array_equal(report.labels, randomized_response(ds.labels, 3, 0.7, 4))
+        np.testing.assert_array_equal(report.released.features, ds.features)
+        assert report.params.epsilon == 0.7 and report.params.note == BASIC
+
+    def test_rr_accepts_exhausted_budget(self):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 20, seed=0)
+        assert release("rr", ds, 0.0, FAST, seed=0).params.epsilon == 0.0
+
+    def test_lp2st_and_alibi_are_the_named_mechanisms(self):
+        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 50, seed=1)
+        np.testing.assert_array_equal(
+            release("lp2st", ds, 1.0, FAST, seed=2, top_k=2).labels,
+            lp_mst(ds, 2, 1.0, 2, FAST, seed=2).labels,
+        )
+        np.testing.assert_array_equal(
+            release("alibi", ds, 1.0, FAST, seed=2).labels, alibi(ds, 1.0, FAST, seed=2).labels
+        )
+
+    def test_pate_splits_the_total_budget_over_the_queries(self):
+        ds, _ = gen_mixture(MixtureModel(2, 4, 1.0), 30, seed=3)
+        report = release("pate", ds, 2.0, FAST, seed=0, teachers=3, queries=50)
+        assert report.diagnostics["query_count"] == 30
+        assert len(report.released) == 30
+        assert report.params.epsilon == pytest.approx(2.0, abs=1e-12)
+
+    def test_unknown_name_rejected(self):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 20, seed=0)
+        with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
+            release("bogus", ds, 1.0, FAST, seed=0)
+
+    @pytest.mark.parametrize("name", MECHANISMS)
+    def test_released_labels_are_read_only(self, name):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 40, seed=5)
+        report = release(name, ds, 1.0, FAST, seed=0, teachers=2, queries=10)
+        assert not hasattr(report, "model")
+        with pytest.raises(ValueError):
+            report.labels[0] = 1
 
 
 class TestAccount:
