@@ -43,15 +43,42 @@ def _ints(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
+def _type_name(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list of {_type_name(default[0])}"
+    return "str" if default is None else type(default).__name__
+
+
+def _type_ok(value, default) -> bool:
+    """Whether a config-file value has the type of its default: an int
+    passes for a float, a list for a tuple, a bool for neither."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Apply flag > config-file > default precedence for every known key."""
     file_values = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
+        for key, value in file_values.items():
+            if not _type_ok(value, defaults[key]):
+                raise ValueError(
+                    f"config key {key!r} must be {_type_name(defaults[key])}, got {value!r}"
+                )
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)

@@ -20,12 +20,20 @@ class CsvFormatError(ValueError):
     """Raised when a dataset CSV violates the documented format."""
 
 
+def _first_non_finite(values: np.ndarray) -> tuple | None:
+    """Index of the first NaN or +-inf entry in row-major order, or None."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.argwhere(~finite)[0])
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus integer class labels.
 
     Attributes:
-        features: (n, d) float array, one row per sample.
+        features: (n, d) float array of finite values, one row per sample.
         labels: (n,) integer array with values in {0, ..., num_classes-1}.
         num_classes: number of classes k >= 2.
     """
@@ -36,13 +44,21 @@ class Dataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise ValueError("labels must be a vector with one entry per feature row")
         if features.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
+        bad = _first_non_finite(features)
+        if bad is not None:
+            raise ValueError(
+                f"features row {bad[0]}, column {bad[1]}: non-finite value {features[bad]}"
+            )
+        if labels.dtype.kind == "f" and (bad := _first_non_finite(labels)) is not None:
+            raise ValueError(f"labels row {bad[0]}: non-finite value {labels[bad]}")
+        labels = labels.astype(np.int64, copy=False)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
@@ -217,7 +233,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
     """Load a dataset from a UTF-8 CSV with a header row.
 
     The named label column must hold integer class indices; every other
-    column is parsed as a decimal real. Row order is preserved and
+    column is parsed as a finite decimal real. Row order is preserved and
     num_classes is 1 + the largest label index.
     """
     if not isinstance(label_column, str):
@@ -288,7 +304,15 @@ def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, list]:
 
     if not features:
         raise CsvFormatError(f"{path}: no data rows")
-    return np.asarray(features, dtype=np.float64), labels
+    features = np.asarray(features, dtype=np.float64)
+    bad = _first_non_finite(features)
+    if bad is not None:
+        row, col = bad
+        name = [h for i, h in enumerate(header) if i != label_idx][col]
+        raise CsvFormatError(
+            f"{path}: row {row}, column {name!r}: non-finite cell {features[row, col]}"
+        )
+    return features, labels
 
 
 def write_csv(dataset: Dataset, path: str, label_column: str = "label") -> None:

@@ -15,6 +15,7 @@ import numpy as np
 from .data import Conditional, Dataset
 
 PROB_CLAMP = 1e-15
+_LOSS_CAP = -np.log(PROB_CLAMP)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -75,6 +76,66 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _loss_and_grad(
+    weights: np.ndarray,
+    design: np.ndarray,
+    onehot: np.ndarray,
+    l2: float = 0.0,
+    row_weights: np.ndarray | None = None,
+    with_grad: bool = True,
+) -> tuple[float, np.ndarray | None]:
+    """The training objective and its gradient from one softmax pass.
+
+    The loss is the weighted mean cross-entropy (each true-class probability
+    clamped below at PROB_CLAMP) plus 0.5 * l2 * ||W||^2.
+    """
+    total = float(row_weights.sum()) if row_weights is not None else float(design.shape[0])
+    probs = _softmax(design @ weights)
+    per_row = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_CLAMP, None))
+    if row_weights is not None:
+        per_row = per_row * row_weights
+    loss = float(per_row.sum() / total + 0.5 * l2 * np.sum(weights**2))
+    if not with_grad:
+        return loss, None
+    resid = probs - onehot
+    if row_weights is not None:
+        resid = resid * row_weights[:, None]
+    return loss, design.T @ resid / total + l2 * weights
+
+
+def _binary_loss_and_grad(
+    w: np.ndarray,
+    design: np.ndarray,
+    signs: np.ndarray,
+    l2: float,
+    row_weights: np.ndarray | None,
+    with_grad: bool,
+) -> tuple[float, np.ndarray | None]:
+    """_loss_and_grad for two classes at W = [-w, w], on the one column w.
+
+    With label signs s = +-1, p(y | x) = sigmoid(t) for t = 2 s x.w, and the
+    l2 term is l2 * ||w||^2. The gradient returned is column 1 of the full
+    gradient at [-w, w] (column 0 is its negative), so a gradient step on w
+    is exactly the full step on W.
+    """
+    total = float(row_weights.sum()) if row_weights is not None else float(design.shape[0])
+    t = 2.0 * (design @ w) * signs
+    # One exp serves both halves: -log sigmoid(t) = log1p(e) - min(t, 0) and
+    # sigmoid(-t) = (1 if t < 0 else e) / (1 + e), with e = exp(-|t|) <= 1.
+    e = np.exp(-np.abs(t))
+    per_row = np.minimum(np.log1p(e) - np.minimum(t, 0.0), _LOSS_CAP)
+    if row_weights is not None:
+        per_row = per_row * row_weights
+    loss = float(per_row.sum() / total + l2 * float(w @ w))
+    if not with_grad:
+        return loss, None
+    # p(1 | x) - y = -s * sigmoid(-t).
+    resid = -signs * np.where(t < 0, 1.0, e) / (1.0 + e)
+    if row_weights is not None:
+        resid = resid * row_weights
+    return loss, design.T @ resid / total + l2 * w
+
+
 def cross_entropy_loss(
     weights: np.ndarray,
     design: np.ndarray,
@@ -87,13 +148,7 @@ def cross_entropy_loss(
     This is the training objective; the finite-difference gradient oracle in
     the test suite differentiates exactly this function.
     """
-    probs = _softmax(design @ weights)
-    per_row = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_CLAMP, None))
-    if row_weights is None:
-        loss = per_row.mean()
-    else:
-        loss = float(per_row @ row_weights) / float(row_weights.sum())
-    return float(loss + 0.5 * l2 * np.sum(weights**2))
+    return _loss_and_grad(weights, design, onehot, l2, row_weights, with_grad=False)[0]
 
 
 def cross_entropy_grad(
@@ -103,13 +158,7 @@ def cross_entropy_grad(
     l2: float = 0.0,
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    probs = _softmax(design @ weights)
-    resid = probs - onehot
-    if row_weights is None:
-        grad = design.T @ resid / design.shape[0]
-    else:
-        grad = design.T @ (resid * row_weights[:, None]) / float(row_weights.sum())
-    return grad + l2 * weights
+    return _loss_and_grad(weights, design, onehot, l2, row_weights)[1]
 
 
 def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) -> float:
@@ -117,12 +166,13 @@ def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) 
 
     The softmax cross-entropy Hessian is bounded by X^T X / (2n), so the
     objective is L-smooth with L = smax^2 / (2n) + l2 and gradient descent
-    descends monotonically for any step below 2 / L.
+    descends monotonically for any step below 2 / L. smax^2 is the largest
+    eigenvalue of the (d+1) x (d+1) Gram matrix X^T X.
     """
     mu, sd = _fit_scaler(train.features, hyper.standardize)
     design = _design(train.features, mu, sd)
-    smax = np.linalg.norm(design, 2)
-    lipschitz = smax**2 / (2.0 * design.shape[0]) + hyper.l2
+    smax_sq = np.linalg.eigvalsh(design.T @ design)[-1]
+    lipschitz = smax_sq / (2.0 * design.shape[0]) + hyper.l2
     return 2.0 / lipschitz
 
 
@@ -164,8 +214,6 @@ def train_logistic(train: Dataset, hyper: LogisticHyper, seed: int = 0) -> Logis
     k = train.num_classes
     mu, sd = _fit_scaler(train.features, hyper.standardize)
     design = _design(train.features, mu, sd)
-    onehot = np.zeros((len(train), k))
-    onehot[np.arange(len(train)), train.labels] = 1.0
     row_weights = None
     if hyper.class_weights is not None:
         if len(hyper.class_weights) != k:
@@ -178,27 +226,28 @@ def train_logistic(train: Dataset, hyper: LogisticHyper, seed: int = 0) -> Logis
     if lr is None:
         lr = 0.9 * stability_threshold(train, hyper)
 
-    weights = np.zeros((design.shape[1], k))
+    # Descent from zero keeps W[:, 0] == -W[:, 1] for two classes, so the
+    # binary form tracks the single column w = W[:, 1].
+    if k == 2:
+        kernel, targets = _binary_loss_and_grad, 2.0 * train.labels - 1.0
+        weights = np.zeros(design.shape[1])
+    else:
+        kernel = _loss_and_grad
+        targets = np.zeros((len(train), k))
+        targets[np.arange(len(train)), train.labels] = 1.0
+        weights = np.zeros((design.shape[1], k))
     history = []
-    weight_sum = float(row_weights.sum()) if row_weights is not None else float(len(train))
     for it in range(hyper.iterations + 1):
-        # One shared softmax pass per iteration feeds both the loss and the
-        # gradient; the standalone loss/grad functions above stay as the
-        # reference definitions.
-        probs = _softmax(design @ weights)
-        per_row = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_CLAMP, None))
-        if row_weights is not None:
-            per_row = per_row * row_weights
-        loss = float(per_row.sum() / weight_sum + 0.5 * hyper.l2 * np.sum(weights**2))
+        last = it == hyper.iterations
+        loss, grad = kernel(weights, design, targets, hyper.l2, row_weights, not last)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at iteration {it}")
         history.append(loss)
-        if it == hyper.iterations:
+        if last:
             break
-        resid = probs - onehot
-        if row_weights is not None:
-            resid = resid * row_weights[:, None]
-        weights -= lr * (design.T @ resid / weight_sum + hyper.l2 * weights)
+        weights -= lr * grad
+    if k == 2:
+        weights = np.column_stack([-weights, weights])
     return LogisticModel(weights, mu, sd, k, hyper=hyper, seed=seed, loss_history=history)
 
 
@@ -250,7 +299,8 @@ class MajorityTableModel(Model):
         self.num_classes = num_classes
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        # + 0.0 turns -0.0 into 0.0, matching the keys majority_table wrote.
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64)) + 0.0
         out = np.full((features.shape[0], self.num_classes), 1.0 / self.num_classes)
         for i, row in enumerate(features):
             label = self.table.get(row.tobytes())
@@ -264,8 +314,9 @@ def majority_table(train: Dataset) -> MajorityTableModel:
     """Memorize the majority label of each exact feature value; ties go to
     the lowest class index."""
     counts: dict[bytes, np.ndarray] = {}
-    for row, label in zip(train.features, train.labels):
-        key = np.ascontiguousarray(row).tobytes()
+    # + 0.0 turns -0.0 into 0.0, so both signed zeros share one key.
+    for row, label in zip(train.features + 0.0, train.labels):
+        key = row.tobytes()
         if key not in counts:
             counts[key] = np.zeros(train.num_classes, dtype=np.int64)
         counts[key][label] += 1

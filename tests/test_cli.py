@@ -152,6 +152,23 @@ class TestPrivatizeAndAttack:
         assert code == 1
         assert "row 1 has 2 cells, expected 3" in err
 
+    def test_non_finite_cell_is_one_error_line(self, tmp_path, capsys):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 40, seed=0)
+        data_csv = tmp_path / "nan.csv"
+        write_csv(ds, str(data_csv))
+        lines = data_csv.read_text().split("\n")
+        cells = lines[6].split(",")
+        cells[1] = "nan"
+        lines[6] = ",".join(cells)
+        data_csv.write_text("\n".join(lines))
+        for argv in (["privatize", "--input", str(data_csv), "--epsilon", "1"],
+                     ["ctr", "--csv", str(data_csv), "--iterations", "5"]):
+            code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "o.csv"))
+            assert code == 1
+            assert err.splitlines() == [
+                f"error: {data_csv}: row 5, column 'x1': non-finite cell nan"
+            ]
+
     def test_privatize_missing_column_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -248,6 +265,37 @@ class TestHarnessCommands:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
                                "--output", str(tmp_path / "x.csv"))
         assert code == 1 and "bogus" in err
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("trials", "100", "config key 'trials' must be int, got '100'"),
+        ("trials", True, "config key 'trials' must be int, got True"),
+        ("class_counts", [2, "a"], "config key 'class_counts' must be a list of int"),
+        ("epsilons", [1, 2.5, False], "config key 'epsilons' must be a list of float"),
+    ])
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, key, value, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--output", str(tmp_path / "x.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + expected) and len(err.splitlines()) == 1
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "thm1", "--config", str(cfg),
+                               "--output", str(tmp_path / "x.csv"))
+        assert code == 1 and err == f"error: config file {cfg} must hold a JSON object\n"
+
+    def test_config_int_for_float_and_list_for_tuple_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigmas": [1], "epsilons": [1, 2.5]}))
+        args = [a for a in self.SIM_ARGS if a not in ("--sigmas", "1.0", "--epsilons", "0.5,2.0")]
+        code, out, err = run_cli(capsys, *args, "--config", str(cfg),
+                                 "--output", str(tmp_path / "x.csv"))
+        assert code == 0, err
+        echoed = json.loads(out.split("\n")[0][len("resolved-config "):])
+        assert echoed["sigmas"] == [1] and echoed["epsilons"] == [1, 2.5]
 
     def test_simulate_rr_accepts_zero_epsilon(self, tmp_path, capsys):
         args = [a if a != "0.5,2.0" else "0,1" for a in self.SIM_ARGS]

@@ -38,6 +38,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros(3), np.array([0, 1, 0]), num_classes=2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_feature_naming_row_and_column(self, value):
+        features = np.zeros((3, 2))
+        features[2, 1] = value
+        with pytest.raises(ValueError, match=r"row 2, column 1: non-finite"):
+            Dataset(features, np.array([0, 1, 0]), num_classes=2)
+
+    def test_rejects_non_finite_label_naming_row(self):
+        with pytest.raises(ValueError, match=r"labels row 1: non-finite"):
+            Dataset(np.zeros((2, 1)), np.array([0.0, math.nan]), num_classes=2)
+
 
 class TestMixture:
     def test_posterior_at_component_mean(self):
@@ -192,6 +203,21 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("a,label\n1.0,0\noops,1\n")
         with pytest.raises(CsvFormatError, match=r"row 1.*'a'"):
+            load_csv(str(path), "label")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,label,b\n1.0,0,2.0\n1.0,1,{cell}\n")
+        with pytest.raises(CsvFormatError, match=r"row 1, column 'b': non-finite"):
+            load_csv(str(path), "label")
+        with pytest.raises(CsvFormatError, match=r"row 1, column 'b': non-finite"):
+            load_csv_features(str(path))
+
+    def test_non_finite_label_is_not_an_integer(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1.0,nan\n")
+        with pytest.raises(CsvFormatError, match=r"row 0.*not an integer"):
             load_csv(str(path), "label")
 
     def test_non_integer_label(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 from labeldp.models import (
     LogisticHyper,
+    _binary_loss_and_grad,
     TrainingDivergedError,
     bayes_model,
     constant_model,
@@ -91,6 +92,97 @@ class TestTrainLogistic:
         assert boosted.predict_proba(X)[:, 1].mean() > plain.predict_proba(X)[:, 1].mean()
 
 
+def antisymmetric(w):
+    return np.column_stack([-w, w])
+
+
+class TestBinaryKernel:
+    """The k = 2 form tracks w of W = [-w, w]; it must agree with the full form."""
+
+    @staticmethod
+    def problem(seed, n=40, d=3):
+        rng = np.random.default_rng(seed)
+        design = np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))])
+        labels = rng.integers(0, 2, n)
+        onehot = np.zeros((n, 2))
+        onehot[np.arange(n), labels] = 1.0
+        return rng, design, labels, onehot
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("class_weights", [None, (1.0, 7.5)])
+    def test_matches_full_form_on_antisymmetric_weights(self, l2, class_weights):
+        rng, design, labels, onehot = self.problem(3)
+        row_weights = None if class_weights is None else np.asarray(class_weights)[labels]
+        for _ in range(10):
+            w = rng.normal(scale=2.0, size=design.shape[1])
+            loss, grad = _binary_loss_and_grad(w, design, 2.0 * labels - 1.0, l2, row_weights, True)
+            W = antisymmetric(w)
+            full_loss = cross_entropy_loss(W, design, onehot, l2, row_weights)
+            full_grad = cross_entropy_grad(W, design, onehot, l2, row_weights)
+            assert abs(loss - full_loss) <= 1e-14 * max(1.0, abs(full_loss))
+            np.testing.assert_allclose(grad, full_grad[:, 1], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(-grad, full_grad[:, 0], rtol=0, atol=1e-14)
+
+    def test_clamped_rows_match_full_form(self):
+        # Huge margins push true-label probabilities below PROB_CLAMP.
+        _, design, labels, onehot = self.problem(4)
+        w = np.full(design.shape[1], 40.0)
+        loss, _ = _binary_loss_and_grad(w, design, 2.0 * labels - 1.0, 0.0, None, False)
+        full = cross_entropy_loss(antisymmetric(w), design, onehot)
+        assert abs(loss - full) <= 1e-14 * full
+
+    @pytest.mark.parametrize("hyper", [
+        LogisticHyper(iterations=60),
+        LogisticHyper(iterations=60, l2=0.05, class_weights=np.array([1.0, 4.0])),
+    ])
+    def test_fit_matches_plain_gradient_descent(self, hyper):
+        rng = np.random.default_rng(11)
+        ds = Dataset(rng.normal(size=(80, 4)) * [1.0, 3.0, 0.2, 1.0], rng.integers(0, 2, 80), 2)
+        model = train_logistic(ds, hyper, seed=0)
+
+        design = np.hstack([(ds.features - model.mu) / model.sd, np.ones((80, 1))])
+        onehot = np.zeros((80, 2))
+        onehot[np.arange(80), ds.labels] = 1.0
+        row_weights = None if hyper.class_weights is None else hyper.class_weights[ds.labels]
+        lr = 0.9 * stability_threshold(ds, hyper)
+        W = np.zeros((5, 2))
+        history = [cross_entropy_loss(W, design, onehot, hyper.l2, row_weights)]
+        for _ in range(hyper.iterations):
+            W = W - lr * cross_entropy_grad(W, design, onehot, hyper.l2, row_weights)
+            history.append(cross_entropy_loss(W, design, onehot, hyper.l2, row_weights))
+
+        assert model.weights.shape == (5, 2)
+        np.testing.assert_array_equal(model.weights[:, 0], -model.weights[:, 1])
+        np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.loss_history, history, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(5000, 20), (100, 100)])
+    def test_stability_threshold_matches_svd(self, n, d):
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, d), rng.integers(0, 2, n), 2)
+        hyper = LogisticHyper(l2=0.01)
+        mu, sd = ds.features.mean(axis=0), ds.features.std(axis=0)
+        design = np.hstack([(ds.features - mu) / sd, np.ones((n, 1))])
+        svd_value = 2.0 / (np.linalg.norm(design, 2) ** 2 / (2.0 * n) + hyper.l2)
+        assert abs(stability_threshold(ds, hyper) - svd_value) <= 1e-12 * svd_value
+
+    def test_divergence_names_the_full_form_iteration(self):
+        ds = toy_separable()
+        lr, l2 = 1e12, 1.0
+        design = np.hstack([(ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0),
+                            np.ones((4, 1))])
+        onehot = np.eye(2)[ds.labels]
+        W = np.zeros((3, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(200):
+                if not np.isfinite(cross_entropy_loss(W, design, onehot, l2)):
+                    break
+                W = W - lr * cross_entropy_grad(W, design, onehot, l2)
+            with pytest.raises(TrainingDivergedError, match=rf"at iteration {it}$"):
+                train_logistic(ds, LogisticHyper(learning_rate=lr, iterations=200, l2=l2))
+        assert 0 < it < 200
+
+
 class TestAnalyticModels:
     def test_bayes_equidistant_point_is_symmetric(self):
         cond = MixtureModel(2, 4, 1.0).conditional()
@@ -147,6 +239,13 @@ class TestMajorityTable:
         ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), 2)
         probs = majority_table(ds).predict_proba(np.ones((1, 1)))
         np.testing.assert_allclose(probs[0], [0.5, 0.5])
+
+    def test_signed_zeros_share_one_key(self):
+        ds = Dataset(np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]), np.array([1, 0, 1]), 2)
+        model = majority_table(ds)
+        assert len(model.table) == 1
+        probs = model.predict_proba(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        np.testing.assert_array_equal(probs, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_beats_every_constant_predictor_on_training_data(self):
         ds, _ = gen_mixture(MixtureModel(3, 3, 1.0), 200, seed=0)
