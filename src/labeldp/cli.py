@@ -18,7 +18,7 @@ import numpy as np
 
 from . import experiments, mechanisms, metrics
 from .attacks import AdversaryKnowledge, marginal_guess, spa
-from .data import CsvFormatError, load_csv, load_csv_features
+from .data import CsvFormatError, _atomic_write, load_csv, load_csv_features
 from .metrics import BoundQuery, UtilitySpec
 from .models import LogisticHyper, load_model
 
@@ -156,11 +156,11 @@ def cmd_privatize(args) -> int:
         LogisticHyper(iterations=args.iterations), args.seed, top_k=args.top_k,
     )
     labels, note = report.labels, report.params.note
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _atomic_write(args.output) as fh:
         fh.write("row_index,private_label\n")
         for i, label in enumerate(labels):
             fh.write(f"{i},{int(label)}\n")
-    with open(args.output + ".manifest.json", "w", encoding="utf-8") as fh:
+    with _atomic_write(args.output + ".manifest.json") as fh:
         json.dump(
             {
                 "mechanism": args.mechanism, "epsilon": args.epsilon,
@@ -183,12 +183,22 @@ def cmd_attack(args) -> int:
         }
     )
     model = load_model(args.model)
+    k = model.num_classes
     if args.label_column is not None:
         dataset = load_csv(args.input, args.label_column)
         features, true_labels = dataset.features, dataset.labels
+        if true_labels.max() >= k:
+            raise ValueError(
+                f"{args.input}: label {true_labels.max()} is out of range for the "
+                f"{k} classes of model {args.model}"
+            )
     else:
         features, true_labels = load_csv_features(args.input), None
     marginal = np.asarray(_floats(args.marginal)) if args.marginal else None
+    if marginal is not None and marginal.size != k:
+        raise ValueError(
+            f"--marginal has {marginal.size} entries but model {args.model} has {k} classes"
+        )
     if args.utility == "weighted":
         if marginal is None:
             raise ValueError("weighted utility needs --marginal")
@@ -200,7 +210,7 @@ def cmd_attack(args) -> int:
         inferred = spa(knowledge, spec)
     else:
         inferred = marginal_guess(knowledge, spec)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _atomic_write(args.output) as fh:
         if true_labels is None:
             fh.write("row_index,inferred_label\n")
             for i, label in enumerate(inferred.labels):

@@ -7,9 +7,11 @@ uses for Bayes predictions and exact label-independent attack utility.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -34,7 +36,9 @@ class Dataset:
 
     Attributes:
         features: (n, d) float array of finite values, one row per sample.
-        labels: (n,) integer array with values in {0, ..., num_classes-1}.
+        labels: (n,) integer array with values in {0, ..., num_classes-1};
+            or a (T, n) stack of T such vectors over the same rows, which
+            train_logistic fits at once (other consumers take one vector).
         num_classes: number of classes k >= 2.
     """
 
@@ -47,8 +51,13 @@ class Dataset:
         labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
-        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
-            raise ValueError("labels must be a vector with one entry per feature row")
+        if labels.ndim not in (1, 2) or labels.shape[-1] != features.shape[0]:
+            raise ValueError(
+                "labels must be a vector with one entry per feature row, "
+                "or a (T, n) stack of such vectors"
+            )
+        if labels.ndim == 2 and labels.shape[0] < 1:
+            raise ValueError("a label stack must hold at least one label vector")
         if features.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
         bad = _first_non_finite(features)
@@ -57,7 +66,8 @@ class Dataset:
                 f"features row {bad[0]}, column {bad[1]}: non-finite value {features[bad]}"
             )
         if labels.dtype.kind == "f" and (bad := _first_non_finite(labels)) is not None:
-            raise ValueError(f"labels row {bad[0]}: non-finite value {labels[bad]}")
+            trial = f" of trial {bad[0]}" if labels.ndim == 2 else ""
+            raise ValueError(f"labels row {bad[-1]}{trial}: non-finite value {labels[bad]}")
         labels = labels.astype(np.int64, copy=False)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -77,7 +87,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
+        return Dataset(self.features[indices], self.labels[..., indices], self.num_classes)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         return Dataset(self.features, labels, self.num_classes)
@@ -315,9 +325,33 @@ def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, list]:
     return features, labels
 
 
+@contextlib.contextmanager
+def _atomic_write(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open `path` for UTF-8 text writing so that it only ever holds a
+    complete file.
+
+    The text goes to a temporary file in the same directory, named after
+    `path` and the process id, which replaces `path` (os.replace) when the
+    block exits normally. If the block raises, the temporary file is removed
+    and `path` keeps its previous contents.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+
+
 def write_csv(dataset: Dataset, path: str, label_column: str = "label") -> None:
     """Write a dataset in the format load_csv reads back (full float precision)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"x{i}" for i in range(dataset.dim)] + [label_column])
         for row, label in zip(dataset.features, dataset.labels):

@@ -24,6 +24,7 @@ from .data import (
     gen_skewed_binary,
     load_csv,
     split,
+    _atomic_write,
 )
 from .mechanisms import MECHANISMS, randomized_response, release
 from .metrics import (
@@ -82,9 +83,12 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "n", "trials", "feature_redraws", "iterations"):
+        for name in ("dim", "n", "feature_redraws", "iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.trials < 2:
+            raise ValueError(f"trials must be >= 2 (a cell reports a standard error), "
+                             f"got {self.trials}")
         if any(m < 2 for m in self.class_counts):
             raise ValueError("class counts must be >= 2")
         if list(self.epsilons) != sorted(self.epsilons):
@@ -103,17 +107,27 @@ def mechanism_pipeline(
 ):
     """Label-to-model procedure for one mechanism at one epsilon.
 
-    The returned callable takes (features, labels, seed), releases private
-    labels through the named mechanism and trains on the released set,
-    yielding the model eau_monte_carlo expects.
+    The returned callable takes (features, labels (B, n), seeds (B,)) as
+    eau_monte_carlo passes them, releases each label vector through the
+    named mechanism with its own seed and returns the B models trained on
+    the released sets. When every released set keeps the given feature
+    array (its rows, in order), the B fits run as one stacked
+    train_logistic call; otherwise each set is fit on its own.
     """
 
-    def pipeline(features: np.ndarray, labels: np.ndarray, seed: int):
-        report = release(
-            name, Dataset(features, labels, num_classes), epsilon, hyper, seed,
-            top_k=lp2_top_k, teachers=pate_teachers, queries=pate_queries,
-        )
-        return train_logistic(report.released, hyper, seed)
+    def pipeline(features: np.ndarray, labels: np.ndarray, seeds) -> list:
+        features = np.asarray(features, dtype=np.float64)
+        released = [
+            release(
+                name, Dataset(features, trial_labels, num_classes), epsilon, hyper, seed,
+                top_k=lp2_top_k, teachers=pate_teachers, queries=pate_queries,
+            ).released
+            for trial_labels, seed in zip(labels, seeds)
+        ]
+        if all(train.features is features for train in released):
+            stack = np.stack([train.labels for train in released])
+            return train_logistic(Dataset(features, stack, num_classes), hyper, seeds)
+        return [train_logistic(train, hyper, seed) for train, seed in zip(released, seeds)]
 
     return pipeline
 
@@ -283,8 +297,9 @@ def run_ctr(config: CtrConfig) -> list[MetricsReport]:
                 pate_teachers=config.pate_teachers,
                 pate_queries=config.pate_queries,
             )
-            model = pipeline(
-                train.features, train.labels, derive_seed(config.seed, "ctr", mech, repr(eps))
+            [model] = pipeline(
+                train.features, train.labels[None, :],
+                [derive_seed(config.seed, "ctr", mech, repr(eps))],
             )
             candidates.append(model)
             entries.append((mech, float(eps), model))
@@ -330,31 +345,28 @@ def write_results(rows, path: str, fmt: str = "csv", columns=None, manifest=None
     "structured-records" (one JSON object per line). Reruns with an
     identical config produce byte-identical files.
     """
+    if fmt not in ("csv", "structured-records"):
+        raise ValueError(f"unknown format {fmt!r}")
     dict_rows = [row.to_row() if isinstance(row, MetricsReport) else dict(row) for row in rows]
     if columns is None:
         if not dict_rows:
             raise ValueError("cannot infer columns from an empty row list")
         columns = list(dict_rows[0].keys())
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            if fmt == "csv":
-                fh.write(",".join(columns) + "\n")
-                for row in dict_rows:
-                    fh.write(",".join(_cell_value(row[c]) for c in columns) + "\n")
-            elif fmt == "structured-records":
-                for row in dict_rows:
-                    record = {c: row[c] for c in columns}
-                    fh.write(json.dumps(_jsonable(record)) + "\n")
-            else:
-                raise ValueError(f"unknown format {fmt!r}")
-        with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"columns": columns, "format": fmt, "config": _jsonable(manifest)},
-                fh, sort_keys=True, indent=2,
-            )
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    with _atomic_write(path) as fh:
+        if fmt == "csv":
+            fh.write(",".join(columns) + "\n")
+            for row in dict_rows:
+                fh.write(",".join(_cell_value(row[c]) for c in columns) + "\n")
+        else:
+            for row in dict_rows:
+                record = {c: row[c] for c in columns}
+                fh.write(json.dumps(_jsonable(record)) + "\n")
+    with _atomic_write(path + ".manifest.json") as fh:
+        json.dump(
+            {"columns": columns, "format": fmt, "config": _jsonable(manifest)},
+            fh, sort_keys=True, indent=2,
+        )
+        fh.write("\n")
 
 
 def _jsonable(value):

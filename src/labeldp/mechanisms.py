@@ -338,6 +338,10 @@ def release(
     over them. `hyper` trains the models internal to a mechanism (LP-2ST's
     stage-1 model, PATE's teachers).
     """
+    if train.labels.ndim != 1:
+        raise ValueError(
+            f"release takes one label vector, got a stack of {train.labels.shape[0]}"
+        )
     # Mechanisms are looked up as module globals at call time, so a caller
     # that rebinds them (tracing, tests) sees every call.
     if name == "rr":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,10 +118,17 @@ def eau_empirical(inferred, true_labels, spec: UtilitySpec) -> float:
     return float(utility(spec, inferred, true_labels).mean())
 
 
+# eau_monte_carlo hands the pipeline blocks of B = MC_BLOCK_ENTRIES // (n * k)
+# trials (at least 1) at a time, so a stacked fit's (n, B * k) probability
+# arrays hold at most this many entries (1 MiB of float64): B = 13 for the
+# simulation's n = 100, k = 100 cells and 655 for its k = 2 cells.
+MC_BLOCK_ENTRIES = 1 << 17
+
+
 def eau_monte_carlo(
     conditional: Conditional,
     features: np.ndarray,
-    pipeline: Callable[[np.ndarray, np.ndarray, int], Model],
+    pipeline: Callable[[np.ndarray, np.ndarray, list], Sequence[Model]],
     attack: Callable,
     spec: UtilitySpec,
     trials: int,
@@ -134,6 +141,12 @@ def eau_monte_carlo(
     mean row utility. Returns (mean, stderr) over trials with the unbiased
     sample standard deviation; trials accumulate in index order so the
     result is schedule-independent.
+
+    The pipeline runs on blocks of consecutive trials:
+    pipeline(features, labels, seeds) gets the block's (B, n) label draws
+    and its B pipeline seeds and returns B models, model b trained on
+    labels[b] with seeds[b]. Trial t's labels and seed come from substreams
+    keyed by t alone, so the block size changes no draw.
     """
     from .attacks import AdversaryKnowledge  # local import to avoid a cycle
 
@@ -141,18 +154,29 @@ def eau_monte_carlo(
         raise ValueError(f"need at least 2 trials, got {trials}")
     features = np.asarray(features, dtype=np.float64)
     conditional_probs = conditional(features)  # fixed X: evaluate once
+    block = max(1, MC_BLOCK_ENTRIES // conditional_probs.size)
     values = np.empty(trials)
-    for t in range(trials):
-        labels = sample_categorical_rows(conditional_probs, derive_seed(seed, "mc-labels", t))
-        model = pipeline(features, labels, derive_seed(seed, "mc-pipeline", t))
-        knowledge = AdversaryKnowledge(
-            features=features,
-            model=model,
-            conditional=conditional,
-            marginal=spec.marginal if spec.kind == WEIGHTED else None,
-        )
-        inferred = attack(knowledge)
-        values[t] = eau_empirical(inferred, labels, spec)
+    for start in range(0, trials, block):
+        block_trials = range(start, min(start + block, trials))
+        labels = np.stack([
+            sample_categorical_rows(conditional_probs, derive_seed(seed, "mc-labels", t))
+            for t in block_trials
+        ])
+        seeds = [derive_seed(seed, "mc-pipeline", t) for t in block_trials]
+        models = pipeline(features, labels, seeds)
+        if len(models) != len(block_trials):
+            raise ValueError(
+                f"pipeline returned {len(models)} models for {len(block_trials)} label vectors"
+            )
+        for t, trial_labels, model in zip(block_trials, labels, models):
+            knowledge = AdversaryKnowledge(
+                features=features,
+                model=model,
+                conditional=conditional,
+                marginal=spec.marginal if spec.kind == WEIGHTED else None,
+            )
+            inferred = attack(knowledge)
+            values[t] = eau_empirical(inferred, trial_labels, spec)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials))
     return mean, stderr

@@ -9,10 +9,11 @@ predict(X) -> argmax labels with ties broken to the lowest class index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .data import Conditional, Dataset
+from .data import Conditional, Dataset, _atomic_write
 
 PROB_CLAMP = 1e-15
 _LOSS_CAP = -np.log(PROB_CLAMP)
@@ -70,37 +71,51 @@ def _design(features: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    """Softmax over the last axis, computed in place in `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
 def _loss_and_grad(
     weights: np.ndarray,
     design: np.ndarray,
-    onehot: np.ndarray,
+    labels: np.ndarray,
     l2: float = 0.0,
     row_weights: np.ndarray | None = None,
     with_grad: bool = True,
-) -> tuple[float, np.ndarray | None]:
-    """The training objective and its gradient from one softmax pass.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The training objective and its gradient for T label vectors at once.
 
-    The loss is the weighted mean cross-entropy (each true-class probability
-    clamped below at PROB_CLAMP) plus 0.5 * l2 * ||W||^2.
+    weights is (d+1, T, k); labels and row_weights (or None) are (T, n).
+    Trial t sees only weights[:, t] and labels[t]. One softmax pass over an
+    (n, d+1) @ (d+1, T*k) product gives the (T,) losses, the weighted mean
+    cross-entropy (each true-class probability clamped below at PROB_CLAMP)
+    plus 0.5 * l2 * ||W_t||^2, and a second product the (d+1, T, k) gradient.
+    Per-trial sums run over contiguous vectors, as np.sum does for one fit.
     """
-    total = float(row_weights.sum()) if row_weights is not None else float(design.shape[0])
-    probs = _softmax(design @ weights)
-    per_row = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_CLAMP, None))
+    n, cols = design.shape
+    trials, k = weights.shape[1:]
+    totals = row_weights.sum(axis=1) if row_weights is not None else float(n)
+    probs = _softmax((design @ weights.reshape(cols, trials * k)).reshape(n, trials, k))
+    # Position of each (trial, row)'s true class in the flattened probs.
+    true = (np.arange(n) * trials + np.arange(trials)[:, None]) * k + labels
+    flat = probs.reshape(-1)
+    per_row = -np.log(np.clip(flat[true], PROB_CLAMP, None))
     if row_weights is not None:
         per_row = per_row * row_weights
-    loss = float(per_row.sum() / total + 0.5 * l2 * np.sum(weights**2))
+    squares = np.square(weights.transpose(1, 0, 2), order="C").reshape(trials, -1)
+    loss = per_row.sum(axis=1) / totals + 0.5 * l2 * squares.sum(axis=1)
     if not with_grad:
         return loss, None
-    resid = probs - onehot
+    flat[true] -= 1.0  # probs - onehot, in place
     if row_weights is not None:
-        resid = resid * row_weights[:, None]
-    return loss, design.T @ resid / total + l2 * weights
+        probs *= row_weights.T[:, :, None]
+    grad = (design.T @ probs.reshape(n, trials * k)).reshape(cols, trials, k)
+    grad /= np.asarray(totals)[..., None]
+    grad += l2 * weights
+    return loss, grad
 
 
 def _binary_loss_and_grad(
@@ -110,30 +125,50 @@ def _binary_loss_and_grad(
     l2: float,
     row_weights: np.ndarray | None,
     with_grad: bool,
-) -> tuple[float, np.ndarray | None]:
-    """_loss_and_grad for two classes at W = [-w, w], on the one column w.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """_loss_and_grad for two classes at W_t = [-w_t, w_t], on the rows of
+    the (T, d+1) array w.
 
-    With label signs s = +-1, p(y | x) = sigmoid(t) for t = 2 s x.w, and the
-    l2 term is l2 * ||w||^2. The gradient returned is column 1 of the full
-    gradient at [-w, w] (column 0 is its negative), so a gradient step on w
-    is exactly the full step on W.
+    With (T, n) label signs s = +-1, p(y | x) = sigmoid(t) for t = 2 s x.w_t,
+    and the l2 term is l2 * ||w_t||^2. The gradient returned holds column 1
+    of each trial's full gradient at [-w_t, w_t] (column 0 is its negative),
+    so a gradient step on w is exactly the full step on every W_t.
     """
-    total = float(row_weights.sum()) if row_weights is not None else float(design.shape[0])
-    t = 2.0 * (design @ w) * signs
+    n = design.shape[0]
+    totals = row_weights.sum(axis=1) if row_weights is not None else float(n)
+    t = 2.0 * (w @ design.T) * signs
     # One exp serves both halves: -log sigmoid(t) = log1p(e) - min(t, 0) and
     # sigmoid(-t) = (1 if t < 0 else e) / (1 + e), with e = exp(-|t|) <= 1.
     e = np.exp(-np.abs(t))
     per_row = np.minimum(np.log1p(e) - np.minimum(t, 0.0), _LOSS_CAP)
     if row_weights is not None:
         per_row = per_row * row_weights
-    loss = float(per_row.sum() / total + l2 * float(w @ w))
+    # One dot product per trial, as w_t @ w_t computes it.
+    norms = (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+    loss = per_row.sum(axis=1) / totals + l2 * norms
     if not with_grad:
         return loss, None
     # p(1 | x) - y = -s * sigmoid(-t).
     resid = -signs * np.where(t < 0, 1.0, e) / (1.0 + e)
     if row_weights is not None:
-        resid = resid * row_weights
-    return loss, design.T @ resid / total + l2 * w
+        resid *= row_weights
+    grad = resid @ design
+    grad /= np.asarray(totals)[..., None]
+    grad += l2 * w
+    return loss, grad
+
+
+def _one_trial(weights, onehot, row_weights):
+    """The kernel arguments of one fit given as a (d+1, k) weight matrix and
+    (n, k) one-hot targets."""
+    labels = np.argmax(onehot, axis=1)
+    if not np.array_equal(onehot, np.eye(onehot.shape[1])[labels]):
+        raise ValueError("onehot must hold one 1 per row and 0 elsewhere")
+    return (
+        np.asarray(weights, dtype=np.float64)[:, None, :],
+        labels[None, :],
+        None if row_weights is None else np.asarray(row_weights)[None, :],
+    )
 
 
 def cross_entropy_loss(
@@ -148,7 +183,8 @@ def cross_entropy_loss(
     This is the training objective; the finite-difference gradient oracle in
     the test suite differentiates exactly this function.
     """
-    return _loss_and_grad(weights, design, onehot, l2, row_weights, with_grad=False)[0]
+    weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
+    return float(_loss_and_grad(weights, design, labels, l2, row_weights, with_grad=False)[0][0])
 
 
 def cross_entropy_grad(
@@ -158,7 +194,8 @@ def cross_entropy_grad(
     l2: float = 0.0,
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    return _loss_and_grad(weights, design, onehot, l2, row_weights)[1]
+    weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
+    return _loss_and_grad(weights, design, labels, l2, row_weights)[1][:, 0]
 
 
 def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) -> float:
@@ -202,16 +239,30 @@ class LogisticModel(Model):
         return _softmax(_design(features, self.mu, self.sd) @ self.weights)
 
 
-def train_logistic(train: Dataset, hyper: LogisticHyper, seed: int = 0) -> LogisticModel:
+def train_logistic(
+    train: Dataset, hyper: LogisticHyper, seed: int | Sequence[int] = 0
+) -> LogisticModel | list[LogisticModel]:
     """Fit multinomial logistic regression by full-batch gradient descent.
 
     Weights start at zero, so the run is deterministic; the seed is recorded
     for provenance only. Raises TrainingDivergedError naming the iteration
     if the loss becomes non-finite.
+
+    A Dataset whose labels are a (T, n) stack over its one feature matrix is
+    fit in one run of the loop: the scaler, the design and the step size are
+    computed once, and each iteration takes one product with the design each
+    way for all T. The result is a list of T models, trial t's being the fit
+    of labels[t] alone (weights within 1e-12; bit for bit when T = 1), and
+    `seed` may then be one seed per trial. A divergence names the trial too.
     """
     if len(train) < 1:
         raise ValueError("training set is empty")
-    k = train.num_classes
+    stacked = train.labels.ndim == 2
+    labels = train.labels if stacked else train.labels[None, :]
+    trials, k = labels.shape[0], train.num_classes
+    seeds = list(seed) if stacked and np.ndim(seed) else [seed] * trials
+    if len(seeds) != trials:
+        raise ValueError(f"{len(seeds)} seeds for a stack of {trials} label vectors")
     mu, sd = _fit_scaler(train.features, hyper.standardize)
     design = _design(train.features, mu, sd)
     row_weights = None
@@ -220,35 +271,43 @@ def train_logistic(train: Dataset, hyper: LogisticHyper, seed: int = 0) -> Logis
             raise ValueError(
                 f"class_weights has {len(hyper.class_weights)} entries for {k} classes"
             )
-        row_weights = hyper.class_weights[train.labels]
+        row_weights = hyper.class_weights[labels]
 
     lr = hyper.learning_rate
     if lr is None:
         lr = 0.9 * stability_threshold(train, hyper)
 
     # Descent from zero keeps W[:, 0] == -W[:, 1] for two classes, so the
-    # binary form tracks the single column w = W[:, 1].
+    # binary form tracks the single column w = W[:, 1] of each trial.
     if k == 2:
-        kernel, targets = _binary_loss_and_grad, 2.0 * train.labels - 1.0
-        weights = np.zeros(design.shape[1])
+        kernel, targets = _binary_loss_and_grad, 2.0 * labels - 1.0
+        weights = np.zeros((trials, design.shape[1]))
     else:
-        kernel = _loss_and_grad
-        targets = np.zeros((len(train), k))
-        targets[np.arange(len(train)), train.labels] = 1.0
-        weights = np.zeros((design.shape[1], k))
+        kernel, targets = _loss_and_grad, labels
+        weights = np.zeros((design.shape[1], trials, k))
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
         loss, grad = kernel(weights, design, targets, hyper.l2, row_weights, not last)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss at iteration {it}")
+        finite = np.isfinite(loss)
+        if not finite.all():
+            trial = f" in trial {int(np.argmin(finite))}" if stacked else ""
+            raise TrainingDivergedError(f"non-finite loss{trial} at iteration {it}")
         history.append(loss)
         if last:
             break
-        weights -= lr * grad
+        grad *= lr
+        weights -= grad
     if k == 2:
-        weights = np.column_stack([-weights, weights])
-    return LogisticModel(weights, mu, sd, k, hyper=hyper, seed=seed, loss_history=history)
+        fitted = [np.column_stack([-w, w]) for w in weights]
+    else:
+        fitted = [weights[:, t].copy() for t in range(trials)]
+    histories = np.array(history).T.tolist()
+    models = [
+        LogisticModel(w, mu, sd, k, hyper=hyper, seed=s, loss_history=h)
+        for w, s, h in zip(fitted, seeds, histories)
+    ]
+    return models if stacked else models[0]
 
 
 class BayesModel(Model):
@@ -352,7 +411,7 @@ def save_model(model: Model, path: str) -> None:
         lines.append("probs " + " ".join(repr(float(v)) for v in model.probs))
     else:
         raise ValueError(f"cannot serialize model kind {model.kind!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

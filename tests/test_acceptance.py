@@ -193,8 +193,8 @@ def test_criterion_6_oracle_consistency():
         ds, cond = gen_mixture(MixtureModel(m, 100, sigma), 50, seed=31)
         spec = UtilitySpec.zero_one()
 
-        def pipeline(features, labels, seed, m=m):
-            return constant_model(np.full(m, 1.0 / m))
+        def pipeline(features, labels, seeds, m=m):
+            return [constant_model(np.full(m, 1.0 / m)) for _ in labels]
 
         est, se = eau_monte_carlo(
             cond, ds.features, pipeline, prior_attack, spec, trials=200, seed=37

@@ -169,6 +169,47 @@ class TestPrivatizeAndAttack:
                 f"error: {data_csv}: row 5, column 'x1': non-finite cell nan"
             ]
 
+    @staticmethod
+    def two_class_model_and_three_class_csv(tmp_path):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 30, seed=3)
+        model_path = tmp_path / "m.txt"
+        save_model(train_logistic(ds, LogisticHyper(iterations=10), seed=0), str(model_path))
+        wide, _ = gen_mixture(MixtureModel(3, 3, 1.0), 30, seed=4)
+        data_csv = tmp_path / "d.csv"
+        write_csv(wide, str(data_csv))
+        return model_path, data_csv
+
+    @pytest.mark.parametrize("utility", [
+        ["--utility", "zero-one"], ["--utility", "weighted", "--marginal", "0.5,0.5"],
+    ])
+    def test_attack_rejects_labels_beyond_the_model_classes(self, tmp_path, capsys, utility):
+        model_path, data_csv = self.two_class_model_and_three_class_csv(tmp_path)
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
+                               "--input", str(data_csv), "--label-column", "label",
+                               *utility, "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {data_csv}: label 2 is out of range for the 2 classes of model {model_path}"
+        ]
+        assert not out_csv.exists()
+
+    def test_attack_rejects_marginal_of_the_wrong_length(self, tmp_path, capsys):
+        model_path, _ = self.two_class_model_and_three_class_csv(tmp_path)
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 30, seed=5)
+        data_csv = tmp_path / "two.csv"
+        write_csv(ds, str(data_csv))
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
+                               "--input", str(data_csv), "--label-column", "label",
+                               "--utility", "weighted", "--marginal", "0.2,0.3,0.5",
+                               "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: --marginal has 3 entries but model {model_path} has 2 classes"
+        ]
+        assert not out_csv.exists()
+
     def test_privatize_missing_column_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -338,7 +379,103 @@ class TestHarnessCommands:
                                "--output", str(tmp_path / "v.csv"))
         assert code != 0 and "fabricated" in err
 
+    def test_simulate_single_trial_is_one_error_line(self, tmp_path, capsys):
+        out_file = tmp_path / "one.csv"
+        argv = list(self.SIM_ARGS)
+        argv[argv.index("--trials") + 1] = "1"
+        code, _, err = run_cli(capsys, *argv, "--output", str(out_file))
+        assert code == 1
+        assert err.splitlines() == ["error: trials must be >= 2 (a cell reports a standard "
+                                    "error), got 1"]
+        assert not out_file.exists()
+
+    # sha256 of the results of `simulate --preset fig1-reduced --trials 10
+    # --seed 1 --mechanism M`, the same whether a cell's trials train one by
+    # one or in one stacked fit.
+    FIG1_REDUCED_DIGESTS = {
+        "rr": "56f04173b930a1a99fba8f55b0c4faea6a002ae7986aba7af30fef9e43e3b82b",
+        "lp2st": "c0ba5d44fbe34a4c650296a6fecd0dfecc7d9fcc581bd4beb5a92832fb3e31ab",
+        "alibi": "8b98a33995ff3beca6e040067ee9818f2fdb8b74bc5714833b6f69a1b5c105c7",
+        "pate": "88e146ef4141d2adcbdf1b44f5dbed0ccf35cf25b36a5c420737b27bb422cd53",
+    }
+
+    @pytest.mark.parametrize("mechanism", sorted(FIG1_REDUCED_DIGESTS))
+    def test_simulate_fig1_reduced_pinned(self, tmp_path, capsys, mechanism):
+        out_file = tmp_path / "sim.csv"
+        code, _, err = run_cli(capsys, "simulate", "--preset", "fig1-reduced", "--trials", "10",
+                               "--seed", "1", "--mechanism", mechanism, "--output", str(out_file))
+        assert code == 0, err
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == self.FIG1_REDUCED_DIGESTS[mechanism]
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code != 0
+
+
+class TestAtomicWrites:
+    """Every writer goes through a temporary file and os.replace, so a write
+    that fails leaves the previous file byte-intact and no temporary file."""
+
+    @staticmethod
+    def write_csv(tmp_path, target):
+        write_csv(gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=0)[0], str(target))
+
+    @staticmethod
+    def save_model(tmp_path, target):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=0)
+        save_model(train_logistic(ds, LogisticHyper(iterations=5)), str(target))
+
+    @staticmethod
+    def write_results(tmp_path, target):
+        from labeldp.experiments import write_results
+
+        write_results([{"a": 1.0}], str(target), "csv", columns=["a"], manifest={})
+
+    @staticmethod
+    def privatize(tmp_path, target):
+        data_csv = tmp_path / "in" / "d.csv"
+        write_csv(gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=0)[0], str(data_csv))
+        return main(["privatize", "--input", str(data_csv), "--epsilon", "1",
+                     "--output", str(target)])
+
+    @staticmethod
+    def attack(tmp_path, target):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=0)
+        data_csv, model_path = tmp_path / "in" / "d.csv", tmp_path / "in" / "m.txt"
+        write_csv(ds, str(data_csv))
+        save_model(train_logistic(ds, LogisticHyper(iterations=5)), str(model_path))
+        return main(["attack", "--model", str(model_path), "--input", str(data_csv),
+                     "--label-column", "label", "--output", str(target)])
+
+    @pytest.mark.parametrize("writer", ["write_csv", "save_model", "write_results",
+                                        "privatize", "attack"])
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, capsys, writer):
+        (tmp_path / "in").mkdir()
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        target = out_dir / "target"
+        target.write_text("previous\n")
+        (out_dir / "target.manifest.json").write_text("previous manifest\n")
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        import labeldp.data
+
+        def fail(src, dst):
+            if str(dst).startswith(str(out_dir)):
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        real_replace = labeldp.data.os.replace
+        monkeypatch.setattr(labeldp.data.os, "replace", fail)
+        try:
+            code = getattr(self, writer)(tmp_path, target)
+        except OSError as exc:
+            assert str(exc) == f"cannot write {target}: No space left on device"
+        else:
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: cannot write {target}: No space left on device"
+            ]
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from labeldp.data import (
+    _atomic_write,
     CsvFormatError,
     Dataset,
     MixtureModel,
@@ -48,6 +49,41 @@ class TestDataset:
     def test_rejects_non_finite_label_naming_row(self):
         with pytest.raises(ValueError, match=r"labels row 1: non-finite"):
             Dataset(np.zeros((2, 1)), np.array([0.0, math.nan]), num_classes=2)
+
+    def test_label_stack(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([[0, 1, 0], [1, 1, 0]]), num_classes=2)
+        assert len(ds) == 3 and ds.labels.shape == (2, 3)
+        np.testing.assert_array_equal(ds.subset(np.array([2, 0])).labels, [[0, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"labels row 2 of trial 1: non-finite"):
+            Dataset(np.zeros((3, 1)), np.array([[0.0, 1, 0], [1, 1, math.nan]]), num_classes=2)
+        with pytest.raises(ValueError, match="one entry per feature row"):
+            Dataset(np.zeros((3, 1)), np.zeros((2, 4), dtype=int), num_classes=2)
+
+
+class TestAtomicWrite:
+    def test_raise_midway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with _atomic_write(str(path)) as fh:
+                fh.write("partial")
+                raise RuntimeError("midway")
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous\n")
+        with _atomic_write(str(path)) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_missing_directory_names_the_path(self, tmp_path):
+        target = tmp_path / "nodir" / "x.csv"
+        with pytest.raises(OSError, match=f"cannot write {target}: No such file"):
+            with _atomic_write(str(target)):
+                pass
 
 
 class TestMixture:

@@ -68,6 +68,11 @@ class TestSimulation:
     def test_binary_leau_at_least_half(self, sim_reports):
         assert all(r.leau >= 0.5 for r in sim_reports if r.cell["m"] == 2)
 
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_fewer_than_two_trials_rejected_by_the_config(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 2 .*got {trials}"):
+            SimulationConfig(trials=trials)
+
     def test_advantage_below_bound(self, sim_reports):
         for rep in sim_reports:
             assert rep.advantage <= rep.theoretical_bound + 3 * rep.eau_stderr
@@ -219,6 +224,16 @@ class TestWriteResults:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             write_results([], str(tmp_path / "x"), "parquet", columns=["a"], manifest={})
+
+    def test_failed_write_keeps_previous_files(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_results([{"a": 1.0}], str(path), "csv", columns=["a"], manifest={"run": 1})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(KeyError):
+            # The second row lacks column "a", so the write fails midway.
+            write_results([{"a": 2.0}, {"b": 3.0}], str(path), "csv", columns=["a"],
+                          manifest={"run": 2})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_io_error_names_path(self, tmp_path):
         target = tmp_path / "nodir" / "x.csv"

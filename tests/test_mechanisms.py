@@ -296,6 +296,11 @@ class TestRelease:
         with pytest.raises(ValueError):
             report.labels[0] = 1
 
+    def test_rejects_a_label_stack(self):
+        stack = Dataset(np.zeros((4, 1)), np.zeros((2, 4), dtype=int), 2)
+        with pytest.raises(ValueError, match="one label vector, got a stack of 2"):
+            release("rr", stack, 1.0, FAST, seed=0)
+
 
 class TestAccount:
     def test_basic_sums(self):

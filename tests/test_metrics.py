@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from labeldp import metrics
 from labeldp.attacks import prior_attack, spa
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import randomized_response
@@ -105,8 +106,8 @@ class TestEau:
         cond = Conditional(2, lambda X: np.column_stack([X[:, 0] < 0, X[:, 0] >= 0]).astype(float))
         X = np.linspace(-1, 1, 20)[:, None]
 
-        def pipeline(features, labels, seed):
-            return majority_table(Dataset(features, labels, 2))
+        def pipeline(features, labels, seeds):
+            return [majority_table(Dataset(features, row, 2)) for row in labels]
 
         est, se = eau_monte_carlo(
             cond, X, pipeline, lambda k: spa(k, UtilitySpec.zero_one()),
@@ -122,9 +123,13 @@ class TestEau:
         X = np.random.default_rng(0).normal(size=(40, 3))
         hyper = LogisticHyper(iterations=25)
 
-        def pipeline(features, labels, seed):
-            private = randomized_response(labels, m, 0.0, seed)
-            return train_logistic(Dataset(features, private, m), hyper, seed)
+        def pipeline(features, labels, seeds):
+            return [
+                train_logistic(
+                    Dataset(features, randomized_response(row, m, 0.0, seed), m), hyper, seed
+                )
+                for row, seed in zip(labels, seeds)
+            ]
 
         est, se = eau_monte_carlo(
             cond, X, pipeline, lambda k: spa(k, UtilitySpec.zero_one()),
@@ -137,13 +142,52 @@ class TestEau:
         ds, cond = gen_mixture(mixture, 60, seed=2)
         spec = UtilitySpec.zero_one()
 
-        def pipeline(features, labels, seed):
-            return constant_model([1 / 3] * 3)
+        def pipeline(features, labels, seeds):
+            return [constant_model([1 / 3] * 3) for _ in labels]
 
         est, se = eau_monte_carlo(
             cond, ds.features, pipeline, prior_attack, spec, trials=400, seed=3
         )
         assert abs(est - leau_exact(cond, ds.features, spec)) <= 3 * max(se, 1e-12)
+
+
+class TestMonteCarloBlocks:
+    """eau_monte_carlo hands the pipeline blocks of trials; the blocks must
+    change neither the draws nor the result."""
+
+    @staticmethod
+    def run(monkeypatch, block, stacked, trials=8):
+        mixture = MixtureModel(3, 4, 1.0)
+        ds, cond = gen_mixture(mixture, 30, seed=4)
+        monkeypatch.setattr(metrics, "MC_BLOCK_ENTRIES", block * 30 * 3)
+        hyper = LogisticHyper(iterations=20)
+        blocks = []
+
+        def pipeline(features, labels, seeds):
+            blocks.append(len(labels))
+            if stacked:
+                return train_logistic(Dataset(features, labels, 3), hyper, seeds)
+            return [train_logistic(Dataset(features, row, 3), hyper, seed)
+                    for row, seed in zip(labels, seeds)]
+
+        result = eau_monte_carlo(cond, ds.features, pipeline,
+                                 lambda k: spa(k, UtilitySpec.zero_one()),
+                                 UtilitySpec.zero_one(), trials=trials, seed=9)
+        return result, blocks
+
+    def test_stacked_blocks_match_per_trial_fits(self, monkeypatch):
+        stacked, blocks = self.run(monkeypatch, 3, stacked=True)
+        assert blocks == [3, 3, 2]
+        single, ones = self.run(monkeypatch, 1, stacked=False)
+        assert ones == [1] * 8
+        assert stacked == single
+
+    def test_pipeline_must_return_one_model_per_trial(self):
+        cond = Conditional(2, lambda X: np.full((X.shape[0], 2), 0.5))
+        with pytest.raises(ValueError, match="returned 1 models for 4 label vectors"):
+            eau_monte_carlo(cond, np.zeros((5, 1)), lambda f, labels, s: [constant_model([0.5, 0.5])],
+                            lambda k: spa(k, UtilitySpec.zero_one()),
+                            UtilitySpec.zero_one(), trials=4, seed=0)
 
 
 class TestLeau:

@@ -96,6 +96,15 @@ def antisymmetric(w):
     return np.column_stack([-w, w])
 
 
+def one_trial_binary(w, design, labels, l2, row_weights, with_grad):
+    """The binary kernel on a stack of one: (loss, gradient column)."""
+    rw = None if row_weights is None else row_weights[None, :]
+    loss, grad = _binary_loss_and_grad(
+        w[None, :], design, (2.0 * labels - 1.0)[None, :], l2, rw, with_grad
+    )
+    return loss[0], None if grad is None else grad[0]
+
+
 class TestBinaryKernel:
     """The k = 2 form tracks w of W = [-w, w]; it must agree with the full form."""
 
@@ -115,7 +124,7 @@ class TestBinaryKernel:
         row_weights = None if class_weights is None else np.asarray(class_weights)[labels]
         for _ in range(10):
             w = rng.normal(scale=2.0, size=design.shape[1])
-            loss, grad = _binary_loss_and_grad(w, design, 2.0 * labels - 1.0, l2, row_weights, True)
+            loss, grad = one_trial_binary(w, design, labels, l2, row_weights, True)
             W = antisymmetric(w)
             full_loss = cross_entropy_loss(W, design, onehot, l2, row_weights)
             full_grad = cross_entropy_grad(W, design, onehot, l2, row_weights)
@@ -127,7 +136,7 @@ class TestBinaryKernel:
         # Huge margins push true-label probabilities below PROB_CLAMP.
         _, design, labels, onehot = self.problem(4)
         w = np.full(design.shape[1], 40.0)
-        loss, _ = _binary_loss_and_grad(w, design, 2.0 * labels - 1.0, 0.0, None, False)
+        loss, _ = one_trial_binary(w, design, labels, 0.0, None, False)
         full = cross_entropy_loss(antisymmetric(w), design, onehot)
         assert abs(loss - full) <= 1e-14 * full
 
@@ -181,6 +190,59 @@ class TestBinaryKernel:
             with pytest.raises(TrainingDivergedError, match=rf"at iteration {it}$"):
                 train_logistic(ds, LogisticHyper(learning_rate=lr, iterations=200, l2=l2))
         assert 0 < it < 200
+
+
+class TestStackedTraining:
+    """A (T, n) label stack is fit in one loop; trial t must be the fit of
+    labels[t] alone."""
+
+    @staticmethod
+    def problem(k, trials=5, n=60, d=4, seed=21):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0, d)
+        return features, rng.integers(0, k, size=(trials, n))
+
+    @pytest.mark.parametrize("k", [2, 100])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_stack_matches_single_fits(self, k, weighted, l2):
+        features, labels = self.problem(k, n=120)
+        class_weights = np.linspace(0.5, 3.0, k) if weighted else None
+        hyper = LogisticHyper(iterations=40, l2=l2, class_weights=class_weights)
+        stacked = train_logistic(Dataset(features, labels, k), hyper, seed=[1, 2, 3, 4, 5])
+        assert len(stacked) == len(labels)
+        for t, model in enumerate(stacked):
+            single = train_logistic(Dataset(features, labels[t], k), hyper, seed=t + 1)
+            assert model.seed == single.seed and model.weights.shape == single.weights.shape
+            np.testing.assert_allclose(model.weights, single.weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.loss_history, single.loss_history, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_stack_of_one_is_bit_identical(self, k, regularized):
+        features, labels = self.problem(k, trials=1)
+        hyper = LogisticHyper(iterations=30)
+        if regularized:
+            hyper = LogisticHyper(iterations=30, l2=0.1, class_weights=np.linspace(1.0, 4.0, k))
+        [stacked] = train_logistic(Dataset(features, labels, k), hyper, seed=4)
+        single = train_logistic(Dataset(features, labels[0], k), hyper, seed=4)
+        np.testing.assert_array_equal(stacked.weights, single.weights)
+        assert stacked.loss_history == single.loss_history
+
+    def test_divergence_names_iteration_and_trial(self):
+        ds = toy_separable()
+        stack = np.stack([ds.labels, ds.labels, 1 - ds.labels])
+        hyper = LogisticHyper(learning_rate=1e12, iterations=200, l2=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as single:
+                train_logistic(ds, hyper)
+            with pytest.raises(TrainingDivergedError, match=r"in trial 0 at iteration \d+$") as err:
+                train_logistic(Dataset(ds.features, stack, 2), hyper)
+        assert str(single.value).split()[-1] == str(err.value).split()[-1]
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one label vector"):
+            Dataset(np.zeros((3, 1)), np.zeros((0, 3), dtype=int), 2)
 
 
 class TestAnalyticModels:
