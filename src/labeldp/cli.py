@@ -194,6 +194,11 @@ def cmd_attack(args) -> int:
             )
     else:
         features, true_labels = load_csv_features(args.input), None
+    if model.num_features is not None and features.shape[1] != model.num_features:
+        raise ValueError(
+            f"{args.input} has {features.shape[1]} feature columns but model {args.model} "
+            f"takes {model.num_features}"
+        )
     marginal = np.asarray(_floats(args.marginal)) if args.marginal else None
     if marginal is not None and marginal.size != k:
         raise ValueError(

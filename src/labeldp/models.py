@@ -9,7 +9,8 @@ predict(X) -> argmax labels with ties broken to the lowest class index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +27,8 @@ class TrainingDivergedError(RuntimeError):
 class Model:
     kind: str = "abstract"
     num_classes: int
+    # Feature columns predict_proba expects, or None if it takes any width.
+    num_features: int | None = None
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -234,6 +237,10 @@ class LogisticModel(Model):
         self.seed = seed
         self.loss_history = loss_history if loss_history is not None else []
 
+    @property
+    def num_features(self) -> int:
+        return self.mu.size
+
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         return _softmax(_design(features, self.mu, self.sd) @ self.weights)
@@ -348,39 +355,69 @@ def constant_model(probs) -> ConstantModel:
     return ConstantModel(probs)
 
 
+def _row_keys(features: np.ndarray) -> np.ndarray:
+    """One np.void key per row of a 2-D float64 array: the row's bytes after
+    + 0.0, which turns -0.0 into 0.0 so both signed zeros share a key. Equal
+    keys mean byte-equal rows (a NaN row matches only its own bit pattern)."""
+    rows = np.ascontiguousarray(features + 0.0)
+    if rows.shape[1] == 0:
+        # A zero-column row has no bytes to view; every such row is the same.
+        return np.zeros(rows.shape[0], dtype="V1")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 class MajorityTableModel(Model):
-    """Majority training label per distinct feature value, uniform elsewhere."""
+    """Majority training label per distinct feature row, uniform elsewhere.
+
+    keys holds the distinct training rows as sorted byte keys (see
+    _row_keys) and labels the majority label of each; a query row is looked
+    up by binary search.
+    """
 
     kind = "majority"
 
-    def __init__(self, table: dict, num_classes: int):
-        self.table = table
+    def __init__(self, keys: np.ndarray, labels: np.ndarray, num_classes: int, num_features: int):
+        self.keys = keys
+        self.labels = labels
         self.num_classes = num_classes
+        self.num_features = num_features
+
+    @property
+    def table(self) -> Mapping[bytes, int]:
+        """Read-only {row bytes: majority label}; a row's bytes are those of
+        its float64 values after + 0.0 (b"" for zero-column rows)."""
+        size = 8 * self.num_features
+        return MappingProxyType(
+            {key.tobytes()[:size]: int(label) for key, label in zip(self.keys, self.labels)}
+        )
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        # + 0.0 turns -0.0 into 0.0, matching the keys majority_table wrote.
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64)) + 0.0
-        out = np.full((features.shape[0], self.num_classes), 1.0 / self.num_classes)
-        for i, row in enumerate(features):
-            label = self.table.get(row.tobytes())
-            if label is not None:
-                out[i] = 0.0
-                out[i, label] = 1.0
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if features.shape[1] != self.num_features:
+            raise ValueError(
+                f"majority table was built on {self.num_features} feature columns, "
+                f"query has {features.shape[1]}"
+            )
+        keys = _row_keys(features)
+        out = np.full((keys.size, self.num_classes), 1.0 / self.num_classes)
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        found = np.flatnonzero(self.keys[pos] == keys)
+        out[found] = 0.0
+        out[found, self.labels[pos[found]]] = 1.0
         return out
 
 
 def majority_table(train: Dataset) -> MajorityTableModel:
-    """Memorize the majority label of each exact feature value; ties go to
+    """Memorize the majority label of each exact feature row; ties go to
     the lowest class index."""
-    counts: dict[bytes, np.ndarray] = {}
-    # + 0.0 turns -0.0 into 0.0, so both signed zeros share one key.
-    for row, label in zip(train.features + 0.0, train.labels):
-        key = row.tobytes()
-        if key not in counts:
-            counts[key] = np.zeros(train.num_classes, dtype=np.int64)
-        counts[key][label] += 1
-    table = {key: int(np.argmax(votes)) for key, votes in counts.items()}
-    return MajorityTableModel(table, train.num_classes)
+    if train.labels.ndim != 1:
+        raise ValueError("majority_table takes one label vector, not a stack")
+    k = train.num_classes
+    keys, inverse = np.unique(_row_keys(train.features), return_inverse=True)
+    votes = np.bincount(inverse * k + train.labels, minlength=keys.size * k)
+    # argmax returns the first maximum, i.e. the lowest class index.
+    labels = votes.reshape(keys.size, k).argmax(axis=1)
+    return MajorityTableModel(keys, labels, k, train.features.shape[1])
 
 
 def log_loss(model: Model, dataset: Dataset) -> float:
@@ -416,6 +453,9 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
+    """Read a model written by save_model. A missing, non-numeric,
+    non-finite or inconsistent field raises ValueError naming the path and
+    the field."""
     fields: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -424,14 +464,46 @@ def load_model(path: str) -> Model:
                 key, _, value = line.partition(" ")
                 fields[key] = value
     kind = fields.get("kind")
+    if kind not in ("logistic", "constant"):
+        raise ValueError(f"unknown model kind {kind!r} in {path}")
 
-    def floats(key: str) -> np.ndarray:
-        return np.array([float(v) for v in fields[key].split()], dtype=np.float64)
+    def numbers(key: str, parse) -> list:
+        if key not in fields:
+            raise ValueError(f"{path}: {kind} model has no {key!r} field")
+        try:
+            return [parse(v) for v in fields[key].split()]
+        except ValueError:
+            raise ValueError(
+                f"{path}: field {key!r} holds {fields[key]!r}, not {parse.__name__} values"
+            ) from None
 
+    def count(key: str, least: int) -> int:
+        values = numbers(key, int)
+        if len(values) != 1 or values[0] < least:
+            raise ValueError(f"{path}: field {key!r} must be one integer >= {least}")
+        return values[0]
+
+    def floats(key: str, size: int, expected: str) -> np.ndarray:
+        values = np.array(numbers(key, float), dtype=np.float64)
+        if values.size != size:
+            raise ValueError(
+                f"{path}: field {key!r} has {values.size} values, expected {size} ({expected})"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: field {key!r} holds a non-finite value")
+        return values
+
+    k = count("classes", 2)
     if kind == "logistic":
-        k = int(fields["classes"])
-        d = int(fields["features"])
-        return LogisticModel(floats("weights").reshape(d + 1, k), floats("mu"), floats("sd"), k)
-    if kind == "constant":
-        return ConstantModel(floats("probs"))
-    raise ValueError(f"unknown model kind {kind!r} in {path}")
+        d = count("features", 0)
+        mu = floats("mu", d, "one per feature")
+        sd = floats("sd", d, "one per feature")
+        if np.any(sd <= 0):
+            raise ValueError(f"{path}: field 'sd' holds a value <= 0")
+        weights = floats("weights", (d + 1) * k, f"{d + 1} rows of {k} classes")
+        return LogisticModel(weights.reshape(d + 1, k), mu, sd, k)
+    probs = floats("probs", k, "one per class")
+    try:
+        return ConstantModel(probs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

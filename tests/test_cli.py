@@ -210,6 +210,39 @@ class TestPrivatizeAndAttack:
         ]
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_attack_rejects_csv_of_the_wrong_width(self, tmp_path, capsys, labelled):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 30, seed=3)
+        model_path = tmp_path / "m.txt"
+        save_model(train_logistic(ds, LogisticHyper(iterations=10), seed=0), str(model_path))
+        wide, _ = gen_mixture(MixtureModel(2, 4, 1.0), 30, seed=4)
+        data_csv = tmp_path / "d.csv"
+        write_csv(wide, str(data_csv))
+        if not labelled:
+            lines = data_csv.read_text().splitlines()
+            data_csv.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        label_args = ["--label-column", "label"] if labelled else []
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
+                               "--input", str(data_csv), *label_args, "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {data_csv} has 4 feature columns but model {model_path} takes 3"
+        ]
+        assert not out_csv.exists()
+
+    def test_attack_rejects_malformed_model_file(self, tmp_path, capsys):
+        model_path = tmp_path / "m.txt"
+        model_path.write_text("kind logistic\nclasses 2\n")
+        data_csv = tmp_path / "d.csv"
+        write_csv(gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=0)[0], str(data_csv))
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
+                               "--input", str(data_csv), "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == [f"error: {model_path}: logistic model has no 'features' field"]
+        assert not out_csv.exists()
+
     def test_privatize_missing_column_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -408,6 +441,23 @@ class TestHarnessCommands:
         digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert digest == self.FIG1_REDUCED_DIGESTS[mechanism]
 
+    # sha256 of the results and manifest of `thm1 --n-values 100,1000
+    # --trials 50 --seed 13`, the same whether the majority table is a dict
+    # of row bytes or a sorted key array.
+    THM1_DIGESTS = {
+        "": "55c5911d96af4ad0478308369a9817082797b28b6f317cef769445789aecc848",
+        ".manifest.json": "9248d1a89a417b0b99dba03fb6953e96250678fce033ea67f3e10847330ce97a",
+    }
+
+    def test_thm1_pinned(self, tmp_path, capsys):
+        out_file = tmp_path / "thm1.csv"
+        code, _, err = run_cli(capsys, "thm1", "--n-values", "100,1000", "--trials", "50",
+                               "--seed", "13", "--output", str(out_file))
+        assert code == 0, err
+        for suffix, expected in self.THM1_DIGESTS.items():
+            path = tmp_path / f"thm1.csv{suffix}"
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, suffix
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -479,3 +529,18 @@ class TestAtomicWrites:
                 f"error: cannot write {target}: No space left on device"
             ]
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+
+    import labeldp
+
+    src = os.path.dirname(os.path.dirname(labeldp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "labeldp", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: labeldp ")
+    assert "thm1" in done.stdout

@@ -316,6 +316,91 @@ class TestMajorityTable:
             const_acc = np.mean(ds.labels == c)
             assert table_acc >= const_acc
 
+    def test_zero_column_rows_share_one_key(self):
+        ds = Dataset(np.zeros((5, 0)), np.array([2, 0, 2, 1, 0]), 3)
+        model = majority_table(ds)
+        assert dict(model.table) == {b"": 0}
+        np.testing.assert_array_equal(model.predict_proba(np.zeros((2, 0))), [[1, 0, 0]] * 2)
+
+    def test_table_is_read_only(self):
+        model = majority_table(Dataset(np.zeros((2, 1)), np.array([1, 1]), 2))
+        with pytest.raises(TypeError):
+            model.table[b"x"] = 0
+
+    def test_query_of_the_wrong_width_is_rejected(self):
+        model = majority_table(Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2))
+        with pytest.raises(ValueError, match="built on 2 feature columns, query has 3"):
+            model.predict_proba(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="built on 2 feature columns, query has 1"):
+            model.predict_proba(np.zeros(1))
+
+    def test_label_stack_is_rejected(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([[0, 1, 1], [1, 0, 0]]), 2)
+        with pytest.raises(ValueError, match="one label vector, not a stack"):
+            majority_table(ds)
+
+    def test_nan_query_rows_are_unseen(self):
+        model = majority_table(Dataset(np.zeros((2, 2)), np.array([1, 1]), 2))
+        probs = model.predict_proba(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        np.testing.assert_array_equal(probs, [[0.5, 0.5], [0.0, 1.0]])
+
+
+def reference_table(features, labels, k):
+    """The majority table as a dict of row bytes, counted one row at a time."""
+    counts = {}
+    for row, label in zip(features + 0.0, labels):
+        counts.setdefault(row.tobytes(), np.zeros(k, dtype=np.int64))[label] += 1
+    return {key: int(np.argmax(votes)) for key, votes in counts.items()}
+
+
+def reference_proba(table, k, queries):
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64)) + 0.0
+    out = np.full((queries.shape[0], k), 1.0 / k)
+    for i, row in enumerate(queries):
+        label = table.get(row.tobytes())
+        if label is not None:
+            out[i] = 0.0
+            out[i, label] = 1.0
+    return out
+
+
+class TestMajorityTableAgainstReference:
+    """majority_table and its predict_proba agree with a dict-of-bytes loop on
+    random rows with repeats, signed zeros, vote ties and unseen queries."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_random_rows_with_repeats(self, k, d, seed):
+        rng = np.random.default_rng([k, d, seed])
+        # Cells from {-1, -0.0, 0.0, 1, 2.5}: few distinct rows, many repeats,
+        # and rows that differ only in the sign of a zero.
+        cells = np.array([-1.0, -0.0, 0.0, 1.0, 2.5])
+        n = int(rng.integers(1, 60))
+        features = cells[rng.integers(0, cells.size, (n, d))]
+        labels = rng.integers(0, k, n)
+        model = majority_table(Dataset(features, labels, k))
+        table = reference_table(features, labels, k)
+        assert dict(model.table) == table
+        unseen = rng.normal(size=(5, d))
+        queries = np.vstack([features, -features, cells[rng.integers(0, 5, (20, d))], unseen])
+        expected = reference_proba(table, k, queries)
+        np.testing.assert_array_equal(model.predict_proba(queries), expected)
+        np.testing.assert_array_equal(model.predict_proba(np.asfortranarray(queries)), expected)
+        for row in queries[[0, -1]]:
+            np.testing.assert_array_equal(
+                model.predict_proba(row), reference_proba(table, k, row)
+            )
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_vote_ties_go_to_the_lowest_tied_class(self, k):
+        # Row 0.0: every class once. Row 1.0: classes k-1 and k-2 twice each.
+        features = np.array([[0.0]] * k + [[1.0]] * 4)
+        labels = np.concatenate([np.arange(k)[::-1], [k - 1, k - 2, k - 2, k - 1]])
+        model = majority_table(Dataset(features, labels, k))
+        assert dict(model.table) == reference_table(features, labels, k)
+        np.testing.assert_array_equal(model.predict(np.array([[-0.0], [1.0]])), [0, k - 2])
+
 
 class TestLogLoss:
     def test_perfect_one_hot_is_tiny_after_clamping(self):
@@ -368,3 +453,39 @@ class TestModelContracts:
         save_model(model, str(path))
         back = load_model(str(path))
         np.testing.assert_array_equal(back.probs, model.probs)
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind logistic\nclasses 2\n", "logistic model has no 'features' field"),
+        ("kind logistic\nclasses 2\nfeatures 2\nmu 0 0\nsd 1 1\n",
+         "logistic model has no 'weights' field"),
+        ("kind logistic\nclasses 2\nfeatures 2\nmu 0 0\nsd 1 1\nweights 1 2 3\n",
+         "field 'weights' has 3 values, expected 6 (3 rows of 2 classes)"),
+        ("kind logistic\nclasses 2\nfeatures 2\nmu 0\nsd 1 1\nweights 0 0 0 0 0 0\n",
+         "field 'mu' has 1 values, expected 2 (one per feature)"),
+        ("kind logistic\nclasses two\n", "field 'classes' holds 'two', not int values"),
+        ("kind logistic\nclasses 2\nfeatures 1\nmu x\n", "field 'mu' holds 'x', not float values"),
+        ("kind logistic\nclasses 1\n", "field 'classes' must be one integer >= 2"),
+        ("kind logistic\nclasses 2\nfeatures 1\nmu 0\nsd 0\nweights 1 -1 0 0\n",
+         "field 'sd' holds a value <= 0"),
+        ("kind logistic\nclasses 2\nfeatures 1\nmu nan\nsd 1\nweights 1 -1 0 0\n",
+         "field 'mu' holds a non-finite value"),
+        ("kind constant\nclasses 2\n", "constant model has no 'probs' field"),
+        ("kind constant\nprobs 0.5 0.5\n", "constant model has no 'classes' field"),
+        ("kind constant\nclasses 3\nprobs 0.5 0.5\n",
+         "field 'probs' has 2 values, expected 3 (one per class)"),
+        ("kind constant\nclasses 2\nprobs 0.5 0.6\n", "probs must be a distribution"),
+    ])
+    def test_load_rejects_malformed_file_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
+    def test_num_features(self):
+        model = train_logistic(toy_separable(), LogisticHyper(iterations=5))
+        assert model.num_features == 2
+        assert constant_model([0.5, 0.5]).num_features is None
+        ds = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
+        assert majority_table(ds).num_features == 3
