@@ -12,7 +12,6 @@ from .data import (
     gen_skewed_binary,
     load_csv,
     load_csv_features,
-    resample_labels,
     split,
     write_csv,
 )

@@ -234,11 +234,6 @@ def sample_categorical_rows(probs: np.ndarray, seed: int) -> np.ndarray:
     return np.minimum(labels, probs.shape[1] - 1).astype(np.int64)
 
 
-def resample_labels(conditional: Conditional, features: np.ndarray, seed: int) -> np.ndarray:
-    """Sample one label per feature row from P(. | x), independently per row."""
-    return sample_categorical_rows(conditional(features), seed)
-
-
 def load_csv(path: str, label_column: str) -> Dataset:
     """Load a dataset from a UTF-8 CSV with a header row.
 

@@ -91,6 +91,9 @@ class SimulationConfig:
                              f"got {self.trials}")
         if any(m < 2 for m in self.class_counts):
             raise ValueError("class counts must be >= 2")
+        bad = [eps for eps in self.epsilons if not eps >= 0]  # NaN fails >= too
+        if bad:
+            raise ValueError(f"epsilon grid values must be >= 0 or infinite, got {bad[0]}")
         if list(self.epsilons) != sorted(self.epsilons):
             raise ValueError("epsilon grid must be sorted ascending")
         _check_mechanisms([self.mechanism])

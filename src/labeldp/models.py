@@ -81,89 +81,143 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _loss_and_grad(
-    weights: np.ndarray,
-    design: np.ndarray,
+def _softmax_loss(
+    logits: np.ndarray,
     labels: np.ndarray,
-    l2: float = 0.0,
-    row_weights: np.ndarray | None = None,
-    with_grad: bool = True,
+    row_weights: np.ndarray | None,
+    totals,
+    with_resid: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The training objective and its gradient for T label vectors at once.
+    """Cross-entropy of T label vectors from their (n, T, k) logits.
 
-    weights is (d+1, T, k); labels and row_weights (or None) are (T, n).
-    Trial t sees only weights[:, t] and labels[t]. One softmax pass over an
-    (n, d+1) @ (d+1, T*k) product gives the (T,) losses, the weighted mean
-    cross-entropy (each true-class probability clamped below at PROB_CLAMP)
-    plus 0.5 * l2 * ||W_t||^2, and a second product the (d+1, T, k) gradient.
-    Per-trial sums run over contiguous vectors, as np.sum does for one fit.
+    labels and row_weights (or None) are (T, n); totals is the (T,) sum of
+    the row weights, or n. Returns the (T,) weighted mean cross-entropy, each
+    true-class probability clamped below at PROB_CLAMP, and (when asked) the
+    weighted residual probs - onehot. One softmax pass, in place in `logits`;
+    per-trial sums run over contiguous vectors, as np.sum does for one fit.
     """
-    n, cols = design.shape
-    trials, k = weights.shape[1:]
-    totals = row_weights.sum(axis=1) if row_weights is not None else float(n)
-    probs = _softmax((design @ weights.reshape(cols, trials * k)).reshape(n, trials, k))
+    n, trials, k = logits.shape
+    probs = _softmax(logits)
     # Position of each (trial, row)'s true class in the flattened probs.
     true = (np.arange(n) * trials + np.arange(trials)[:, None]) * k + labels
     flat = probs.reshape(-1)
     per_row = -np.log(np.clip(flat[true], PROB_CLAMP, None))
     if row_weights is not None:
         per_row = per_row * row_weights
-    squares = np.square(weights.transpose(1, 0, 2), order="C").reshape(trials, -1)
-    loss = per_row.sum(axis=1) / totals + 0.5 * l2 * squares.sum(axis=1)
-    if not with_grad:
+    loss = per_row.sum(axis=1) / totals
+    if not with_resid:
         return loss, None
     flat[true] -= 1.0  # probs - onehot, in place
     if row_weights is not None:
         probs *= row_weights.T[:, :, None]
-    grad = (design.T @ probs.reshape(n, trials * k)).reshape(cols, trials, k)
-    grad /= np.asarray(totals)[..., None]
-    grad += l2 * weights
-    return loss, grad
+    return loss, probs
 
 
-def _binary_loss_and_grad(
-    w: np.ndarray,
-    design: np.ndarray,
+def _binary_loss(
+    logits: np.ndarray,
     signs: np.ndarray,
-    l2: float,
     row_weights: np.ndarray | None,
-    with_grad: bool,
+    totals,
+    with_resid: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """_loss_and_grad for two classes at W_t = [-w_t, w_t], on the rows of
-    the (T, d+1) array w.
+    """_softmax_loss for two classes at W_t = [-w_t, w_t], from the (T, n)
+    logits x.w_t.
 
-    With (T, n) label signs s = +-1, p(y | x) = sigmoid(t) for t = 2 s x.w_t,
-    and the l2 term is l2 * ||w_t||^2. The gradient returned holds column 1
-    of each trial's full gradient at [-w_t, w_t] (column 0 is its negative),
-    so a gradient step on w is exactly the full step on every W_t.
+    With (T, n) label signs s = +-1, p(y | x) = sigmoid(t) for t = 2 s x.w_t.
+    The residual returned is column 1 of each trial's full residual (column 0
+    is its negative), so the gradient it gives is column 1 of the full one.
     """
-    n = design.shape[0]
-    totals = row_weights.sum(axis=1) if row_weights is not None else float(n)
-    t = 2.0 * (w @ design.T) * signs
+    t = 2.0 * logits * signs
     # One exp serves both halves: -log sigmoid(t) = log1p(e) - min(t, 0) and
     # sigmoid(-t) = (1 if t < 0 else e) / (1 + e), with e = exp(-|t|) <= 1.
     e = np.exp(-np.abs(t))
     per_row = np.minimum(np.log1p(e) - np.minimum(t, 0.0), _LOSS_CAP)
     if row_weights is not None:
         per_row = per_row * row_weights
-    # One dot product per trial, as w_t @ w_t computes it.
-    norms = (w[:, None, :] @ w[:, :, None])[:, 0, 0]
-    loss = per_row.sum(axis=1) / totals + l2 * norms
-    if not with_grad:
+    loss = per_row.sum(axis=1) / totals
+    if not with_resid:
         return loss, None
     # p(1 | x) - y = -s * sigmoid(-t).
     resid = -signs * np.where(t < 0, 1.0, e) / (1.0 + e)
     if row_weights is not None:
         resid *= row_weights
-    grad = resid @ design
-    grad /= np.asarray(totals)[..., None]
-    grad += l2 * w
-    return loss, grad
+    return loss, resid
+
+
+def _transpose_product(design: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """design.T applied to each trial of a stack over the design's n rows:
+    (T, n) -> (T, d+1) rows, or (n, T, k) -> (d+1, T, k)."""
+    if stack.ndim == 2:
+        return stack @ design
+    n, trials, k = stack.shape
+    return (design.T @ stack.reshape(n, trials * k)).reshape(-1, trials, k)
+
+
+def _objective(
+    params: np.ndarray,
+    design: np.ndarray,
+    gram: np.ndarray | None,
+    targets: np.ndarray,
+    l2: float,
+    row_weights: np.ndarray | None,
+    lr: float | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (T,) training losses of T stacked fits over one design, each the
+    weighted mean cross-entropy plus 0.5 * l2 * ||W_t||^2, and, unless lr is
+    None, the step of one gradient-descent iteration: params -= step.
+
+    params holds each trial's weights W_t, as (d+1, T, k) for the softmax
+    form or, for two classes, as the (T, d+1) rows w_t of W_t = [-w_t, w_t]
+    (targets are then label signs, else labels). With gram = design @
+    design.T, params instead holds coefficients A_t of W_t = design.T @ A_t,
+    as (n, T, k) or (T, n). Then the logits are gram @ A_t, ||W_t||^2 is
+    <A_t, gram @ A_t>, and the weight step lr * (design.T @ R_t / total +
+    l2 * W_t), R_t the weighted residual, is design.T @ (the coefficient
+    step lr * (R_t / total + l2 * A_t)).
+    """
+    n = design.shape[0]
+    binary = params.ndim == 2
+    basis = design if gram is None else gram
+    if binary:
+        logits = params @ basis.T
+    else:
+        logits = (basis @ params.reshape(len(params), -1)).reshape(n, *params.shape[1:])
+    penalty = None
+    if l2:
+        # ||W_t||^2 as <params, params> for weights, <A_t, logits> for
+        # coefficients; read before the kernel overwrites the logits.
+        other = params if gram is None else logits
+        if binary:
+            # [-w_t, w_t] doubles ||w_t||^2, so the penalty is l2 * w_t.w_t.
+            penalty = l2 * (params[:, None, :] @ other[:, :, None])[:, 0, 0]
+        else:
+            squares = np.multiply(
+                params.transpose(1, 0, 2), other.transpose(1, 0, 2), order="C"
+            )
+            penalty = 0.5 * l2 * squares.reshape(len(squares), -1).sum(axis=1)
+    totals = row_weights.sum(axis=1) if row_weights is not None else float(n)
+    kernel = _binary_loss if binary else _softmax_loss
+    loss, resid = kernel(logits, targets, row_weights, totals, lr is not None)
+    if penalty is not None:
+        loss = loss + penalty
+    if lr is None:
+        return loss, None
+    if gram is None:
+        step = _transpose_product(design, resid)
+        step /= np.asarray(totals)[..., None]
+        step += l2 * params
+        step *= lr
+    else:
+        step = resid
+        step *= np.asarray(lr / totals)[..., None]
+        if l2:
+            step += (lr * l2) * params
+    return loss, step
 
 
 def _one_trial(weights, onehot, row_weights):
-    """The kernel arguments of one fit given as a (d+1, k) weight matrix and
-    (n, k) one-hot targets."""
+    """_objective's arguments for one fit given as a (d+1, k) weight matrix
+    and (n, k) one-hot targets."""
     labels = np.argmax(onehot, axis=1)
     if not np.array_equal(onehot, np.eye(onehot.shape[1])[labels]):
         raise ValueError("onehot must hold one 1 per row and 0 elsewhere")
@@ -187,7 +241,7 @@ def cross_entropy_loss(
     the test suite differentiates exactly this function.
     """
     weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
-    return float(_loss_and_grad(weights, design, labels, l2, row_weights, with_grad=False)[0][0])
+    return float(_objective(weights, design, None, labels, l2, row_weights, None)[0][0])
 
 
 def cross_entropy_grad(
@@ -198,7 +252,7 @@ def cross_entropy_grad(
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
     weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
-    return _loss_and_grad(weights, design, labels, l2, row_weights)[1][:, 0]
+    return _objective(weights, design, None, labels, l2, row_weights, 1.0)[1][:, 0]
 
 
 def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) -> float:
@@ -210,9 +264,12 @@ def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) 
     eigenvalue of the (d+1) x (d+1) Gram matrix X^T X.
     """
     mu, sd = _fit_scaler(train.features, hyper.standardize)
-    design = _design(train.features, mu, sd)
+    return _stability_bound(_design(train.features, mu, sd), hyper.l2)
+
+
+def _stability_bound(design: np.ndarray, l2: float) -> float:
     smax_sq = np.linalg.eigvalsh(design.T @ design)[-1]
-    lipschitz = smax_sq / (2.0 * design.shape[0]) + hyper.l2
+    lipschitz = smax_sq / (2.0 * design.shape[0]) + l2
     return 2.0 / lipschitz
 
 
@@ -261,6 +318,11 @@ def train_logistic(
     way for all T. The result is a list of T models, trial t's being the fit
     of labels[t] alone (weights within 1e-12; bit for bit when T = 1), and
     `seed` may then be one seed per trial. A divergence names the trial too.
+
+    With fewer rows n than twice the design's d+1 columns, the loop runs in
+    coefficient space instead (see _objective): one (n, n) product per
+    iteration, with W = design.T @ A formed once at the end. It agrees with
+    descent on the weights to 1e-12 relative in weights and loss history.
     """
     if len(train) < 1:
         raise ValueError("training set is empty")
@@ -282,20 +344,27 @@ def train_logistic(
 
     lr = hyper.learning_rate
     if lr is None:
-        lr = 0.9 * stability_threshold(train, hyper)
+        lr = 0.9 * _stability_bound(design, hyper.l2)
 
+    # Descent from W = 0 never leaves the row space of the design, so with
+    # fewer rows than twice its columns the loop carries the coefficients A
+    # of W = design.T @ A: one (n, n) product per step instead of two
+    # (n, d+1) ones (see _objective).
+    n, cols = design.shape
+    gram = design @ design.T if n < 2 * cols else None
+    size = cols if gram is None else n
     # Descent from zero keeps W[:, 0] == -W[:, 1] for two classes, so the
     # binary form tracks the single column w = W[:, 1] of each trial.
     if k == 2:
-        kernel, targets = _binary_loss_and_grad, 2.0 * labels - 1.0
-        weights = np.zeros((trials, design.shape[1]))
+        targets, params = 2.0 * labels - 1.0, np.zeros((trials, size))
     else:
-        kernel, targets = _loss_and_grad, labels
-        weights = np.zeros((design.shape[1], trials, k))
+        targets, params = labels, np.zeros((size, trials, k))
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = kernel(weights, design, targets, hyper.l2, row_weights, not last)
+        loss, step = _objective(
+            params, design, gram, targets, hyper.l2, row_weights, None if last else lr
+        )
         finite = np.isfinite(loss)
         if not finite.all():
             trial = f" in trial {int(np.argmin(finite))}" if stacked else ""
@@ -303,8 +372,8 @@ def train_logistic(
         history.append(loss)
         if last:
             break
-        grad *= lr
-        weights -= grad
+        params -= step
+    weights = params if gram is None else _transpose_product(design, params)
     if k == 2:
         fitted = [np.column_stack([-w, w]) for w in weights]
     else:

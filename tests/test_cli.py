@@ -422,6 +422,25 @@ class TestHarnessCommands:
                                     "error), got 1"]
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("epsilons, shown", [("nan", "nan"), ("-1", "-1.0"), ("1,nan", "nan")])
+    def test_simulate_rejects_nan_or_negative_epsilon_before_any_data(
+        self, tmp_path, capsys, monkeypatch, epsilons, shown
+    ):
+        import labeldp.experiments as experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data generated before the config was validated")
+
+        monkeypatch.setattr(experiments, "gen_mixture", refuse)
+        out_file = tmp_path / "eps.csv"
+        argv = list(self.SIM_ARGS)
+        argv[argv.index("--epsilons") + 1] = epsilons
+        code, _, err = run_cli(capsys, *argv, "--output", str(out_file))
+        assert code == 1
+        assert err.splitlines() == [f"error: epsilon grid values must be >= 0 or infinite, "
+                                    f"got {shown}"]
+        assert not out_file.exists()
+
     # sha256 of the results of `simulate --preset fig1-reduced --trials 10
     # --seed 1 --mechanism M`, the same whether a cell's trials train one by
     # one or in one stacked fit.
@@ -456,6 +475,25 @@ class TestHarnessCommands:
         assert code == 0, err
         for suffix, expected in self.THM1_DIGESTS.items():
             path = tmp_path / f"thm1.csv{suffix}"
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, suffix
+
+    # sha256 of the results and manifest of `ctr --n 20000 --mechanisms
+    # rr,lp2st,alibi,pate --epsilons inf,1.0 --seed 0`. Every fit there has
+    # at least twice as many rows as design columns, so it descends in weight
+    # space and must stay bit for bit.
+    CTR_DIGESTS = {
+        "": "663587ae5df43c5363133e8599293ae720a4dde591b548250135a63f801f097e",
+        ".manifest.json": "1be6fc792fe6e707b0287268b7372c2efaa6ae366b33419b250f6e456a2134c3",
+    }
+
+    def test_ctr_pinned(self, tmp_path, capsys):
+        out_file = tmp_path / "ctr.csv"
+        code, _, err = run_cli(capsys, "ctr", "--n", "20000",
+                               "--mechanisms", "rr,lp2st,alibi,pate", "--epsilons", "inf,1.0",
+                               "--seed", "0", "--output", str(out_file))
+        assert code == 0, err
+        for suffix, expected in self.CTR_DIGESTS.items():
+            path = tmp_path / f"ctr.csv{suffix}"
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, suffix
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):

@@ -14,7 +14,7 @@ from labeldp.data import (
     gen_skewed_binary,
     load_csv,
     load_csv_features,
-    resample_labels,
+    sample_categorical_rows,
     split,
     write_csv,
 )
@@ -138,12 +138,14 @@ class TestMixture:
         assert stats.chisquare(counts).pvalue > 0.001
 
 
-class TestResampleLabels:
+class TestSampleCategoricalRows:
+    """Label draws from P(. | x), one per row: sample_categorical_rows(cond(X), seed)."""
+
     def test_deterministic_conditional_is_exact(self):
         from labeldp.data import Conditional
 
         cond = Conditional(3, lambda X: np.tile([0.0, 0.0, 1.0], (X.shape[0], 1)))
-        labels = resample_labels(cond, np.zeros((100, 2)), seed=0)
+        labels = sample_categorical_rows(cond(np.zeros((100, 2))), seed=0)
         assert np.all(labels == 2)
 
     def test_uniform_conditional_concentrates(self):
@@ -151,14 +153,14 @@ class TestResampleLabels:
         from labeldp.data import Conditional
 
         cond = Conditional(2, lambda X: np.full((X.shape[0], 2), 0.5))
-        labels = resample_labels(cond, np.zeros((10**6, 1)), seed=1)
+        labels = sample_categorical_rows(cond(np.zeros((10**6, 1))), seed=1)
         assert abs(labels.mean() - 0.5) < 0.0015
 
     def test_same_seed_identical(self):
         cond = MixtureModel(3, 4, 1.0).conditional()
         X = np.random.default_rng(2).normal(size=(500, 4))
-        a = resample_labels(cond, X, seed=9)
-        b = resample_labels(cond, X, seed=9)
+        a = sample_categorical_rows(cond(X), seed=9)
+        b = sample_categorical_rows(cond(X), seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_per_row_frequencies_match_conditional(self):
@@ -167,7 +169,7 @@ class TestResampleLabels:
         row = np.array([[0.4, 0.3, 0.1]])
         expected = cond(row)[0]
         X = np.repeat(row, 10**5, axis=0)
-        draws = resample_labels(cond, X, seed=4)
+        draws = sample_categorical_rows(cond(X), seed=4)
         counts = np.bincount(draws, minlength=3)
         result = stats.chisquare(counts, f_exp=expected * 10**5)
         assert result.pvalue > 0.001

@@ -82,6 +82,16 @@ class TestSimulation:
         for a, b in zip(sim_reports, again):
             assert a.to_row() == b.to_row()
 
+    @pytest.mark.parametrize("epsilons, shown", [
+        ((math.nan,), "nan"), ((-1.0,), "-1.0"), ((1.0, math.nan), "nan"),
+    ])
+    def test_nan_or_negative_epsilon_rejected(self, epsilons, shown):
+        with pytest.raises(ValueError, match=f"must be >= 0 or infinite, got {shown}$"):
+            SimulationConfig(epsilons=epsilons)
+
+    def test_zero_and_infinite_epsilon_accepted(self):
+        assert SimulationConfig(epsilons=(0.0, 1.0, math.inf)).epsilons == (0.0, 1.0, math.inf)
+
     def test_epsilon_grid_must_be_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
             SimulationConfig(epsilons=(2.0, 0.5))

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
+import labeldp.models as models
 from labeldp.models import (
     LogisticHyper,
-    _binary_loss_and_grad,
+    _design,
+    _fit_scaler,
+    _objective,
     TrainingDivergedError,
     bayes_model,
     constant_model,
@@ -97,10 +100,11 @@ def antisymmetric(w):
 
 
 def one_trial_binary(w, design, labels, l2, row_weights, with_grad):
-    """The binary kernel on a stack of one: (loss, gradient column)."""
+    """The binary form on a stack of one: (loss, gradient column)."""
     rw = None if row_weights is None else row_weights[None, :]
-    loss, grad = _binary_loss_and_grad(
-        w[None, :], design, (2.0 * labels - 1.0)[None, :], l2, rw, with_grad
+    loss, grad = _objective(
+        w[None, :], design, None, (2.0 * labels - 1.0)[None, :], l2, rw,
+        1.0 if with_grad else None,
     )
     return loss[0], None if grad is None else grad[0]
 
@@ -243,6 +247,129 @@ class TestStackedTraining:
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one label vector"):
             Dataset(np.zeros((3, 1)), np.zeros((0, 3), dtype=int), 2)
+
+
+def weight_space_fit(ds, hyper):
+    """Descent on the weights themselves, the path train_logistic takes when
+    n >= 2(d+1), on any shape: (weights per trial, loss history per trial)."""
+    stacked = ds.labels.ndim == 2
+    labels = ds.labels if stacked else ds.labels[None, :]
+    trials, k = labels.shape[0], ds.num_classes
+    design = _design(ds.features, *_fit_scaler(ds.features, hyper.standardize))
+    lr = hyper.learning_rate or 0.9 * stability_threshold(ds, hyper)
+    row_weights = None if hyper.class_weights is None else hyper.class_weights[labels]
+    if k == 2:
+        targets, params = 2.0 * labels - 1.0, np.zeros((trials, design.shape[1]))
+    else:
+        targets, params = labels, np.zeros((design.shape[1], trials, k))
+    history = []
+    for it in range(hyper.iterations + 1):
+        last = it == hyper.iterations
+        loss, step = _objective(params, design, None, targets, hyper.l2, row_weights,
+                                None if last else lr)
+        history.append(loss)
+        if not last:
+            params -= step
+    if k == 2:
+        weights = [np.column_stack([-w, w]) for w in params]
+    else:
+        weights = list(params.transpose(1, 0, 2))
+    return weights, np.array(history).T
+
+
+def assert_close_relative(actual, expected, bound=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.max(np.abs(actual - expected)) <= bound * np.max(np.abs(expected))
+
+
+class TestCoefficientSpace:
+    """With n < 2(d+1) rows, train_logistic descends on coefficients A of
+    W = design.T @ A; it must agree with descent on the weights."""
+
+    @staticmethod
+    def problem(k, n, d, trials=None, seed=31):
+        rng = np.random.default_rng([k, n, d, seed])
+        features = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0, d) + rng.normal(size=d)
+        shape = n if trials is None else (trials, n)
+        return Dataset(features, rng.integers(0, k, size=shape), k)
+
+    @staticmethod
+    def spy_paths(monkeypatch):
+        """Record, per _objective call, whether it ran in coefficient space."""
+        paths = []
+        original = models._objective
+
+        def spy(params, design, gram, *args):
+            paths.append(gram is not None)
+            return original(params, design, gram, *args)
+
+        monkeypatch.setattr(models, "_objective", spy)
+        return paths
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    @pytest.mark.parametrize("trials", [None, 4])
+    @pytest.mark.parametrize("variant", ["plain", "l2", "class_weights", "unstandardized"])
+    def test_matches_weight_space_descent(self, monkeypatch, k, trials, variant):
+        hyper = LogisticHyper(
+            iterations=35,
+            l2=0.05 if variant == "l2" else 0.0,
+            class_weights=np.linspace(0.5, 3.0, k) if variant == "class_weights" else None,
+            standardize=variant != "unstandardized",
+        )
+        ds = self.problem(k, n=30, d=40, trials=trials)
+        paths = self.spy_paths(monkeypatch)
+        fitted = train_logistic(ds, hyper, seed=0)
+        assert paths and all(paths)
+        fitted = fitted if trials else [fitted]
+        weights, histories = weight_space_fit(ds, hyper)
+        for model, w, h in zip(fitted, weights, histories, strict=True):
+            assert model.weights.shape == w.shape
+            assert_close_relative(model.weights, w)
+            np.testing.assert_allclose(model.loss_history, h, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(model.predict(ds.features),
+                                          np.argmax(_design(ds.features, model.mu, model.sd) @ w,
+                                                    axis=1))
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_shape_boundary(self, monkeypatch, k):
+        d = 6
+        hyper = LogisticHyper(iterations=20, l2=0.01)
+        for n, coefficients in [(2 * (d + 1) - 1, True), (2 * (d + 1), False)]:
+            ds = self.problem(k, n=n, d=d, trials=3)
+            paths = self.spy_paths(monkeypatch)
+            fitted = train_logistic(ds, hyper, seed=0)
+            assert set(paths) == {coefficients}
+            weights, histories = weight_space_fit(ds, hyper)
+            for model, w, h in zip(fitted, weights, histories, strict=True):
+                if coefficients:
+                    assert_close_relative(model.weights, w)
+                    np.testing.assert_allclose(model.loss_history, h, rtol=1e-12, atol=0)
+                else:
+                    np.testing.assert_array_equal(model.weights, w)
+                    assert model.loss_history == h.tolist()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_divergence_names_the_same_trial_and_iteration(self, monkeypatch, stacked):
+        # Repeating every row keeps the mean objective, the scaler and the
+        # step, but doubles n past 2(d+1): the same descent in weight space.
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(5, 3))
+        labels = rng.integers(0, 3, size=(4, 5))
+        labels[2] = 0
+        if not stacked:
+            labels = labels[3]
+        hyper = LogisticHyper(learning_rate=3.0, l2=1.0, iterations=3000,
+                              class_weights=np.array([1.0, 10.5, 20.0]))
+        messages = []
+        for repeats, coefficients in [(1, True), (2, False)]:
+            ds = Dataset(np.tile(features, (repeats, 1)), np.tile(labels, repeats), 3)
+            paths = self.spy_paths(monkeypatch)
+            with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+                train_logistic(ds, hyper)
+            assert set(paths) == {coefficients}
+            messages.append(str(err.value))
+        expected = "in trial 3 at iteration 511" if stacked else "at iteration 511"
+        assert messages == [f"non-finite loss {expected}"] * 2
 
 
 class TestAnalyticModels:
