@@ -160,20 +160,20 @@ def _objective(
     targets: np.ndarray,
     l2: float,
     row_weights: np.ndarray | None,
-    lr: float | None,
+    with_grad: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The (T,) training losses of T stacked fits over one design, each the
-    weighted mean cross-entropy plus 0.5 * l2 * ||W_t||^2, and, unless lr is
-    None, the step of one gradient-descent iteration: params -= step.
+    weighted mean cross-entropy plus 0.5 * l2 * ||W_t||^2, and (when asked)
+    the descent direction: params -= lr * direction is one gradient step.
 
     params holds each trial's weights W_t, as (d+1, T, k) for the softmax
     form or, for two classes, as the (T, d+1) rows w_t of W_t = [-w_t, w_t]
     (targets are then label signs, else labels). With gram = design @
     design.T, params instead holds coefficients A_t of W_t = design.T @ A_t,
     as (n, T, k) or (T, n). Then the logits are gram @ A_t, ||W_t||^2 is
-    <A_t, gram @ A_t>, and the weight step lr * (design.T @ R_t / total +
-    l2 * W_t), R_t the weighted residual, is design.T @ (the coefficient
-    step lr * (R_t / total + l2 * A_t)).
+    <A_t, gram @ A_t>, and the weight gradient design.T @ R_t / total +
+    l2 * W_t, R_t the weighted residual, is design.T @ (the coefficient
+    direction R_t / total + l2 * A_t).
     """
     n = design.shape[0]
     binary = params.ndim == 2
@@ -197,22 +197,15 @@ def _objective(
             penalty = 0.5 * l2 * squares.reshape(len(squares), -1).sum(axis=1)
     totals = row_weights.sum(axis=1) if row_weights is not None else float(n)
     kernel = _binary_loss if binary else _softmax_loss
-    loss, resid = kernel(logits, targets, row_weights, totals, lr is not None)
+    loss, resid = kernel(logits, targets, row_weights, totals, with_grad)
     if penalty is not None:
         loss = loss + penalty
-    if lr is None:
+    if not with_grad:
         return loss, None
-    if gram is None:
-        step = _transpose_product(design, resid)
-        step /= np.asarray(totals)[..., None]
-        step += l2 * params
-        step *= lr
-    else:
-        step = resid
-        step *= np.asarray(lr / totals)[..., None]
-        if l2:
-            step += (lr * l2) * params
-    return loss, step
+    grad = _transpose_product(design, resid) if gram is None else resid
+    grad /= np.asarray(totals)[..., None]
+    grad += l2 * params
+    return loss, grad
 
 
 def _one_trial(weights, onehot, row_weights):
@@ -241,7 +234,7 @@ def cross_entropy_loss(
     the test suite differentiates exactly this function.
     """
     weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
-    return float(_objective(weights, design, None, labels, l2, row_weights, None)[0][0])
+    return float(_objective(weights, design, None, labels, l2, row_weights, False)[0][0])
 
 
 def cross_entropy_grad(
@@ -252,7 +245,7 @@ def cross_entropy_grad(
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
     weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
-    return _objective(weights, design, None, labels, l2, row_weights, 1.0)[1][:, 0]
+    return _objective(weights, design, None, labels, l2, row_weights, True)[1][:, 0]
 
 
 def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) -> float:
@@ -264,12 +257,9 @@ def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) 
     eigenvalue of the (d+1) x (d+1) Gram matrix X^T X.
     """
     mu, sd = _fit_scaler(train.features, hyper.standardize)
-    return _stability_bound(_design(train.features, mu, sd), hyper.l2)
-
-
-def _stability_bound(design: np.ndarray, l2: float) -> float:
+    design = _design(train.features, mu, sd)
     smax_sq = np.linalg.eigvalsh(design.T @ design)[-1]
-    lipschitz = smax_sq / (2.0 * design.shape[0]) + l2
+    lipschitz = smax_sq / (2.0 * design.shape[0]) + hyper.l2
     return 2.0 / lipschitz
 
 
@@ -344,7 +334,7 @@ def train_logistic(
 
     lr = hyper.learning_rate
     if lr is None:
-        lr = 0.9 * _stability_bound(design, hyper.l2)
+        lr = 0.9 * stability_threshold(train, hyper)
 
     # Descent from W = 0 never leaves the row space of the design, so with
     # fewer rows than twice its columns the loop carries the coefficients A
@@ -362,9 +352,7 @@ def train_logistic(
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, step = _objective(
-            params, design, gram, targets, hyper.l2, row_weights, None if last else lr
-        )
+        loss, grad = _objective(params, design, gram, targets, hyper.l2, row_weights, not last)
         finite = np.isfinite(loss)
         if not finite.all():
             trial = f" in trial {int(np.argmin(finite))}" if stacked else ""
@@ -372,7 +360,8 @@ def train_logistic(
         history.append(loss)
         if last:
             break
-        params -= step
+        grad *= lr
+        params -= grad
     weights = params if gram is None else _transpose_product(design, params)
     if k == 2:
         fitted = [np.column_stack([-w, w]) for w in weights]

@@ -103,8 +103,7 @@ def one_trial_binary(w, design, labels, l2, row_weights, with_grad):
     """The binary form on a stack of one: (loss, gradient column)."""
     rw = None if row_weights is None else row_weights[None, :]
     loss, grad = _objective(
-        w[None, :], design, None, (2.0 * labels - 1.0)[None, :], l2, rw,
-        1.0 if with_grad else None,
+        w[None, :], design, None, (2.0 * labels - 1.0)[None, :], l2, rw, with_grad
     )
     return loss[0], None if grad is None else grad[0]
 
@@ -265,11 +264,10 @@ def weight_space_fit(ds, hyper):
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, step = _objective(params, design, None, targets, hyper.l2, row_weights,
-                                None if last else lr)
+        loss, grad = _objective(params, design, None, targets, hyper.l2, row_weights, not last)
         history.append(loss)
         if not last:
-            params -= step
+            params -= lr * grad
     if k == 2:
         weights = [np.column_stack([-w, w]) for w in params]
     else:
