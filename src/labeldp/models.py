@@ -204,7 +204,8 @@ def _objective(
         return loss, None
     grad = _transpose_product(design, resid) if gram is None else resid
     grad /= np.asarray(totals)[..., None]
-    grad += l2 * params
+    if l2:
+        grad += l2 * params
     return loss, grad
 
 
