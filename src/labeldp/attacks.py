@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Conditional
-from .metrics import UtilitySpec, best_response, utility_matrix
+from .metrics import UtilitySpec, best_response, probability_vector, utility_matrix
 from .models import Model
 
 
@@ -21,7 +21,8 @@ from .models import Model
 class AdversaryKnowledge:
     """What the attacker sees: the public features always, plus at least one
     of the released model and the conditional P(y | x); optionally the
-    marginal label distribution (the feature-unaware threat model)."""
+    marginal label distribution (the feature-unaware threat model), a
+    finite, non-negative vector summing to 1."""
 
     features: np.ndarray
     model: Model | None = None
@@ -33,7 +34,7 @@ class AdversaryKnowledge:
         if self.model is None and self.conditional is None:
             raise ValueError("knowledge must include a model or a conditional")
         if self.marginal is not None:
-            object.__setattr__(self, "marginal", np.asarray(self.marginal, dtype=np.float64))
+            object.__setattr__(self, "marginal", probability_vector(self.marginal))
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,8 @@ class MixtureModel:
                 f"invalid model: {self.num_classes} classes need {self.num_classes} "
                 f"basis vectors but dim is {self.dim}"
             )
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def means(self) -> np.ndarray:
         return np.eye(self.num_classes, self.dim)

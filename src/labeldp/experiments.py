@@ -89,14 +89,17 @@ class SimulationConfig:
         if self.trials < 2:
             raise ValueError(f"trials must be >= 2 (a cell reports a standard error), "
                              f"got {self.trials}")
-        if any(m < 2 for m in self.class_counts):
-            raise ValueError("class counts must be >= 2")
         bad = [eps for eps in self.epsilons if not eps >= 0]  # NaN fails >= too
         if bad:
             raise ValueError(f"epsilon grid values must be >= 0 or infinite, got {bad[0]}")
         if list(self.epsilons) != sorted(self.epsilons):
             raise ValueError("epsilon grid must be sorted ascending")
         _check_mechanisms([self.mechanism])
+        # Each cell's mixture checks its class count, dim and sigma; build
+        # them all here so a bad grid fails before the first cell runs.
+        for m in self.class_counts:
+            for sigma in self.sigmas:
+                MixtureModel(m, self.dim, float(sigma))
 
 
 def mechanism_pipeline(

@@ -100,6 +100,8 @@ def account(stage_epsilons, rule: str) -> PrivacyParams:
 
 def keep_probability(epsilon: float, k: int) -> float:
     """Randomized-response keep probability e^eps / (e^eps + k - 1)."""
+    if not epsilon >= 0:  # NaN fails >= too
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if math.isinf(epsilon):
         return 1.0
     # Computed as 1 / (1 + (k-1) e^-eps) to avoid overflow at large epsilon.
@@ -112,8 +114,6 @@ def randomized_response(labels: np.ndarray, k: int, epsilon: float, seed: int) -
     k - 1 classes. The output labels are epsilon-label-DP."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     labels = np.asarray(labels, dtype=np.int64)
     p = keep_probability(epsilon, k)
     rng = substream(seed, "rr")

@@ -24,6 +24,16 @@ WEIGHTED = "weighted-zero-one"
 REGRESSION = "bounded-regression"
 
 
+def probability_vector(marginal) -> np.ndarray:
+    """marginal as a float64 vector; raises ValueError unless it is finite,
+    non-negative and sums to 1 (within 1e-9)."""
+    p = np.asarray(marginal, dtype=np.float64)
+    if (p.ndim != 1 or not np.isfinite(p).all() or np.any(p < 0)
+            or abs(p.sum() - 1.0) > 1e-9):
+        raise ValueError(f"marginal must be a probability vector, got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Attack utility u(yhat, y) in [0, B].
@@ -43,9 +53,7 @@ class UtilitySpec:
         if self.kind == ZERO_ONE:
             pass
         elif self.kind == WEIGHTED:
-            p = np.asarray(self.marginal, dtype=np.float64)
-            if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-                raise ValueError(f"marginal must be a probability vector, got {p}")
+            p = probability_vector(self.marginal)
             if np.any(p == 0):
                 raise ValueError("weighted utility needs strictly positive marginals")
             object.__setattr__(self, "marginal", p)
@@ -223,14 +231,14 @@ class BoundQuery:
     domain_size: float | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN fails >= too
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
         if self.utility_bound is not None and not self.utility_bound > 0:
             raise ValueError("utility_bound must be positive")
-        if self.exp_sup_utility is not None and self.exp_sup_utility < 0:
-            raise ValueError("exp_sup_utility must be >= 0")
+        if self.exp_sup_utility is not None and not self.exp_sup_utility >= 0:
+            raise ValueError(f"exp_sup_utility must be >= 0, got {self.exp_sup_utility}")
 
 
 def bound_factor(epsilon: float, delta: float, draft_variant: bool = False) -> float:
@@ -262,7 +270,7 @@ def dp_generalization_gap_bound(
     epsilon: float, delta: float, draft_variant: bool = False
 ) -> float:
     """Bound on the train-test utility gap of a private learner, u in [0, 1]."""
-    if epsilon < 0 or not 0.0 <= delta <= 1.0:
+    if not epsilon >= 0 or not 0.0 <= delta <= 1.0:
         raise ValueError(f"invalid privacy params ({epsilon}, {delta})")
     return bound_factor(epsilon, delta, draft_variant)
 
@@ -280,7 +288,7 @@ def reconstruction_bound(epsilon: float, delta: float, domain_size: float) -> fl
     size: 1 - e^-eps + delta * |Z|."""
     if not domain_size > 0:
         raise ValueError(f"domain_size must be positive, got {domain_size}")
-    if epsilon < 0 or not 0.0 <= delta <= 1.0:
+    if not epsilon >= 0 or not 0.0 <= delta <= 1.0:
         raise ValueError(f"invalid privacy params ({epsilon}, {delta})")
     return 1.0 - math.exp(-epsilon) + delta * domain_size
 

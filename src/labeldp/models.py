@@ -44,28 +44,17 @@ class LogisticHyper:
 
     learning_rate None means 0.9 x the stability threshold of the training
     design matrix (the largest step size with guaranteed non-increasing
-    loss). standardize controls per-column (x - mean) / std preprocessing,
-    recorded in the model so predictions see the same transform.
+    loss).
     """
 
     learning_rate: float | None = None
     iterations: int = 300
-    l2: float = 0.0
-    class_weights: np.ndarray | None = None
-    standardize: bool = True
 
     def __post_init__(self):
         if self.learning_rate is not None and not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if self.class_weights is not None:
-            w = np.asarray(self.class_weights, dtype=np.float64)
-            if np.any(w <= 0):
-                raise ValueError("class_weights must be positive")
-            object.__setattr__(self, "class_weights", w)
 
 
 def _design(features: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -82,43 +71,29 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax_loss(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    row_weights: np.ndarray | None,
-    totals,
-    with_resid: bool,
+    logits: np.ndarray, labels: np.ndarray, with_resid: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Cross-entropy of T label vectors from their (n, T, k) logits.
 
-    labels and row_weights (or None) are (T, n); totals is the (T,) sum of
-    the row weights, or n. Returns the (T,) weighted mean cross-entropy, each
-    true-class probability clamped below at PROB_CLAMP, and (when asked) the
-    weighted residual probs - onehot. One softmax pass, in place in `logits`;
-    per-trial sums run over contiguous vectors, as np.sum does for one fit.
+    labels is (T, n). Returns the (T,) summed cross-entropy, each true-class
+    probability clamped below at PROB_CLAMP, and (when asked) the residual
+    probs - onehot. One softmax pass, in place in `logits`; per-trial sums
+    run over contiguous vectors, as np.sum does for one fit.
     """
     n, trials, k = logits.shape
     probs = _softmax(logits)
     # Position of each (trial, row)'s true class in the flattened probs.
     true = (np.arange(n) * trials + np.arange(trials)[:, None]) * k + labels
     flat = probs.reshape(-1)
-    per_row = -np.log(np.clip(flat[true], PROB_CLAMP, None))
-    if row_weights is not None:
-        per_row = per_row * row_weights
-    loss = per_row.sum(axis=1) / totals
+    loss = -np.log(np.clip(flat[true], PROB_CLAMP, None)).sum(axis=1)
     if not with_resid:
         return loss, None
     flat[true] -= 1.0  # probs - onehot, in place
-    if row_weights is not None:
-        probs *= row_weights.T[:, :, None]
     return loss, probs
 
 
 def _binary_loss(
-    logits: np.ndarray,
-    signs: np.ndarray,
-    row_weights: np.ndarray | None,
-    totals,
-    with_resid: bool,
+    logits: np.ndarray, signs: np.ndarray, with_resid: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """_softmax_loss for two classes at W_t = [-w_t, w_t], from the (T, n)
     logits x.w_t.
@@ -131,17 +106,11 @@ def _binary_loss(
     # One exp serves both halves: -log sigmoid(t) = log1p(e) - min(t, 0) and
     # sigmoid(-t) = (1 if t < 0 else e) / (1 + e), with e = exp(-|t|) <= 1.
     e = np.exp(-np.abs(t))
-    per_row = np.minimum(np.log1p(e) - np.minimum(t, 0.0), _LOSS_CAP)
-    if row_weights is not None:
-        per_row = per_row * row_weights
-    loss = per_row.sum(axis=1) / totals
+    loss = np.minimum(np.log1p(e) - np.minimum(t, 0.0), _LOSS_CAP).sum(axis=1)
     if not with_resid:
         return loss, None
     # p(1 | x) - y = -s * sigmoid(-t).
-    resid = -signs * np.where(t < 0, 1.0, e) / (1.0 + e)
-    if row_weights is not None:
-        resid *= row_weights
-    return loss, resid
+    return loss, -signs * np.where(t < 0, 1.0, e) / (1.0 + e)
 
 
 def _transpose_product(design: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -158,22 +127,19 @@ def _objective(
     design: np.ndarray,
     gram: np.ndarray | None,
     targets: np.ndarray,
-    l2: float,
-    row_weights: np.ndarray | None,
     with_grad: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (T,) training losses of T stacked fits over one design, each the
-    weighted mean cross-entropy plus 0.5 * l2 * ||W_t||^2, and (when asked)
-    the descent direction: params -= lr * direction is one gradient step.
+    """The (T,) mean cross-entropies of T stacked fits over one design, and
+    (when asked) the descent direction: params -= lr * direction is one
+    gradient step.
 
     params holds each trial's weights W_t, as (d+1, T, k) for the softmax
     form or, for two classes, as the (T, d+1) rows w_t of W_t = [-w_t, w_t]
     (targets are then label signs, else labels). With gram = design @
     design.T, params instead holds coefficients A_t of W_t = design.T @ A_t,
-    as (n, T, k) or (T, n). Then the logits are gram @ A_t, ||W_t||^2 is
-    <A_t, gram @ A_t>, and the weight gradient design.T @ R_t / total +
-    l2 * W_t, R_t the weighted residual, is design.T @ (the coefficient
-    direction R_t / total + l2 * A_t).
+    as (n, T, k) or (T, n). Then the logits are gram @ A_t, and the weight
+    gradient design.T @ R_t / n, R_t the residual, is design.T @ (the
+    coefficient direction R_t / n).
     """
     n = design.shape[0]
     binary = params.ndim == 2
@@ -182,91 +148,56 @@ def _objective(
         logits = params @ basis.T
     else:
         logits = (basis @ params.reshape(len(params), -1)).reshape(n, *params.shape[1:])
-    penalty = None
-    if l2:
-        # ||W_t||^2 as <params, params> for weights, <A_t, logits> for
-        # coefficients; read before the kernel overwrites the logits.
-        other = params if gram is None else logits
-        if binary:
-            # [-w_t, w_t] doubles ||w_t||^2, so the penalty is l2 * w_t.w_t.
-            penalty = l2 * (params[:, None, :] @ other[:, :, None])[:, 0, 0]
-        else:
-            squares = np.multiply(
-                params.transpose(1, 0, 2), other.transpose(1, 0, 2), order="C"
-            )
-            penalty = 0.5 * l2 * squares.reshape(len(squares), -1).sum(axis=1)
-    totals = row_weights.sum(axis=1) if row_weights is not None else float(n)
     kernel = _binary_loss if binary else _softmax_loss
-    loss, resid = kernel(logits, targets, row_weights, totals, with_grad)
-    if penalty is not None:
-        loss = loss + penalty
+    loss, resid = kernel(logits, targets, with_grad)
+    loss /= n
     if not with_grad:
         return loss, None
     grad = _transpose_product(design, resid) if gram is None else resid
-    grad /= np.asarray(totals)[..., None]
-    if l2:
-        grad += l2 * params
+    grad /= n
     return loss, grad
 
 
-def _one_trial(weights, onehot, row_weights):
+def _one_trial(weights, onehot):
     """_objective's arguments for one fit given as a (d+1, k) weight matrix
     and (n, k) one-hot targets."""
     labels = np.argmax(onehot, axis=1)
     if not np.array_equal(onehot, np.eye(onehot.shape[1])[labels]):
         raise ValueError("onehot must hold one 1 per row and 0 elsewhere")
-    return (
-        np.asarray(weights, dtype=np.float64)[:, None, :],
-        labels[None, :],
-        None if row_weights is None else np.asarray(row_weights)[None, :],
-    )
+    return np.asarray(weights, dtype=np.float64)[:, None, :], labels[None, :]
 
 
-def cross_entropy_loss(
-    weights: np.ndarray,
-    design: np.ndarray,
-    onehot: np.ndarray,
-    l2: float = 0.0,
-    row_weights: np.ndarray | None = None,
-) -> float:
-    """Weighted mean cross-entropy plus 0.5 * l2 * ||W||^2.
+def cross_entropy_loss(weights: np.ndarray, design: np.ndarray, onehot: np.ndarray) -> float:
+    """Mean cross-entropy of a (d+1, k) weight matrix on an (n, d+1) design.
 
     This is the training objective; the finite-difference gradient oracle in
     the test suite differentiates exactly this function.
     """
-    weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
-    return float(_objective(weights, design, None, labels, l2, row_weights, False)[0][0])
+    weights, labels = _one_trial(weights, onehot)
+    return float(_objective(weights, design, None, labels, False)[0][0])
 
 
-def cross_entropy_grad(
-    weights: np.ndarray,
-    design: np.ndarray,
-    onehot: np.ndarray,
-    l2: float = 0.0,
-    row_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    weights, labels, row_weights = _one_trial(weights, onehot, row_weights)
-    return _objective(weights, design, None, labels, l2, row_weights, True)[1][:, 0]
+def cross_entropy_grad(weights: np.ndarray, design: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    weights, labels = _one_trial(weights, onehot)
+    return _objective(weights, design, None, labels, True)[1][:, 0]
 
 
-def stability_threshold(train: Dataset, hyper: LogisticHyper = LogisticHyper()) -> float:
+def stability_threshold(train: Dataset) -> float:
     """Largest learning rate with guaranteed non-increasing loss.
 
     The softmax cross-entropy Hessian is bounded by X^T X / (2n), so the
-    objective is L-smooth with L = smax^2 / (2n) + l2 and gradient descent
+    objective is L-smooth with L = smax^2 / (2n) and gradient descent
     descends monotonically for any step below 2 / L. smax^2 is the largest
     eigenvalue of the (d+1) x (d+1) Gram matrix X^T X.
     """
-    mu, sd = _fit_scaler(train.features, hyper.standardize)
-    design = _design(train.features, mu, sd)
+    design = _design(train.features, *_fit_scaler(train.features))
     smax_sq = np.linalg.eigvalsh(design.T @ design)[-1]
-    lipschitz = smax_sq / (2.0 * design.shape[0]) + hyper.l2
+    lipschitz = smax_sq / (2.0 * design.shape[0])
     return 2.0 / lipschitz
 
 
-def _fit_scaler(features: np.ndarray, standardize: bool) -> tuple[np.ndarray, np.ndarray]:
-    if not standardize:
-        return np.zeros(features.shape[1]), np.ones(features.shape[1])
+def _fit_scaler(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation; a constant column keeps sd 1."""
     mu = features.mean(axis=0)
     sd = features.std(axis=0)
     sd[sd == 0] = 1.0
@@ -323,19 +254,12 @@ def train_logistic(
     seeds = list(seed) if stacked and np.ndim(seed) else [seed] * trials
     if len(seeds) != trials:
         raise ValueError(f"{len(seeds)} seeds for a stack of {trials} label vectors")
-    mu, sd = _fit_scaler(train.features, hyper.standardize)
+    mu, sd = _fit_scaler(train.features)
     design = _design(train.features, mu, sd)
-    row_weights = None
-    if hyper.class_weights is not None:
-        if len(hyper.class_weights) != k:
-            raise ValueError(
-                f"class_weights has {len(hyper.class_weights)} entries for {k} classes"
-            )
-        row_weights = hyper.class_weights[labels]
 
     lr = hyper.learning_rate
     if lr is None:
-        lr = 0.9 * stability_threshold(train, hyper)
+        lr = 0.9 * stability_threshold(train)
 
     # Descent from W = 0 never leaves the row space of the design, so with
     # fewer rows than twice its columns the loop carries the coefficients A
@@ -353,7 +277,7 @@ def train_logistic(
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = _objective(params, design, gram, targets, hyper.l2, row_weights, not last)
+        loss, grad = _objective(params, design, gram, targets, not last)
         finite = np.isfinite(loss)
         if not finite.all():
             trial = f" in trial {int(np.argmin(finite))}" if stacked else ""

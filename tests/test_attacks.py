@@ -153,6 +153,19 @@ class TestKnowledgeContainer:
         with pytest.raises(ValueError):
             AdversaryKnowledge(features=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("marginal", [
+        [0.2, np.nan], [5.0, -3.0], [0.5, 0.4], [np.inf, 0.0], [[0.5, 0.5]],
+    ])
+    def test_marginal_must_be_a_probability_vector(self, marginal):
+        with pytest.raises(ValueError, match="marginal must be a probability vector"):
+            AdversaryKnowledge(np.zeros((2, 1)), constant_model([0.5, 0.5]), marginal=marginal)
+
+    def test_marginal_may_have_zero_entries(self):
+        knowledge = AdversaryKnowledge(
+            np.zeros((3, 1)), constant_model([0.5, 0.5]), marginal=[0.0, 1.0]
+        )
+        np.testing.assert_array_equal(marginal_guess(knowledge).labels, [1, 1, 1])
+
     def test_inferred_labels_validate(self):
         with pytest.raises(ValueError):
             InferredLabels(np.array([0, -1]), "bad")

@@ -70,6 +70,25 @@ class TestBoundCommand:
         code, _, err = run_cli(capsys, "bound", "--kind", "advantage", "--epsilon", "1")
         assert code == 1 and "exp_sup" in err
 
+    @pytest.mark.parametrize("kind, terms", [
+        pytest.param("universal", ["--B", "1"], id="universal"),
+        pytest.param("advantage", ["--exp-sup", "1"], id="advantage"),
+        pytest.param("weak-threat", ["--exp-sup", "1"], id="weak-threat"),
+        pytest.param("generalization", [], id="generalization"),
+        pytest.param("reconstruction", ["--domain-size", "1000"], id="reconstruction"),
+    ])
+    def test_nan_epsilon_is_one_error_line(self, capsys, kind, terms):
+        code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "nan", *terms)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: epsilon must be >= 0, got nan"]
+
+    @pytest.mark.parametrize("kind", ["advantage", "weak-threat"])
+    def test_nan_expected_supremum_is_one_error_line(self, capsys, kind):
+        code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1",
+                                 "--exp-sup", "nan")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: exp_sup_utility must be >= 0, got nan"]
+
 
 class TestCalibrateCommand:
     def test_inverse_of_half(self, capsys):
@@ -168,6 +187,39 @@ class TestPrivatizeAndAttack:
             assert err.splitlines() == [
                 f"error: {data_csv}: row 5, column 'x1': non-finite cell nan"
             ]
+
+    @pytest.mark.parametrize("epsilon, shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_privatize_rr_rejects_nan_or_negative_epsilon(self, tmp_path, capsys,
+                                                         epsilon, shown):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 20, seed=0)
+        data_csv = tmp_path / "d.csv"
+        write_csv(ds, str(data_csv))
+        out_csv = tmp_path / "p.csv"
+        code, _, err = run_cli(capsys, "privatize", "--input", str(data_csv),
+                               "--mechanism", "rr", f"--epsilon={epsilon}",
+                               "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == [f"error: epsilon must be >= 0, got {shown}"]
+        assert not out_csv.exists()
+        assert not (tmp_path / "p.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("marginal, shown", [("0.2,nan", "[0.2 nan]"), ("5,-3", "[ 5. -3.]")])
+    def test_marginal_guess_rejects_a_marginal_that_is_not_a_distribution(
+        self, tmp_path, capsys, marginal, shown
+    ):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 12, seed=2)
+        data_csv = tmp_path / "d.csv"
+        write_csv(ds, str(data_csv))
+        model_path = tmp_path / "m.txt"
+        save_model(train_logistic(ds, LogisticHyper(iterations=10), seed=0), str(model_path))
+        out_csv = tmp_path / "g.csv"
+        code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
+                               "--input", str(data_csv), "--label-column", "label",
+                               "--attack", "marginal-guess", "--marginal", marginal,
+                               "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == [f"error: marginal must be a probability vector, got {shown}"]
+        assert not out_csv.exists()
 
     @staticmethod
     def two_class_model_and_three_class_csv(tmp_path):
@@ -439,6 +491,28 @@ class TestHarnessCommands:
         assert code == 1
         assert err.splitlines() == [f"error: epsilon grid values must be >= 0 or infinite, "
                                     f"got {shown}"]
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param(["--sigmas", "1,inf"], "sigma must be positive and finite, got inf",
+                     id="inf-sigma"),
+        pytest.param(["--class-counts", "2,200", "--dim", "100"],
+                     "invalid model: 200 classes need 200 basis vectors but dim is 100",
+                     id="classes-beyond-dim"),
+    ])
+    def test_simulate_rejects_a_bad_mixture_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, grid, message
+    ):
+        import labeldp.experiments as experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was validated")
+
+        monkeypatch.setattr(experiments, "gen_mixture", refuse)
+        out_file = tmp_path / "grid.csv"
+        code, _, err = run_cli(capsys, *self.SIM_ARGS, *grid, "--output", str(out_file))
+        assert code == 1
+        assert err.splitlines() == [f"error: {message}"]
         assert not out_file.exists()
 
     # sha256 of the results of `simulate --preset fig1-reduced --trials 10

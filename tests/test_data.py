@@ -118,6 +118,11 @@ class TestMixture:
         with pytest.raises(ValueError, match="invalid model"):
             MixtureModel(5, 3, 1.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}$"):
+            MixtureModel(2, 3, sigma)
+
     def test_rows_are_distributions(self):
         cond = MixtureModel(3, 10, 2.0).conditional()
         X = np.random.default_rng(0).normal(size=(1000, 10), scale=5.0)

@@ -100,6 +100,21 @@ class TestSimulation:
         with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
             SimulationConfig(mechanism="bogus")
 
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param({"sigmas": (1.0, math.inf)}, "sigma must be positive and finite, got inf",
+                     id="inf-sigma"),
+        pytest.param({"sigmas": (math.nan,)}, "sigma must be positive and finite, got nan",
+                     id="nan-sigma"),
+        pytest.param({"class_counts": (2, 1)}, "need at least 2 classes, got 1",
+                     id="one-class"),
+        pytest.param({"class_counts": (2, 200), "dim": 100},
+                     "invalid model: 200 classes need 200 basis vectors but dim is 100",
+                     id="classes-beyond-dim"),
+    ])
+    def test_every_mixture_of_the_grid_is_checked(self, grid, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimulationConfig(**grid)
+
     def test_feature_redraws_emit_extra_rows(self):
         cfg = SimulationConfig(
             class_counts=(2,), dim=4, sigmas=(1.0,), n=20, trials=10,

@@ -35,6 +35,18 @@ class TestRandomizedResponse:
     def test_keep_probability_infinite(self):
         assert keep_probability(math.inf, 5) == 1.0
 
+    @pytest.mark.parametrize("epsilon", [math.nan, -1.0])
+    def test_nan_or_negative_epsilon_rejected_by_both_rr_forms(self, epsilon):
+        # A NaN keep probability keeps no label: every binary label flipped.
+        labels = np.array([0, 1, 1, 0])
+        message = f"epsilon must be >= 0, got {epsilon}$"
+        with pytest.raises(ValueError, match=message):
+            keep_probability(epsilon, 2)
+        with pytest.raises(ValueError, match=message):
+            randomized_response(labels, 2, epsilon, seed=0)
+        with pytest.raises(ValueError, match=message):
+            rr_with_prior(labels, np.full((4, 2), 0.5), 2, epsilon, seed=0)
+
     def test_empirical_keep_rate(self):
         """Binomial oracle: 1e6 draws at eps=1 keep within 0.0014 of e/(e+1)."""
         labels = np.zeros(10**6, dtype=np.int64)

@@ -65,6 +65,11 @@ class TestUtility:
         with pytest.raises(ValueError):
             UtilitySpec.weighted([1.0, 0.0])
 
+    @pytest.mark.parametrize("marginal", [[0.5, math.nan], [math.nan, math.nan], [math.inf, 0.5]])
+    def test_weighted_non_finite_marginal_rejected(self, marginal):
+        with pytest.raises(ValueError, match="marginal must be a probability vector"):
+            UtilitySpec.weighted(marginal)
+
     def test_values_stay_in_range(self):
         rng = np.random.default_rng(0)
         for spec in (UtilitySpec.zero_one(), UtilitySpec.weighted([0.7, 0.2, 0.1])):
@@ -322,6 +327,17 @@ class TestBounds:
                 adv = advantage_bound(BoundQuery(eps, 0.0, exp_sup_utility=term))
                 uni = universal_bound(BoundQuery(eps, 0.0, utility_bound=1.0))
                 assert adv <= uni + 1e-15
+
+    def test_nan_epsilon_and_expected_supremum_rejected(self):
+        with pytest.raises(ValueError, match="epsilon must be >= 0, got nan"):
+            BoundQuery(math.nan, 0.0, utility_bound=1.0)
+        with pytest.raises(ValueError, match="exp_sup_utility must be >= 0, got nan"):
+            BoundQuery(1.0, 0.0, exp_sup_utility=math.nan)
+        for epsilon in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="invalid privacy params"):
+                dp_generalization_gap_bound(epsilon, 0.0)
+            with pytest.raises(ValueError, match="invalid privacy params"):
+                reconstruction_bound(epsilon, 0.0, 10.0)
 
     def test_missing_terms_rejected(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,23 @@ def toy_separable():
     return Dataset(X, y, 2)
 
 
+OVERFLOW = LogisticHyper(learning_rate=1e308, iterations=200)
+
+
+def conflicting_rows(k, n, seed=0):
+    """n rows over 3 features and a (4, n) label stack. Rows 0 and 1 are
+    equal and only trial 2 gives them different labels, so no weights fit
+    trial 2 exactly: its residual cannot vanish, and at a step of 1e308 its
+    weights overflow and its loss turns non-finite."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, 3))
+    features[1] = features[0]
+    labels = rng.integers(0, k, size=(4, n))
+    labels[:, 1] = labels[:, 0]
+    labels[2, 1] = (labels[2, 0] + 1) % k
+    return features, labels
+
+
 class TestTrainLogistic:
     def test_separable_reaches_full_training_accuracy(self):
         ds = toy_separable()
@@ -52,7 +69,7 @@ class TestTrainLogistic:
         h = 1e-5
         for trial in range(10):
             W = rng.normal(size=(4, 3))
-            grad = cross_entropy_grad(W, design, onehot, l2=0.1)
+            grad = cross_entropy_grad(W, design, onehot)
             numeric = np.zeros_like(W)
             for i in range(W.shape[0]):
                 for j in range(W.shape[1]):
@@ -60,8 +77,8 @@ class TestTrainLogistic:
                     Wp[i, j] += h
                     Wm[i, j] -= h
                     numeric[i, j] = (
-                        cross_entropy_loss(Wp, design, onehot, l2=0.1)
-                        - cross_entropy_loss(Wm, design, onehot, l2=0.1)
+                        cross_entropy_loss(Wp, design, onehot)
+                        - cross_entropy_loss(Wm, design, onehot)
                     ) / (2 * h)
             denom = np.maximum(np.abs(numeric), 1e-8)
             assert np.max(np.abs(grad - numeric) / denom) < 1e-4
@@ -74,10 +91,10 @@ class TestTrainLogistic:
         assert np.all(diffs <= 1e-12)
 
     def test_divergence_error_names_iteration(self):
-        # The L2 term turns an absurd step size into multiplicative blow-up.
-        ds = toy_separable()
-        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match="iteration"):
-            train_logistic(ds, LogisticHyper(learning_rate=1e12, iterations=200, l2=1.0), seed=0)
+        features, labels = conflicting_rows(2, 5)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            train_logistic(Dataset(features, labels[2], 2), OVERFLOW, seed=0)
+        assert str(err.value) == "non-finite loss at iteration 9"
 
     def test_deterministic(self):
         ds = toy_separable()
@@ -85,26 +102,14 @@ class TestTrainLogistic:
         b = train_logistic(ds, LogisticHyper(iterations=100), seed=0)
         np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_class_weights_change_fit(self):
-        X = np.array([[0.0], [0.1], [-0.1], [0.05]])
-        ds = Dataset(X, np.array([0, 0, 0, 1]), 2)
-        plain = train_logistic(ds, LogisticHyper(iterations=300), seed=0)
-        boosted = train_logistic(
-            ds, LogisticHyper(iterations=300, class_weights=np.array([1.0, 50.0])), seed=0
-        )
-        assert boosted.predict_proba(X)[:, 1].mean() > plain.predict_proba(X)[:, 1].mean()
-
 
 def antisymmetric(w):
     return np.column_stack([-w, w])
 
 
-def one_trial_binary(w, design, labels, l2, row_weights, with_grad):
+def one_trial_binary(w, design, labels, with_grad):
     """The binary form on a stack of one: (loss, gradient column)."""
-    rw = None if row_weights is None else row_weights[None, :]
-    loss, grad = _objective(
-        w[None, :], design, None, (2.0 * labels - 1.0)[None, :], l2, rw, with_grad
-    )
+    loss, grad = _objective(w[None, :], design, None, (2.0 * labels - 1.0)[None, :], with_grad)
     return loss[0], None if grad is None else grad[0]
 
 
@@ -120,17 +125,14 @@ class TestBinaryKernel:
         onehot[np.arange(n), labels] = 1.0
         return rng, design, labels, onehot
 
-    @pytest.mark.parametrize("l2", [0.0, 0.3])
-    @pytest.mark.parametrize("class_weights", [None, (1.0, 7.5)])
-    def test_matches_full_form_on_antisymmetric_weights(self, l2, class_weights):
+    def test_matches_full_form_on_antisymmetric_weights(self):
         rng, design, labels, onehot = self.problem(3)
-        row_weights = None if class_weights is None else np.asarray(class_weights)[labels]
         for _ in range(10):
             w = rng.normal(scale=2.0, size=design.shape[1])
-            loss, grad = one_trial_binary(w, design, labels, l2, row_weights, True)
+            loss, grad = one_trial_binary(w, design, labels, True)
             W = antisymmetric(w)
-            full_loss = cross_entropy_loss(W, design, onehot, l2, row_weights)
-            full_grad = cross_entropy_grad(W, design, onehot, l2, row_weights)
+            full_loss = cross_entropy_loss(W, design, onehot)
+            full_grad = cross_entropy_grad(W, design, onehot)
             assert abs(loss - full_loss) <= 1e-14 * max(1.0, abs(full_loss))
             np.testing.assert_allclose(grad, full_grad[:, 1], rtol=0, atol=1e-14)
             np.testing.assert_allclose(-grad, full_grad[:, 0], rtol=0, atol=1e-14)
@@ -139,15 +141,12 @@ class TestBinaryKernel:
         # Huge margins push true-label probabilities below PROB_CLAMP.
         _, design, labels, onehot = self.problem(4)
         w = np.full(design.shape[1], 40.0)
-        loss, _ = one_trial_binary(w, design, labels, 0.0, None, False)
+        loss, _ = one_trial_binary(w, design, labels, False)
         full = cross_entropy_loss(antisymmetric(w), design, onehot)
         assert abs(loss - full) <= 1e-14 * full
 
-    @pytest.mark.parametrize("hyper", [
-        LogisticHyper(iterations=60),
-        LogisticHyper(iterations=60, l2=0.05, class_weights=np.array([1.0, 4.0])),
-    ])
-    def test_fit_matches_plain_gradient_descent(self, hyper):
+    def test_fit_matches_plain_gradient_descent(self):
+        hyper = LogisticHyper(iterations=60)
         rng = np.random.default_rng(11)
         ds = Dataset(rng.normal(size=(80, 4)) * [1.0, 3.0, 0.2, 1.0], rng.integers(0, 2, 80), 2)
         model = train_logistic(ds, hyper, seed=0)
@@ -155,13 +154,12 @@ class TestBinaryKernel:
         design = np.hstack([(ds.features - model.mu) / model.sd, np.ones((80, 1))])
         onehot = np.zeros((80, 2))
         onehot[np.arange(80), ds.labels] = 1.0
-        row_weights = None if hyper.class_weights is None else hyper.class_weights[ds.labels]
-        lr = 0.9 * stability_threshold(ds, hyper)
+        lr = 0.9 * stability_threshold(ds)
         W = np.zeros((5, 2))
-        history = [cross_entropy_loss(W, design, onehot, hyper.l2, row_weights)]
+        history = [cross_entropy_loss(W, design, onehot)]
         for _ in range(hyper.iterations):
-            W = W - lr * cross_entropy_grad(W, design, onehot, hyper.l2, row_weights)
-            history.append(cross_entropy_loss(W, design, onehot, hyper.l2, row_weights))
+            W = W - lr * cross_entropy_grad(W, design, onehot)
+            history.append(cross_entropy_loss(W, design, onehot))
 
         assert model.weights.shape == (5, 2)
         np.testing.assert_array_equal(model.weights[:, 0], -model.weights[:, 1])
@@ -172,27 +170,10 @@ class TestBinaryKernel:
     def test_stability_threshold_matches_svd(self, n, d):
         rng = np.random.default_rng(5)
         ds = Dataset(rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, d), rng.integers(0, 2, n), 2)
-        hyper = LogisticHyper(l2=0.01)
         mu, sd = ds.features.mean(axis=0), ds.features.std(axis=0)
         design = np.hstack([(ds.features - mu) / sd, np.ones((n, 1))])
-        svd_value = 2.0 / (np.linalg.norm(design, 2) ** 2 / (2.0 * n) + hyper.l2)
-        assert abs(stability_threshold(ds, hyper) - svd_value) <= 1e-12 * svd_value
-
-    def test_divergence_names_the_full_form_iteration(self):
-        ds = toy_separable()
-        lr, l2 = 1e12, 1.0
-        design = np.hstack([(ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0),
-                            np.ones((4, 1))])
-        onehot = np.eye(2)[ds.labels]
-        W = np.zeros((3, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for it in range(200):
-                if not np.isfinite(cross_entropy_loss(W, design, onehot, l2)):
-                    break
-                W = W - lr * cross_entropy_grad(W, design, onehot, l2)
-            with pytest.raises(TrainingDivergedError, match=rf"at iteration {it}$"):
-                train_logistic(ds, LogisticHyper(learning_rate=lr, iterations=200, l2=l2))
-        assert 0 < it < 200
+        svd_value = 2.0 / (np.linalg.norm(design, 2) ** 2 / (2.0 * n))
+        assert abs(stability_threshold(ds) - svd_value) <= 1e-12 * svd_value
 
 
 class TestStackedTraining:
@@ -206,12 +187,9 @@ class TestStackedTraining:
         return features, rng.integers(0, k, size=(trials, n))
 
     @pytest.mark.parametrize("k", [2, 100])
-    @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("l2", [0.0, 0.05])
-    def test_stack_matches_single_fits(self, k, weighted, l2):
+    def test_stack_matches_single_fits(self, k):
         features, labels = self.problem(k, n=120)
-        class_weights = np.linspace(0.5, 3.0, k) if weighted else None
-        hyper = LogisticHyper(iterations=40, l2=l2, class_weights=class_weights)
+        hyper = LogisticHyper(iterations=40)
         stacked = train_logistic(Dataset(features, labels, k), hyper, seed=[1, 2, 3, 4, 5])
         assert len(stacked) == len(labels)
         for t, model in enumerate(stacked):
@@ -221,27 +199,19 @@ class TestStackedTraining:
             np.testing.assert_allclose(model.loss_history, single.loss_history, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [2, 5])
-    @pytest.mark.parametrize("regularized", [False, True])
-    def test_stack_of_one_is_bit_identical(self, k, regularized):
+    def test_stack_of_one_is_bit_identical(self, k):
         features, labels = self.problem(k, trials=1)
         hyper = LogisticHyper(iterations=30)
-        if regularized:
-            hyper = LogisticHyper(iterations=30, l2=0.1, class_weights=np.linspace(1.0, 4.0, k))
         [stacked] = train_logistic(Dataset(features, labels, k), hyper, seed=4)
         single = train_logistic(Dataset(features, labels[0], k), hyper, seed=4)
         np.testing.assert_array_equal(stacked.weights, single.weights)
         assert stacked.loss_history == single.loss_history
 
     def test_divergence_names_iteration_and_trial(self):
-        ds = toy_separable()
-        stack = np.stack([ds.labels, ds.labels, 1 - ds.labels])
-        hyper = LogisticHyper(learning_rate=1e12, iterations=200, l2=1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as single:
-                train_logistic(ds, hyper)
-            with pytest.raises(TrainingDivergedError, match=r"in trial 0 at iteration \d+$") as err:
-                train_logistic(Dataset(ds.features, stack, 2), hyper)
-        assert str(single.value).split()[-1] == str(err.value).split()[-1]
+        features, labels = conflicting_rows(2, 5)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            train_logistic(Dataset(features, labels, 2), OVERFLOW)
+        assert str(err.value) == "non-finite loss in trial 2 at iteration 14"
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one label vector"):
@@ -254,9 +224,8 @@ def weight_space_fit(ds, hyper):
     stacked = ds.labels.ndim == 2
     labels = ds.labels if stacked else ds.labels[None, :]
     trials, k = labels.shape[0], ds.num_classes
-    design = _design(ds.features, *_fit_scaler(ds.features, hyper.standardize))
-    lr = hyper.learning_rate or 0.9 * stability_threshold(ds, hyper)
-    row_weights = None if hyper.class_weights is None else hyper.class_weights[labels]
+    design = _design(ds.features, *_fit_scaler(ds.features))
+    lr = hyper.learning_rate or 0.9 * stability_threshold(ds)
     if k == 2:
         targets, params = 2.0 * labels - 1.0, np.zeros((trials, design.shape[1]))
     else:
@@ -264,7 +233,7 @@ def weight_space_fit(ds, hyper):
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = _objective(params, design, None, targets, hyper.l2, row_weights, not last)
+        loss, grad = _objective(params, design, None, targets, not last)
         history.append(loss)
         if not last:
             params -= lr * grad
@@ -306,14 +275,8 @@ class TestCoefficientSpace:
 
     @pytest.mark.parametrize("k", [2, 3, 100])
     @pytest.mark.parametrize("trials", [None, 4])
-    @pytest.mark.parametrize("variant", ["plain", "l2", "class_weights", "unstandardized"])
-    def test_matches_weight_space_descent(self, monkeypatch, k, trials, variant):
-        hyper = LogisticHyper(
-            iterations=35,
-            l2=0.05 if variant == "l2" else 0.0,
-            class_weights=np.linspace(0.5, 3.0, k) if variant == "class_weights" else None,
-            standardize=variant != "unstandardized",
-        )
+    def test_matches_weight_space_descent(self, monkeypatch, k, trials):
+        hyper = LogisticHyper(iterations=35)
         ds = self.problem(k, n=30, d=40, trials=trials)
         paths = self.spy_paths(monkeypatch)
         fitted = train_logistic(ds, hyper, seed=0)
@@ -331,7 +294,7 @@ class TestCoefficientSpace:
     @pytest.mark.parametrize("k", [2, 5])
     def test_shape_boundary(self, monkeypatch, k):
         d = 6
-        hyper = LogisticHyper(iterations=20, l2=0.01)
+        hyper = LogisticHyper(iterations=20)
         for n, coefficients in [(2 * (d + 1) - 1, True), (2 * (d + 1), False)]:
             ds = self.problem(k, n=n, d=d, trials=3)
             paths = self.spy_paths(monkeypatch)
@@ -347,27 +310,23 @@ class TestCoefficientSpace:
                     assert model.loss_history == h.tolist()
 
     @pytest.mark.parametrize("stacked", [False, True])
-    def test_divergence_names_the_same_trial_and_iteration(self, monkeypatch, stacked):
-        # Repeating every row keeps the mean objective, the scaler and the
-        # step, but doubles n past 2(d+1): the same descent in weight space.
-        rng = np.random.default_rng(4)
-        features = rng.normal(size=(5, 3))
-        labels = rng.integers(0, 3, size=(4, 5))
-        labels[2] = 0
-        if not stacked:
-            labels = labels[3]
-        hyper = LogisticHyper(learning_rate=3.0, l2=1.0, iterations=3000,
-                              class_weights=np.array([1.0, 10.5, 20.0]))
-        messages = []
-        for repeats, coefficients in [(1, True), (2, False)]:
-            ds = Dataset(np.tile(features, (repeats, 1)), np.tile(labels, repeats), 3)
-            paths = self.spy_paths(monkeypatch)
-            with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
-                train_logistic(ds, hyper)
-            assert set(paths) == {coefficients}
-            messages.append(str(err.value))
-        expected = "in trial 3 at iteration 511" if stacked else "at iteration 511"
-        assert messages == [f"non-finite loss {expected}"] * 2
+    @pytest.mark.parametrize("n, seed, coefficients, iteration", [
+        pytest.param(5, 0, True, 7, id="coefficients"),
+        pytest.param(10, 2, False, 17, id="weights"),
+    ])
+    def test_divergence_names_trial_and_iteration(
+        self, monkeypatch, stacked, n, seed, coefficients, iteration
+    ):
+        # The two spaces (and a stack and its single fits) round differently,
+        # and overflow turns that into different divergence points, so each
+        # space gets its own data and is not compared with the other.
+        features, labels = conflicting_rows(3, n, seed)
+        paths = self.spy_paths(monkeypatch)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            train_logistic(Dataset(features, labels if stacked else labels[2], 3), OVERFLOW)
+        assert set(paths) == {coefficients}
+        trial = " in trial 2" if stacked else ""
+        assert str(err.value) == f"non-finite loss{trial} at iteration {iteration}"
 
 
 class TestAnalyticModels:
