@@ -5,11 +5,14 @@ Option precedence is inline flags over config-file values over defaults,
 and the fully resolved configuration is echoed as a JSON line before any
 work runs. Numeric output on stdout uses 6 significant digits unless
 --full-precision is passed; result files always carry full precision.
+A harness's (simulate, thm1, ctr) flags and config keys are the fields of
+its config class in `experiments`, with their defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import experiments, mechanisms, metrics
 from .attacks import AdversaryKnowledge, marginal_guess, spa
-from .data import CsvFormatError, _atomic_write, load_csv, load_csv_features
+from .data import CsvFormatError, SkewedBinarySpec, _atomic_write, load_csv, load_csv_features
 from .metrics import BoundQuery, UtilitySpec
 from .models import LogisticHyper, load_model
 
@@ -37,10 +40,6 @@ def _record(record: dict, full_precision: bool) -> str:
 
 def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
-
-
-def _ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
 
 
 def _type_name(default) -> str:
@@ -102,7 +101,6 @@ def cmd_bound(args) -> int:
         delta=args.delta,
         utility_bound=args.B,
         exp_sup_utility=args.exp_sup,
-        domain_size=args.domain_size,
     )
     if args.kind == "universal":
         value = metrics.universal_bound(query, args.draft_variant)
@@ -230,92 +228,73 @@ def cmd_attack(args) -> int:
     return 0
 
 
-SIMULATE_DEFAULTS = {
-    "class_counts": (2, 100), "dim": 100, "sigmas": (1.0, 10.0, 100.0), "n": 100,
-    "trials": 1000, "epsilons": (0.1, 0.5, 1.0, 2.0, 4.0, 10.0),
-    "feature_redraws": 1, "mechanism": "rr", "iterations": 35, "seed": 0,
+# Harness subcommand -> its help line and the names, in `experiments`, of
+# its config class, runner, result columns and check, plus the noun of its
+# "wrote" line. Names are looked up at call time, so a rebound module
+# attribute (a test's monkeypatch, a tracer's wrapper) is the one that runs.
+HARNESSES = {
+    "simulate": ("Gaussian-mixture EAU/advantage study",
+                 "SimulationConfig", "run_simulation", "SIMULATION_COLUMNS",
+                 "check_simulation", "cells"),
+    "thm1": ("RR majority-vote lower-bound demonstration",
+             "Thm1Config", "run_thm1_demo", "THM1_COLUMNS", "check_thm1", "rows"),
+    "ctr": ("skewed click-prediction study",
+            "CtrConfig", "run_ctr", "CTR_COLUMNS", "check_ctr", "cells"),
 }
+# ctr takes its synthetic source's fields flat (option -> SkewedBinarySpec
+# field); its LP-2ST and PATE sizes and split are fixed in CtrConfig.
+CTR_SOURCE = {"positive_rate": "positive_rate", "dim": "dim",
+              "separation": "separation", "label_noise": "noise_rate"}
+CTR_FIXED = ("split_fractions", "lp2_top_k", "pate_teachers", "pate_queries")
 
 
-def cmd_simulate(args) -> int:
-    defaults = dict(SIMULATE_DEFAULTS)
-    if args.preset == "fig1-reduced":
-        defaults["trials"] = 100
-    resolved = _resolve(args, defaults)
+def _options(command: str) -> dict:
+    """Option name -> default of a harness: its config class's fields."""
+    config = getattr(experiments, HARNESSES[command][1])
+    options = {f.name: f.default for f in dataclasses.fields(config)}
+    if command == "ctr":
+        source = options.pop("source")
+        for name in CTR_FIXED:
+            del options[name]
+        options.update({name: getattr(source, field) for name, field in CTR_SOURCE.items()})
+    return options
+
+
+def _converter(default):
+    """argparse type of an option, by _type_ok's rule: a tuple default takes
+    comma-separated items of its first item's type, None takes a string."""
+    if isinstance(default, tuple):
+        item = _converter(default[0])
+
+        def convert(text: str) -> tuple:
+            return tuple(item(v) for v in text.split(","))
+
+        convert.__name__ = f"{item.__name__} list"  # argparse names it in errors
+        return convert
+    return str if default is None else type(default)
+
+
+def cmd_harness(args) -> int:
+    _help, config_name, run_name, columns_name, check_name, noun = HARNESSES[args.command]
+    options = _options(args.command)
+    if getattr(args, "preset", None) == "fig1-reduced":
+        options["trials"] = 100
+    resolved = _resolve(args, options)
     _echo(resolved)
-    config = experiments.SimulationConfig(**resolved)
-    reports = experiments.run_simulation(config)
+    if args.command == "ctr":
+        resolved["source"] = SkewedBinarySpec(
+            **{field: resolved.pop(name) for name, field in CTR_SOURCE.items()}
+        )
+    config = getattr(experiments, config_name)(**resolved)
+    results = getattr(experiments, run_name)(config)
     experiments.write_results(
-        reports, args.output, args.format,
-        columns=experiments.SIMULATION_COLUMNS,
+        results, args.output, args.format,
+        columns=getattr(experiments, columns_name),
         manifest=experiments.config_manifest(config),
     )
-    print(f"wrote {len(reports)} cells to {args.output}")
+    print(f"wrote {len(results)} {noun} to {args.output}")
     if args.check:
-        violations = experiments.check_simulation(reports)
-        for v in violations:
-            print("violation: " + v, file=sys.stderr)
-        return CHECK_EXIT if violations else 0
-    return 0
-
-
-THM1_DEFAULTS = {"epsilon": 1.0, "n_values": (100, 1000), "trials": 200, "seed": 0}
-
-
-def cmd_thm1(args) -> int:
-    resolved = _resolve(args, THM1_DEFAULTS)
-    _echo(resolved)
-    config = experiments.Thm1Config(**resolved)
-    rows = experiments.run_thm1_demo(config)
-    experiments.write_results(
-        rows, args.output, args.format,
-        columns=experiments.THM1_COLUMNS,
-        manifest=experiments.config_manifest(config),
-    )
-    print(f"wrote {len(rows)} rows to {args.output}")
-    if args.check:
-        violations = experiments.check_thm1(rows)
-        for v in violations:
-            print("violation: " + v, file=sys.stderr)
-        return CHECK_EXIT if violations else 0
-    return 0
-
-
-CTR_DEFAULTS = {
-    "csv_path": None, "label_column": "label", "n": 100_000,
-    "positive_rate": 0.03, "dim": 20, "separation": 0.5, "label_noise": 0.1,
-    "mechanisms": ("rr",), "epsilons": (math.inf, 8.0, 4.0, 2.0, 1.0, 0.1),
-    "iterations": 150, "seed": 0,
-}
-
-
-def cmd_ctr(args) -> int:
-    resolved = _resolve(args, CTR_DEFAULTS)
-    _echo(resolved)
-    from .data import SkewedBinarySpec
-
-    config = experiments.CtrConfig(
-        source=SkewedBinarySpec(
-            resolved["positive_rate"], resolved["dim"],
-            resolved["separation"], resolved["label_noise"],
-        ),
-        csv_path=resolved["csv_path"],
-        label_column=resolved["label_column"],
-        n=resolved["n"],
-        mechanisms=tuple(resolved["mechanisms"]),
-        epsilons=tuple(resolved["epsilons"]),
-        iterations=resolved["iterations"],
-        seed=resolved["seed"],
-    )
-    reports = experiments.run_ctr(config)
-    experiments.write_results(
-        reports, args.output, args.format,
-        columns=experiments.CTR_COLUMNS,
-        manifest=experiments.config_manifest(config),
-    )
-    print(f"wrote {len(reports)} cells to {args.output}")
-    if args.check:
-        violations = experiments.check_ctr(reports)
+        violations = getattr(experiments, check_name)(results)
         for v in violations:
             print("violation: " + v, file=sys.stderr)
         return CHECK_EXIT if violations else 0
@@ -369,52 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("simulate", help="Gaussian-mixture EAU/advantage study")
-    p.add_argument("--preset", choices=["fig1", "fig1-reduced"], default="fig1")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--class-counts", dest="class_counts", type=_ints, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--sigmas", type=_floats, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--epsilons", type=_floats, default=None)
-    p.add_argument("--feature-redraws", dest="feature_redraws", type=int, default=None)
-    p.add_argument("--mechanism", default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", required=True)
-    p.add_argument("--format", default="csv", choices=["csv", "structured-records"])
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("thm1", help="RR majority-vote lower-bound demonstration")
-    p.add_argument("--config", default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--n-values", dest="n_values", type=_ints, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", required=True)
-    p.add_argument("--format", default="csv", choices=["csv", "structured-records"])
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_thm1)
-
-    p = sub.add_parser("ctr", help="skewed click-prediction study")
-    p.add_argument("--config", default=None)
-    p.add_argument("--csv", dest="csv_path", default=None)
-    p.add_argument("--label-column", dest="label_column", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--positive-rate", dest="positive_rate", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--separation", type=float, default=None)
-    p.add_argument("--label-noise", dest="label_noise", type=float, default=None)
-    p.add_argument("--mechanisms", type=lambda s: tuple(s.split(",")), default=None)
-    p.add_argument("--epsilons", type=_floats, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", required=True)
-    p.add_argument("--format", default="csv", choices=["csv", "structured-records"])
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_ctr)
+    for command, (help_text, *_names) in HARNESSES.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "simulate":
+            p.add_argument("--preset", choices=["fig1", "fig1-reduced"], default="fig1")
+        p.add_argument("--config", default=None, help="JSON config file")
+        for name, default in _options(command).items():
+            flag = "--csv" if name == "csv_path" else "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=_converter(default), default=None)
+        p.add_argument("--output", required=True)
+        p.add_argument("--format", default="csv", choices=["csv", "structured-records"])
+        p.add_argument("--check", action="store_true")
+        p.set_defaults(func=cmd_harness)
     return parser
 
 

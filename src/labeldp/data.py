@@ -30,6 +30,14 @@ def _first_non_finite(values: np.ndarray) -> tuple | None:
     return tuple(int(i) for i in np.argwhere(~finite)[0])
 
 
+def _first_non_distribution(probs: np.ndarray) -> int | None:
+    """Index of the first row of a 2-D array that is not a probability
+    distribution (finite, non-negative, summing to 1 within 1e-9), or None.
+    A NaN entry fails the sign test, an infinite one the sum test."""
+    ok = (probs >= 0).all(axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
+    return None if ok.all() else int(np.argmin(ok))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus integer class labels.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _first_non_distribution
 from .models import LogisticHyper, train_logistic
 from .rng import substream
 
@@ -52,11 +52,8 @@ class PriorTable:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise ValueError(f"prior must be an (n, k) matrix, got shape {probs.shape}")
-        row_err = np.abs(probs.sum(axis=1) - 1.0)
-        if np.any(probs < 0) or np.any(row_err > 1e-9):
-            bad = int(np.argmax(row_err)) if probs.size else 0
-            if np.any(probs < 0):
-                bad = int(np.argwhere(probs < 0)[0, 0])
+        bad = _first_non_distribution(probs)
+        if bad is not None:
             raise ValueError(f"prior row {bad} is not a probability distribution")
         object.__setattr__(self, "probs", probs)
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Conditional, sample_categorical_rows
+from .data import Conditional, _first_non_distribution, sample_categorical_rows
 from .models import Model
 from .rng import derive_seed
 
@@ -28,8 +28,7 @@ def probability_vector(marginal) -> np.ndarray:
     """marginal as a float64 vector; raises ValueError unless it is finite,
     non-negative and sums to 1 (within 1e-9)."""
     p = np.asarray(marginal, dtype=np.float64)
-    if (p.ndim != 1 or not np.isfinite(p).all() or np.any(p < 0)
-            or abs(p.sum() - 1.0) > 1e-9):
+    if p.ndim != 1 or _first_non_distribution(p[None, :]) is not None:
         raise ValueError(f"marginal must be a probability vector, got {p}")
     return p
 
@@ -228,17 +227,21 @@ class BoundQuery:
     delta: float = 0.0
     utility_bound: float | None = None
     exp_sup_utility: float | None = None
-    domain_size: float | None = None
 
     def __post_init__(self):
         if not self.epsilon >= 0:  # NaN fails >= too
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-        if self.utility_bound is not None and not self.utility_bound > 0:
-            raise ValueError("utility_bound must be positive")
-        if self.exp_sup_utility is not None and not self.exp_sup_utility >= 0:
-            raise ValueError(f"exp_sup_utility must be >= 0, got {self.exp_sup_utility}")
+        if self.utility_bound is not None and not 0 < self.utility_bound < math.inf:
+            raise ValueError(
+                f"utility_bound must be positive and finite, got {self.utility_bound}"
+            )
+        if self.exp_sup_utility is not None:
+            if not self.exp_sup_utility >= 0:
+                raise ValueError(f"exp_sup_utility must be >= 0, got {self.exp_sup_utility}")
+            if math.isinf(self.exp_sup_utility):
+                raise ValueError("exp_sup_utility must be finite, got inf")
 
 
 def bound_factor(epsilon: float, delta: float, draft_variant: bool = False) -> float:
@@ -286,8 +289,8 @@ def weak_threat_bound(query: BoundQuery, draft_variant: bool = False) -> float:
 def reconstruction_bound(epsilon: float, delta: float, domain_size: float) -> float:
     """Excess-advantage bound for reconstruction over a domain of the given
     size: 1 - e^-eps + delta * |Z|."""
-    if not domain_size > 0:
-        raise ValueError(f"domain_size must be positive, got {domain_size}")
+    if not 0 < domain_size < math.inf:
+        raise ValueError(f"domain_size must be positive and finite, got {domain_size}")
     if not epsilon >= 0 or not 0.0 <= delta <= 1.0:
         raise ValueError(f"invalid privacy params ({epsilon}, {delta})")
     return 1.0 - math.exp(-epsilon) + delta * domain_size
@@ -322,8 +325,8 @@ def calibrate_epsilon(target_advantage: float, delta: float, utility_bound: floa
         raise ValueError(f"target advantage must be > 0, got {target_advantage}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    if not utility_bound > 0:
-        raise ValueError(f"utility_bound must be > 0, got {utility_bound}")
+    if not 0 < utility_bound < math.inf:
+        raise ValueError(f"utility_bound must be positive and finite, got {utility_bound}")
     if target_advantage >= utility_bound:
         return CalibrationResult(math.inf, True, "any epsilon meets the target")
     arg = 2.0 * (1.0 - delta) / (1.0 - target_advantage / utility_bound) - 1.0

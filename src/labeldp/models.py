@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Conditional, Dataset, _atomic_write
+from .data import Conditional, Dataset, _atomic_write, _first_non_distribution
 
 PROB_CLAMP = 1e-15
 _LOSS_CAP = -np.log(PROB_CLAMP)
@@ -51,8 +51,10 @@ class LogisticHyper:
     iterations: int = 300
 
     def __post_init__(self):
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -324,7 +326,7 @@ class ConstantModel(Model):
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("probs must be a vector over at least 2 classes")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if _first_non_distribution(probs[None, :]) is not None:
             raise ValueError(f"probs must be a distribution, got {probs}")
         self.probs = probs
         self.num_classes = probs.size

@@ -82,6 +82,21 @@ class TestBoundCommand:
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: epsilon must be >= 0, got nan"]
 
+    @pytest.mark.parametrize("kind, terms, message", [
+        pytest.param("universal", ["--B", "inf"],
+                     "utility_bound must be positive and finite, got inf", id="universal"),
+        pytest.param("advantage", ["--exp-sup", "inf"],
+                     "exp_sup_utility must be finite, got inf", id="advantage"),
+        pytest.param("weak-threat", ["--exp-sup", "inf"],
+                     "exp_sup_utility must be finite, got inf", id="weak-threat"),
+        pytest.param("reconstruction", ["--delta", "0", "--domain-size", "inf"],
+                     "domain_size must be positive and finite, got inf", id="reconstruction"),
+    ])
+    def test_infinite_term_is_one_error_line(self, capsys, kind, terms, message):
+        code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1", *terms)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("kind", ["advantage", "weak-threat"])
     def test_nan_expected_supremum_is_one_error_line(self, capsys, kind):
         code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1",
@@ -95,6 +110,11 @@ class TestCalibrateCommand:
         code, out, _ = run_cli(capsys, "calibrate", "--advantage", "0.5", "--delta", "0", "--B", "1")
         assert code == 0
         assert last_record(out)["epsilon"] == pytest.approx(1.09861, abs=1e-5)
+
+    def test_infinite_utility_bound_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "calibrate", "--advantage", "0.5", "--B", "inf")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: utility_bound must be positive and finite, got inf"]
 
     def test_infeasible_returns_nonzero(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate", "--advantage", "0.1", "--delta", "0.5", "--B", "1")
@@ -456,11 +476,17 @@ class TestHarnessCommands:
         assert run_cli(capsys, *args, "--output", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_check_violation_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("check, argv", [
+        pytest.param("check_simulation", SIM_ARGS, id="simulate"),
+        pytest.param("check_thm1", ["thm1", "--n-values", "10,20", "--trials", "5"], id="thm1"),
+        pytest.param("check_ctr", ["ctr", "--n", "1200", "--positive-rate", "0.1", "--dim", "3",
+                                   "--epsilons", "inf,1.0", "--iterations", "15"], id="ctr"),
+    ])
+    def test_check_violation_exits_nonzero(self, tmp_path, capsys, monkeypatch, check, argv):
         import labeldp.experiments as experiments
 
-        monkeypatch.setattr(experiments, "check_simulation", lambda reports: ["fabricated"])
-        code, _, err = run_cli(capsys, *self.SIM_ARGS, "--check",
+        monkeypatch.setattr(experiments, check, lambda reports: ["fabricated"])
+        code, _, err = run_cli(capsys, *argv, "--check",
                                "--output", str(tmp_path / "v.csv"))
         assert code != 0 and "fabricated" in err
 
@@ -574,6 +600,73 @@ class TestHarnessCommands:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code != 0
+
+
+def harness_parsers():
+    from labeldp.cli import build_parser
+
+    [subcommands] = [a for a in build_parser()._actions if a.dest == "command"]
+    return {name: subcommands.choices[name] for name in ("simulate", "thm1", "ctr")}
+
+
+def typed(value):
+    """A value with the type of every item spelled out, so 1 and 1.0 differ."""
+    if isinstance(value, tuple):
+        return tuple(typed(v) for v in value)
+    return type(value).__name__, value
+
+
+class TestHarnessOptions:
+    """The harness flags come from the config classes in `experiments`."""
+
+    COMMON_DESTS = {"help", "config", "output", "format", "check", "preset"}
+
+    @pytest.mark.parametrize("command", ["simulate", "thm1", "ctr"])
+    def test_flag_dests_are_the_config_keys(self, command):
+        from labeldp.cli import _options
+
+        parser = harness_parsers()[command]
+        dests = {a.dest for a in parser._actions} - self.COMMON_DESTS
+        assert dests == set(_options(command))
+
+    # One value per flag, and what the parser of the hand-written
+    # subcommands made of it.
+    PARSED = {
+        "simulate": (
+            ["--class-counts", "2,3", "--dim", "5", "--sigmas", "1,10.5", "--n", "20",
+             "--trials", "7", "--epsilons", "inf,1", "--feature-redraws", "2",
+             "--mechanism", "pate", "--iterations", "9", "--seed", "4"],
+            {"class_counts": (2, 3), "dim": 5, "sigmas": (1.0, 10.5), "n": 20, "trials": 7,
+             "epsilons": (math.inf, 1.0), "feature_redraws": 2, "mechanism": "pate",
+             "iterations": 9, "seed": 4},
+        ),
+        "thm1": (
+            ["--epsilon", "2", "--n-values", "10,20", "--trials", "5", "--seed", "3"],
+            {"epsilon": 2.0, "n_values": (10, 20), "trials": 5, "seed": 3},
+        ),
+        "ctr": (
+            ["--csv", "d.csv", "--label-column", "y", "--n", "500", "--positive-rate", "0.2",
+             "--dim", "3", "--separation", "1", "--label-noise", "0.05", "--mechanisms", "a,b",
+             "--epsilons", "inf,1", "--iterations", "12", "--seed", "6"],
+            {"csv_path": "d.csv", "label_column": "y", "n": 500, "positive_rate": 0.2,
+             "dim": 3, "separation": 1.0, "label_noise": 0.05, "mechanisms": ("a", "b"),
+             "epsilons": (math.inf, 1.0), "iterations": 12, "seed": 6},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PARSED))
+    def test_one_value_per_flag_parses_to_typed_values(self, command):
+        argv, expected = self.PARSED[command]
+        parsed = vars(harness_parsers()[command].parse_args([*argv, "--output", "o.csv"]))
+        options = {k: v for k, v in parsed.items() if k not in self.COMMON_DESTS | {"func"}}
+        assert {k: typed(v) for k, v in options.items()} == {
+            k: typed(v) for k, v in expected.items()
+        }
+
+    def test_bad_list_item_names_the_item_type(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["ctr", "--epsilons", "inf,x", "--output", "o.csv"])
+        assert "argument --epsilons: invalid float list value: 'inf,x'" in capsys.readouterr().err
 
 
 class TestAtomicWrites:

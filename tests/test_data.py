@@ -6,6 +6,7 @@ from scipy import stats
 
 from labeldp.data import (
     _atomic_write,
+    _first_non_distribution,
     CsvFormatError,
     Dataset,
     MixtureModel,
@@ -84,6 +85,20 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match=f"cannot write {target}: No such file"):
             with _atomic_write(str(target)):
                 pass
+
+
+class TestFirstNonDistribution:
+    def test_distributions_pass(self):
+        assert _first_non_distribution(np.array([[0.25, 0.75], [1.0, 0.0]])) is None
+        assert _first_non_distribution(np.empty((0, 3))) is None
+
+    @pytest.mark.parametrize("bad_row", [
+        [math.nan, math.nan], [0.5, math.nan], [math.inf, 0.5], [-math.inf, 2.0],
+        [-0.5, 1.5], [0.5, 0.6],
+    ])
+    def test_first_bad_row_is_named(self, bad_row):
+        probs = np.array([[0.5, 0.5], bad_row, [0.9, 0.3]])
+        assert _first_non_distribution(probs) == 1
 
 
 class TestMixture:

@@ -122,6 +122,12 @@ class TestRrWithPrior:
         with pytest.raises(ValueError, match="row 1"):
             rr_with_prior(np.array([0, 0]), np.array([[0.5, 0.5], [0.9, 0.3]]), 2, 1.0, 0)
 
+    @pytest.mark.parametrize("row", [[math.nan, math.nan], [math.inf, 0.0]])
+    def test_non_finite_prior_row_rejected(self, row):
+        prior = np.array([row, [0.5, 0.5]])
+        with pytest.raises(ValueError, match="^prior row 0 is not a probability distribution$"):
+            rr_with_prior(np.array([1, 1]), prior, 2, 1.0, 0)
+
 
 class TestLpMst:
     def test_one_stage_equals_plain_rr(self):

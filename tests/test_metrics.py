@@ -339,6 +339,17 @@ class TestBounds:
             with pytest.raises(ValueError, match="invalid privacy params"):
                 reconstruction_bound(epsilon, 0.0, 10.0)
 
+    def test_infinite_terms_rejected(self):
+        with pytest.raises(ValueError, match="utility_bound must be positive and finite, got inf"):
+            BoundQuery(1.0, 0.0, utility_bound=math.inf)
+        with pytest.raises(ValueError, match="exp_sup_utility must be finite, got inf"):
+            BoundQuery(1.0, 0.0, exp_sup_utility=math.inf)
+        with pytest.raises(ValueError, match="domain_size must be positive and finite, got inf"):
+            reconstruction_bound(1.0, 0.0, math.inf)
+        with pytest.raises(ValueError, match="utility_bound must be positive and finite, got inf"):
+            calibrate_epsilon(0.5, 0.0, math.inf)
+        assert universal_bound(BoundQuery(math.inf, 0.0, utility_bound=2.0)) == 2.0
+
     def test_missing_terms_rejected(self):
         with pytest.raises(ValueError):
             advantage_bound(BoundQuery(1.0, 0.0))

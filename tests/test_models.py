@@ -96,6 +96,11 @@ class TestTrainLogistic:
             train_logistic(Dataset(features, labels[2], 2), OVERFLOW, seed=0)
         assert str(err.value) == "non-finite loss at iteration 9"
 
+    @pytest.mark.parametrize("lr", [math.inf, math.nan, 0.0, -1.0])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            LogisticHyper(learning_rate=lr)
+
     def test_deterministic(self):
         ds = toy_separable()
         a = train_logistic(ds, LogisticHyper(iterations=100), seed=0)
@@ -353,6 +358,11 @@ class TestAnalyticModels:
     def test_constant_model_rejects_non_distribution(self):
         with pytest.raises(ValueError):
             constant_model([0.5, 0.6])
+
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_constant_model_rejects_non_finite_probs(self, probs):
+        with pytest.raises(ValueError, match="probs must be a distribution"):
+            constant_model(probs)
 
     def test_constant_log_loss_is_label_entropy_at_matching_marginal(self):
         """Labels at exactly the 3% marginal: loss equals the entropy
