@@ -180,8 +180,8 @@ class SkewedBinarySpec:
             raise ValueError(f"positive_rate must be in (0, 1), got {self.positive_rate}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
+        if not 0.0 <= self.separation < np.inf:  # NaN fails too
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
         if not 0.0 <= self.noise_rate < 0.5:
             raise ValueError(f"noise_rate must be in [0, 0.5), got {self.noise_rate}")
 

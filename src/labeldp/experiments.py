@@ -102,38 +102,48 @@ class SimulationConfig:
                 MixtureModel(m, self.dim, float(sigma))
 
 
-def mechanism_pipeline(
-    name: str,
-    num_classes: int,
-    epsilon: float,
-    hyper: LogisticHyper,
-    lp2_top_k: int = 2,
-    pate_teachers: int = 5,
-    pate_queries: int = 50,
-):
+def _fit_released(released: list, hyper: LogisticHyper, seeds) -> list:
+    """Train one model per released Dataset, returned in input order.
+
+    Sets that share one feature array (the same object: a mechanism that
+    keeps its input rows releases them as they are) are fit as one stacked
+    train_logistic call, in the order of their first member; any other set
+    is a group of one.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, train in enumerate(released):
+        groups.setdefault(id(train.features), []).append(i)
+    models: list = [None] * len(released)
+    for members in groups.values():
+        first = released[members[0]]
+        stack = np.stack([released[i].labels for i in members])
+        fitted = train_logistic(
+            Dataset(first.features, stack, first.num_classes), hyper,
+            [seeds[i] for i in members],
+        )
+        for i, model in zip(members, fitted):
+            models[i] = model
+    return models
+
+
+def mechanism_pipeline(name: str, num_classes: int, epsilon: float, hyper: LogisticHyper):
     """Label-to-model procedure for one mechanism at one epsilon.
 
     The returned callable takes (features, labels (B, n), seeds (B,)) as
     eau_monte_carlo passes them, releases each label vector through the
-    named mechanism with its own seed and returns the B models trained on
-    the released sets. When every released set keeps the given feature
-    array (its rows, in order), the B fits run as one stacked
-    train_logistic call; otherwise each set is fit on its own.
+    named mechanism (with `release`'s default sizes) under its own seed and
+    returns the B models trained on the released sets. Released sets that
+    keep the given feature array are fit as one stacked train_logistic call
+    (see _fit_released).
     """
 
     def pipeline(features: np.ndarray, labels: np.ndarray, seeds) -> list:
         features = np.asarray(features, dtype=np.float64)
         released = [
-            release(
-                name, Dataset(features, trial_labels, num_classes), epsilon, hyper, seed,
-                top_k=lp2_top_k, teachers=pate_teachers, queries=pate_queries,
-            ).released
-            for trial_labels, seed in zip(labels, seeds)
+            release(name, Dataset(features, trial, num_classes), epsilon, hyper, seed).released
+            for trial, seed in zip(labels, seeds)
         ]
-        if all(train.features is features for train in released):
-            stack = np.stack([train.labels for train in released])
-            return train_logistic(Dataset(features, stack, num_classes), hyper, seeds)
-        return [train_logistic(train, hyper, seed) for train, seed in zip(released, seeds)]
+        return _fit_released(released, hyper, seeds)
 
     return pipeline
 
@@ -288,27 +298,27 @@ def run_ctr(config: CtrConfig) -> list[MetricsReport]:
     b = spec.bound
     hyper = LogisticHyper(iterations=config.iterations)
 
-    candidates = []
-    entries = []
-
-    baseline = constant_model(marginal)
-    candidates.append(baseline)
-    entries.append(("constant-baseline", math.inf, baseline))
-
+    # Every cell is released first; the cells that keep the training split's
+    # feature array (all but PATE's) are then trained as one stack.
+    cells, released, seeds = [], [], []
     for mech in config.mechanisms:
         for eps in config.epsilons:
-            pipeline = mechanism_pipeline(
-                mech, dataset.num_classes, float(eps), hyper,
-                lp2_top_k=config.lp2_top_k,
-                pate_teachers=config.pate_teachers,
-                pate_queries=config.pate_queries,
+            seed = derive_seed(config.seed, "ctr", mech, repr(eps))
+            report = release(
+                mech, train, float(eps), hyper, seed,
+                top_k=config.lp2_top_k,
+                teachers=config.pate_teachers,
+                queries=config.pate_queries,
             )
-            [model] = pipeline(
-                train.features, train.labels[None, :],
-                [derive_seed(config.seed, "ctr", mech, repr(eps))],
-            )
-            candidates.append(model)
-            entries.append((mech, float(eps), model))
+            cells.append((mech, float(eps)))
+            released.append(report.released)
+            seeds.append(seed)
+    models = _fit_released(released, hyper, seeds)
+
+    baseline = constant_model(marginal)
+    candidates = [baseline, *models]
+    entries = [("constant-baseline", math.inf, baseline)]
+    entries += [(mech, eps, model) for (mech, eps), model in zip(cells, models)]
 
     if conditional is not None:
         leau = leau_exact(conditional, train.features, spec)

@@ -60,8 +60,13 @@ class LogisticHyper:
 
 
 def _design(features: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    scaled = (features - mu) / sd
-    return np.hstack([scaled, np.ones((scaled.shape[0], 1))])
+    """The (n, d+1) design [(features - mu) / sd, 1], built in one array."""
+    n, d = features.shape
+    design = np.empty((n, d + 1))
+    scaled = np.subtract(features, mu, out=design[:, :d])
+    scaled /= sd
+    design[:, d] = 1.0
+    return design
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -103,16 +108,31 @@ def _binary_loss(
     With (T, n) label signs s = +-1, p(y | x) = sigmoid(t) for t = 2 s x.w_t.
     The residual returned is column 1 of each trial's full residual (column 0
     is its negative), so the gradient it gives is column 1 of the full one.
+    `logits` is overwritten: t is formed in it (both factors are exact).
     """
-    t = 2.0 * logits * signs
+    t = logits
+    t *= signs
+    t *= 2.0
     # One exp serves both halves: -log sigmoid(t) = log1p(e) - min(t, 0) and
     # sigmoid(-t) = (1 if t < 0 else e) / (1 + e), with e = exp(-|t|) <= 1.
-    e = np.exp(-np.abs(t))
-    loss = np.minimum(np.log1p(e) - np.minimum(t, 0.0), _LOSS_CAP).sum(axis=1)
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    buf = np.log1p(e)
+    np.minimum(t, 0.0, out=t)  # still < 0 exactly where t was
+    buf -= t
+    np.minimum(buf, _LOSS_CAP, out=buf)
+    loss = buf.sum(axis=1)
     if not with_resid:
         return loss, None
-    # p(1 | x) - y = -s * sigmoid(-t).
-    return loss, -signs * np.where(t < 0, 1.0, e) / (1.0 + e)
+    # p(1 | x) - y = -s * sigmoid(-t), formed in the loss buffer. As e <= 1,
+    # max(e, t < 0) is 1 where t < 0 and e elsewhere.
+    np.add(e, 1.0, out=buf)
+    np.maximum(e, t < 0, out=e)
+    np.divide(e, buf, out=buf)
+    np.negative(buf, out=buf)
+    buf *= signs
+    return loss, buf
 
 
 def _transpose_product(design: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -541,6 +541,23 @@ class TestHarnessCommands:
         assert err.splitlines() == [f"error: {message}"]
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("separation", ["inf", "nan"])
+    def test_ctr_rejects_non_finite_separation_before_any_data(
+        self, tmp_path, capsys, monkeypatch, separation
+    ):
+        import labeldp.experiments as experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data generated before the source was validated")
+
+        monkeypatch.setattr(experiments, "gen_skewed_binary", refuse)
+        out_file = tmp_path / "sep.csv"
+        code, _, err = run_cli(capsys, "ctr", "--n", "2000", "--separation", separation,
+                               "--output", str(out_file))
+        assert code == 1
+        assert err.splitlines() == [f"error: separation must be finite and >= 0, got {separation}"]
+        assert not out_file.exists()
+
     # sha256 of the results of `simulate --preset fig1-reduced --trials 10
     # --seed 1 --mechanism M`, the same whether a cell's trials train one by
     # one or in one stacked fit.
@@ -581,8 +598,12 @@ class TestHarnessCommands:
     # rr,lp2st,alibi,pate --epsilons inf,1.0 --seed 0`. Every fit there has
     # at least twice as many rows as design columns, so it descends in weight
     # space and must stay bit for bit.
+    # The results digest changed once, on purpose, when run_ctr began fitting
+    # the cells that keep the training split as one stack: rr at epsilon 1.0
+    # moved its test_log_loss by 1.5e-16 relative (stacked fits agree with
+    # fits alone within 1e-12, TestCtrStackedFit in test_experiments.py).
     CTR_DIGESTS = {
-        "": "663587ae5df43c5363133e8599293ae720a4dde591b548250135a63f801f097e",
+        "": "181279842da11b94800f9c96af98f57b1862316622b4171f8b5cc7d159a93d56",
         ".manifest.json": "1be6fc792fe6e707b0287268b7372c2efaa6ae366b33419b250f6e456a2134c3",
     }
 

@@ -1,8 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import labeldp.experiments as experiments
+import labeldp.mechanisms as mechanisms
 from labeldp.experiments import (
     CTR_COLUMNS,
     SIMULATION_COLUMNS,
@@ -21,6 +24,7 @@ from labeldp.experiments import (
 )
 from labeldp.data import SkewedBinarySpec
 from labeldp.metrics import hoeffding_lower_bound
+from labeldp.models import LogisticHyper, train_logistic
 
 SMALL_SIM = SimulationConfig(
     class_counts=(2, 4),
@@ -39,6 +43,18 @@ SMALL_CTR = CtrConfig(
     epsilons=(math.inf, 2.0, 0.1),
     iterations=40,
     seed=3,
+)
+
+# Every mechanism at two epsilons: RR, LP-2ST and ALIBI keep the training
+# split's rows, PATE releases its query rows.
+STACKED_CTR = CtrConfig(
+    source=SkewedBinarySpec(0.1, 5, separation=1.0, noise_rate=0.05),
+    n=3000,
+    mechanisms=("rr", "lp2st", "alibi", "pate"),
+    epsilons=(math.inf, 1.0),
+    iterations=30,
+    pate_queries=100,
+    seed=4,
 )
 
 
@@ -188,6 +204,77 @@ class TestCtr:
         reports = run_ctr(cfg)
         assert len(reports) == 2
         assert all(math.isfinite(r.leau) for r in reports)
+
+
+@pytest.fixture(scope="module")
+def stacked_ctr():
+    """run_ctr(STACKED_CTR) with its training split, every train_logistic
+    call made by `experiments` and by `mechanisms`, and what _fit_released
+    was given and returned."""
+    seen = {"experiments": [], "mechanisms": []}
+    original_split, original_fit = experiments.split, experiments._fit_released
+
+    def recording_split(*args):
+        parts = original_split(*args)
+        seen["train"] = parts[0]
+        return parts
+
+    def recording_fit(released, hyper, seeds):
+        models = original_fit(released, hyper, seeds)
+        seen.update(released=released, hyper=hyper, seeds=seeds, models=models)
+        return models
+
+    def recorder(module):
+        def fit(train, hyper, seed=0):
+            seen[module].append(train)
+            return train_logistic(train, hyper, seed)
+        return fit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "split", recording_split)
+        mp.setattr(experiments, "_fit_released", recording_fit)
+        mp.setattr(experiments, "train_logistic", recorder("experiments"))
+        mp.setattr(mechanisms, "train_logistic", recorder("mechanisms"))
+        reports = run_ctr(STACKED_CTR)
+    return reports, seen
+
+
+class TestCtrStackedFit:
+    """run_ctr releases every cell first, then fits the cells that keep the
+    training split's feature array in one stacked train_logistic call."""
+
+    def test_one_stacked_call_over_the_training_split(self, stacked_ctr):
+        _, seen = stacked_ctr
+        train = seen["train"]
+        stack, *students = seen["experiments"]
+        assert stack.features is train.features
+        assert stack.labels.shape == (6, len(train))
+        # PATE's students: one fit per epsilon over its own query rows.
+        assert [s.labels.shape for s in students] == [(1, STACKED_CTR.pate_queries)] * 2
+        assert all(s.features is not train.features for s in students)
+        # LP-2ST's stage-1 model per epsilon and PATE's teachers, each alone.
+        assert len(seen["mechanisms"]) == 2 + 2 * STACKED_CTR.pate_teachers
+        assert all(ds.labels.ndim == 1 for ds in seen["mechanisms"])
+
+    def test_stack_rows_and_reports_in_config_order(self, stacked_ctr):
+        reports, seen = stacked_ctr
+        cells = [(m, e) for m in STACKED_CTR.mechanisms for e in STACKED_CTR.epsilons]
+        assert [(r.cell["mechanism"], r.cell["epsilon"]) for r in reports] == [
+            ("constant-baseline", math.inf), *cells
+        ]
+        kept = [ds.labels for ds in seen["released"][:6]]
+        np.testing.assert_array_equal(seen["experiments"][0].labels, np.stack(kept))
+
+    def test_stacked_models_match_fits_alone(self, stacked_ctr):
+        _, seen = stacked_ctr
+        assert seen["hyper"] == LogisticHyper(iterations=STACKED_CTR.iterations)
+        for train, seed, model in zip(seen["released"], seen["seeds"], seen["models"]):
+            alone = train_logistic(train, seen["hyper"], seed)
+            assert model.seed == seed
+            worst = np.max(np.abs(model.weights - alone.weights))
+            assert worst <= 1e-12 * np.max(np.abs(alone.weights))
+            np.testing.assert_allclose(model.loss_history, alone.loss_history,
+                                       rtol=1e-12, atol=0)
 
 
 class TestCheckFunctions:

@@ -6,7 +6,9 @@ import pytest
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 import labeldp.models as models
 from labeldp.models import (
+    _LOSS_CAP,
     LogisticHyper,
+    _binary_loss,
     _design,
     _fit_scaler,
     _objective,
@@ -179,6 +181,59 @@ class TestBinaryKernel:
         design = np.hstack([(ds.features - mu) / sd, np.ones((n, 1))])
         svd_value = 2.0 / (np.linalg.norm(design, 2) ** 2 / (2.0 * n))
         assert abs(stability_threshold(ds) - svd_value) <= 1e-12 * svd_value
+
+
+def design_before(features, mu, sd):
+    """_design as it was before it was built in one array, kept verbatim."""
+    scaled = (features - mu) / sd
+    return np.hstack([scaled, np.ones((scaled.shape[0], 1))])
+
+
+def binary_loss_before(logits, signs, with_resid):
+    """_binary_loss as it was before it was built in place, kept verbatim."""
+    t = 2.0 * logits * signs
+    e = np.exp(-np.abs(t))
+    loss = np.minimum(np.log1p(e) - np.minimum(t, 0.0), _LOSS_CAP).sum(axis=1)
+    if not with_resid:
+        return loss, None
+    return loss, -signs * np.where(t < 0, 1.0, e) / (1.0 + e)
+
+
+class TestInPlaceKernels:
+    """The design and the two-class kernel are built in place; their values
+    must be the bits of the expressions they replace."""
+
+    def test_design_is_bit_identical(self):
+        rng = np.random.default_rng(8)
+        features = rng.normal(size=(300, 6)) * rng.uniform(0.1, 50.0, 6) + 3.0
+        features[:, 2] = 7.5
+        features[0, 1] = -0.0
+        mu, sd = _fit_scaler(features)
+        assert sd[2] == 1.0  # a constant column keeps sd 1
+        design = _design(features, mu, sd)
+        expected = design_before(features, mu, sd)
+        assert design.shape == expected.shape and design.flags.c_contiguous
+        assert design.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("trials", [1, 6])
+    def test_binary_loss_is_bit_identical(self, trials):
+        rng = np.random.default_rng(9 + trials)
+        logits = rng.normal(scale=5.0, size=(trials, 400))
+        signs = rng.choice([-1.0, 1.0], size=logits.shape)
+        # t = 2 s x at 0 and -0.0, past the loss cap (|t| > 40) and past the
+        # underflow of e = exp(-|t|) (|t| > 745), under both signs.
+        edge = [0.0, -0.0, 1e-300, -1e-300, 20.5, -20.5, 40.0, -40.0, 400.0, -400.0]
+        logits[:, :2 * len(edge)] = edge * 2
+        signs[:, :2 * len(edge)] = [1.0] * len(edge) + [-1.0] * len(edge)
+        for with_resid in (False, True):
+            loss, resid = _binary_loss(logits.copy(), signs, with_resid)
+            expected_loss, expected_resid = binary_loss_before(logits.copy(), signs, with_resid)
+            assert loss.tobytes() == expected_loss.tobytes()
+            if with_resid:
+                assert resid.shape == expected_resid.shape
+                assert resid.tobytes() == expected_resid.tobytes()
+            else:
+                assert resid is None
 
 
 class TestStackedTraining:
