@@ -21,7 +21,7 @@ import numpy as np
 
 from . import experiments, mechanisms, metrics
 from .attacks import AdversaryKnowledge, marginal_guess, spa
-from .data import CsvFormatError, SkewedBinarySpec, _atomic_write, load_csv, load_csv_features
+from .data import CsvFormatError, _atomic_write, load_csv, load_csv_features
 from .metrics import BoundQuery, UtilitySpec
 from .models import LogisticHyper, load_model
 
@@ -62,6 +62,15 @@ def _type_ok(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _as_default_type(value, default):
+    """A config-file value that passed _type_ok, in its default's type: a
+    list becomes a tuple and an int for a float becomes that float, so a
+    file value runs and echoes as its flag spelling does."""
+    if isinstance(default, tuple):
+        return tuple(_as_default_type(v, default[0]) for v in value)
+    return float(value) if isinstance(default, float) else value
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Apply flag > config-file > default precedence for every known key."""
     file_values = {}
@@ -84,8 +93,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if flag is not None:
             resolved[key] = flag
         elif key in file_values:
-            value = file_values[key]
-            resolved[key] = tuple(value) if isinstance(default, tuple) else value
+            resolved[key] = _as_default_type(file_values[key], default)
         else:
             resolved[key] = default
     return resolved
@@ -241,23 +249,12 @@ HARNESSES = {
     "ctr": ("skewed click-prediction study",
             "CtrConfig", "run_ctr", "CTR_COLUMNS", "check_ctr", "cells"),
 }
-# ctr takes its synthetic source's fields flat (option -> SkewedBinarySpec
-# field); its LP-2ST and PATE sizes and split are fixed in CtrConfig.
-CTR_SOURCE = {"positive_rate": "positive_rate", "dim": "dim",
-              "separation": "separation", "label_noise": "noise_rate"}
-CTR_FIXED = ("split_fractions", "lp2_top_k", "pate_teachers", "pate_queries")
 
 
 def _options(command: str) -> dict:
     """Option name -> default of a harness: its config class's fields."""
     config = getattr(experiments, HARNESSES[command][1])
-    options = {f.name: f.default for f in dataclasses.fields(config)}
-    if command == "ctr":
-        source = options.pop("source")
-        for name in CTR_FIXED:
-            del options[name]
-        options.update({name: getattr(source, field) for name, field in CTR_SOURCE.items()})
-    return options
+    return {f.name: f.default for f in dataclasses.fields(config)}
 
 
 def _converter(default):
@@ -281,10 +278,6 @@ def cmd_harness(args) -> int:
         options["trials"] = 100
     resolved = _resolve(args, options)
     _echo(resolved)
-    if args.command == "ctr":
-        resolved["source"] = SkewedBinarySpec(
-            **{field: resolved.pop(name) for name, field in CTR_SOURCE.items()}
-        )
     config = getattr(experiments, config_name)(**resolved)
     results = getattr(experiments, run_name)(config)
     experiments.write_results(

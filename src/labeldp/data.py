@@ -22,12 +22,11 @@ class CsvFormatError(ValueError):
     """Raised when a dataset CSV violates the documented format."""
 
 
-def _first_non_finite(values: np.ndarray) -> tuple | None:
-    """Index of the first NaN or +-inf entry in row-major order, or None."""
-    finite = np.isfinite(values)
-    if finite.all():
+def _first_false(ok: np.ndarray) -> tuple | None:
+    """Index of the first False entry in row-major order, or None."""
+    if ok.all():
         return None
-    return tuple(int(i) for i in np.argwhere(~finite)[0])
+    return tuple(int(i) for i in np.argwhere(~ok)[0])
 
 
 def _first_non_distribution(probs: np.ndarray) -> int | None:
@@ -68,14 +67,19 @@ class Dataset:
             raise ValueError("a label stack must hold at least one label vector")
         if features.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
-        bad = _first_non_finite(features)
+        bad = _first_false(np.isfinite(features))
         if bad is not None:
             raise ValueError(
                 f"features row {bad[0]}, column {bad[1]}: non-finite value {features[bad]}"
             )
-        if labels.dtype.kind == "f" and (bad := _first_non_finite(labels)) is not None:
-            trial = f" of trial {bad[0]}" if labels.ndim == 2 else ""
-            raise ValueError(f"labels row {bad[-1]}{trial}: non-finite value {labels[bad]}")
+        if labels.dtype.kind not in "biuf":
+            raise ValueError(f"labels must be integers, got an array of dtype {labels.dtype}")
+        if labels.dtype.kind == "f":
+            for problem, ok in (("non-finite", np.isfinite(labels)),
+                                ("non-integer", labels == np.floor(labels))):
+                if (bad := _first_false(ok)) is not None:
+                    trial = f" of trial {bad[0]}" if labels.ndim == 2 else ""
+                    raise ValueError(f"labels row {bad[-1]}{trial}: {problem} value {labels[bad]}")
         labels = labels.astype(np.int64, copy=False)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -318,7 +322,7 @@ def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, list]:
     if not features:
         raise CsvFormatError(f"{path}: no data rows")
     features = np.asarray(features, dtype=np.float64)
-    bad = _first_non_finite(features)
+    bad = _first_false(np.isfinite(features))
     if bad is not None:
         row, col = bad
         name = [h for i, h in enumerate(header) if i != label_idx][col]

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -250,28 +251,39 @@ class CtrConfig:
     """Skewed click-prediction study over a synthetic source or a CSV file.
 
     The synthetic defaults (positive rate 0.03, 20 dims, separation 0.5,
-    label noise 0.1) mimic a noisy, heavily imbalanced click log.
+    label noise 0.1) mimic a noisy, heavily imbalanced click log. The split
+    and PATE's query count are fixed class constants, not options; LP-2ST
+    and PATE otherwise run with `release`'s default sizes.
     """
 
-    source: SkewedBinarySpec = SkewedBinarySpec(0.03, 20, 0.5, 0.1)
+    split_fractions: ClassVar[tuple] = (0.8, 0.04, 0.16)
+    pate_queries: ClassVar[int] = 200
+
     csv_path: str | None = None
     label_column: str = "label"
     n: int = 100_000
+    positive_rate: float = 0.03
+    dim: int = 20
+    separation: float = 0.5
+    label_noise: float = 0.1
     mechanisms: tuple = ("rr",)
     epsilons: tuple = (math.inf, 8.0, 4.0, 2.0, 1.0, 0.1)
-    split_fractions: tuple = (0.8, 0.04, 0.16)
     iterations: int = 150
-    lp2_top_k: int = 2
-    pate_teachers: int = 5
-    pate_queries: int = 200
     seed: int = 0
 
     def __post_init__(self):
+        # Building the synthetic source checks its four fields first.
+        self.source  # noqa: B018
         if any(not e > 0 for e in self.epsilons):
             raise ValueError("epsilon grid values must be positive or infinite")
         if self.csv_path is None and self.n < 10:
             raise ValueError("synthetic source needs n >= 10")
         _check_mechanisms(self.mechanisms)
+
+    @property
+    def source(self) -> SkewedBinarySpec:
+        """The synthetic source the four flat source fields describe."""
+        return SkewedBinarySpec(self.positive_rate, self.dim, self.separation, self.label_noise)
 
 
 def run_ctr(config: CtrConfig) -> list[MetricsReport]:
@@ -303,13 +315,8 @@ def run_ctr(config: CtrConfig) -> list[MetricsReport]:
     cells, released, seeds = [], [], []
     for mech in config.mechanisms:
         for eps in config.epsilons:
-            seed = derive_seed(config.seed, "ctr", mech, repr(eps))
-            report = release(
-                mech, train, float(eps), hyper, seed,
-                top_k=config.lp2_top_k,
-                teachers=config.pate_teachers,
-                queries=config.pate_queries,
-            )
+            seed = derive_seed(config.seed, "ctr", mech, repr(float(eps)))
+            report = release(mech, train, float(eps), hyper, seed, queries=config.pate_queries)
             cells.append((mech, float(eps)))
             released.append(report.released)
             seeds.append(seed)
@@ -353,7 +360,7 @@ def _cell_value(value):
     return str(value)
 
 
-def write_results(rows, path: str, fmt: str = "csv", columns=None, manifest=None) -> None:
+def write_results(rows, path: str, fmt: str, columns: list, manifest: dict) -> None:
     """Serialize result rows with a fixed column order plus a sidecar
     manifest echoing the full configuration (including seeds).
 
@@ -364,10 +371,6 @@ def write_results(rows, path: str, fmt: str = "csv", columns=None, manifest=None
     if fmt not in ("csv", "structured-records"):
         raise ValueError(f"unknown format {fmt!r}")
     dict_rows = [row.to_row() if isinstance(row, MetricsReport) else dict(row) for row in rows]
-    if columns is None:
-        if not dict_rows:
-            raise ValueError("cannot infer columns from an empty row list")
-        columns = list(dict_rows[0].keys())
     with _atomic_write(path) as fh:
         if fmt == "csv":
             fh.write(",".join(columns) + "\n")
@@ -386,8 +389,6 @@ def write_results(rows, path: str, fmt: str = "csv", columns=None, manifest=None
 
 
 def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

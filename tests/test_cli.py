@@ -443,6 +443,44 @@ class TestHarnessCommands:
         echoed = json.loads(out.split("\n")[0][len("resolved-config "):])
         assert echoed["sigmas"] == [1] and echoed["epsilons"] == [1, 2.5]
 
+    @pytest.mark.parametrize("base, file_values, flags", [
+        pytest.param(["simulate", "--class-counts", "2", "--dim", "5", "--n", "20",
+                      "--trials", "10", "--iterations", "10"],
+                     {"sigmas": [1], "epsilons": [1, 2]}, ["--sigmas", "1", "--epsilons", "1,2"],
+                     id="simulate"),
+        pytest.param(["ctr", "--n", "1200", "--positive-rate", "0.1", "--dim", "3",
+                      "--iterations", "15"],
+                     {"epsilons": [1, 2]}, ["--epsilons", "1,2"], id="ctr"),
+    ])
+    def test_config_file_ints_run_as_their_flag_spelling(
+        self, tmp_path, capsys, base, file_values, flags
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_values))
+        code, by_file, err = run_cli(capsys, *base, "--config", str(cfg),
+                                     "--output", str(tmp_path / "file.csv"))
+        assert code == 0, err
+        code, by_flag, err = run_cli(capsys, *base, *flags, "--output", str(tmp_path / "flag.csv"))
+        assert code == 0, err
+        assert by_file.splitlines()[0] == by_flag.splitlines()[0]
+        for suffix in ("", ".manifest.json"):
+            written = (tmp_path / f"file.csv{suffix}").read_bytes()
+            assert written == (tmp_path / f"flag.csv{suffix}").read_bytes(), suffix
+
+    @pytest.mark.parametrize("argv, config_type", [
+        pytest.param(SIM_ARGS, "SimulationConfig", id="simulate"),
+        pytest.param(["thm1", "--n-values", "10,20", "--trials", "5"], "Thm1Config", id="thm1"),
+        pytest.param(["ctr", "--n", "1200", "--positive-rate", "0.1", "--dim", "3",
+                      "--epsilons", "inf,1.0", "--iterations", "15"], "CtrConfig", id="ctr"),
+    ])
+    def test_manifest_config_is_the_resolved_config(self, tmp_path, capsys, argv, config_type):
+        code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "r.csv"))
+        assert code == 0, err
+        echoed = json.loads(out.split("\n")[0][len("resolved-config "):])
+        config = json.loads((tmp_path / "r.csv.manifest.json").read_text())["config"]
+        assert config.pop("type") == config_type
+        assert config == echoed
+
     def test_simulate_rr_accepts_zero_epsilon(self, tmp_path, capsys):
         args = [a if a != "0.5,2.0" else "0,1" for a in self.SIM_ARGS]
         code, _, err = run_cli(capsys, *args, "--mechanism", "rr",
@@ -602,9 +640,12 @@ class TestHarnessCommands:
     # the cells that keep the training split as one stack: rr at epsilon 1.0
     # moved its test_log_loss by 1.5e-16 relative (stacked fits agree with
     # fits alone within 1e-12, TestCtrStackedFit in test_experiments.py).
+    # The manifest digest changed once, on purpose, when CtrConfig's fields
+    # became its flat options: the manifest's config now holds the keys of
+    # the resolved-config line.
     CTR_DIGESTS = {
         "": "181279842da11b94800f9c96af98f57b1862316622b4171f8b5cc7d159a93d56",
-        ".manifest.json": "1be6fc792fe6e707b0287268b7372c2efaa6ae366b33419b250f6e456a2134c3",
+        ".manifest.json": "539b2c4942412d4862eb935a653a4a319f6833e8d03d17d6b69109e454cfda4c",
     }
 
     def test_ctr_pinned(self, tmp_path, capsys):

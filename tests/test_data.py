@@ -51,6 +51,26 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"labels row 1: non-finite"):
             Dataset(np.zeros((2, 1)), np.array([0.0, math.nan]), num_classes=2)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.0, 1.7, 0.0], "labels row 1: non-integer value 1.7"),
+        ([[0.0, 1.0, 0.0], [1.0, 1.0, -0.5]], "labels row 2 of trial 1: non-integer value -0.5"),
+    ])
+    def test_rejects_fractional_label_naming_row(self, labels, message):
+        with pytest.raises(ValueError) as err:
+            Dataset(np.zeros((3, 1)), np.array(labels), num_classes=2)
+        assert str(err.value) == message
+
+    def test_whole_float_labels_become_integers(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([1.0, 0.0, 1.0]), num_classes=2)
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+
+    @pytest.mark.parametrize("labels", [np.array(["0", "1"]), np.array([0, 1], dtype=object)])
+    def test_rejects_labels_that_are_not_numbers(self, labels):
+        with pytest.raises(ValueError) as err:
+            Dataset(np.zeros((2, 1)), labels, num_classes=2)
+        assert str(err.value) == f"labels must be integers, got an array of dtype {labels.dtype}"
+
     def test_label_stack(self):
         ds = Dataset(np.zeros((3, 1)), np.array([[0, 1, 0], [1, 1, 0]]), num_classes=2)
         assert len(ds) == 3 and ds.labels.shape == (2, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -38,7 +39,7 @@ SMALL_SIM = SimulationConfig(
 )
 
 SMALL_CTR = CtrConfig(
-    source=SkewedBinarySpec(0.1, 5, separation=1.0, noise_rate=0.05),
+    positive_rate=0.1, dim=5, separation=1.0, label_noise=0.05,
     n=4000,
     epsilons=(math.inf, 2.0, 0.1),
     iterations=40,
@@ -48,12 +49,11 @@ SMALL_CTR = CtrConfig(
 # Every mechanism at two epsilons: RR, LP-2ST and ALIBI keep the training
 # split's rows, PATE releases its query rows.
 STACKED_CTR = CtrConfig(
-    source=SkewedBinarySpec(0.1, 5, separation=1.0, noise_rate=0.05),
+    positive_rate=0.1, dim=5, separation=1.0, label_noise=0.05,
     n=3000,
     mechanisms=("rr", "lp2st", "alibi", "pate"),
     epsilons=(math.inf, 1.0),
     iterations=30,
-    pate_queries=100,
     seed=4,
 )
 
@@ -191,16 +191,29 @@ class TestCtr:
         with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
             CtrConfig(mechanisms=("rr", "bogus"))
 
+    def test_options_are_the_fields_and_source_is_derived(self):
+        assert [f.name for f in dataclasses.fields(CtrConfig)] == [
+            "csv_path", "label_column", "n", "positive_rate", "dim", "separation",
+            "label_noise", "mechanisms", "epsilons", "iterations", "seed",
+        ]
+        assert SMALL_CTR.source == SkewedBinarySpec(0.1, 5, separation=1.0, noise_rate=0.05)
+        assert CtrConfig.split_fractions == (0.8, 0.04, 0.16)
+        assert CtrConfig.pate_queries == 200
+
+    def test_integer_and_numpy_epsilons_run_as_their_floats(self):
+        def rows(epsilons):
+            config = dataclasses.replace(SMALL_CTR, epsilons=epsilons)
+            return [r.to_row() for r in run_ctr(config)]
+
+        assert rows((2, np.float64(1))) == rows((2.0, 1.0))
+
     def test_csv_source_uses_estimated_leau(self, tmp_path):
         from labeldp.data import gen_skewed_binary, write_csv
 
         ds, _ = gen_skewed_binary(SkewedBinarySpec(0.2, 3, 1.0, 0.0), 1500, seed=5)
         path = tmp_path / "ctr.csv"
         write_csv(ds, str(path))
-        cfg = CtrConfig(
-            csv_path=str(path), epsilons=(1.0,), iterations=30, seed=0,
-            split_fractions=(0.7, 0.1, 0.2),
-        )
+        cfg = CtrConfig(csv_path=str(path), epsilons=(1.0,), iterations=30, seed=0)
         reports = run_ctr(cfg)
         assert len(reports) == 2
         assert all(math.isfinite(r.leau) for r in reports)
@@ -252,8 +265,9 @@ class TestCtrStackedFit:
         # PATE's students: one fit per epsilon over its own query rows.
         assert [s.labels.shape for s in students] == [(1, STACKED_CTR.pate_queries)] * 2
         assert all(s.features is not train.features for s in students)
-        # LP-2ST's stage-1 model per epsilon and PATE's teachers, each alone.
-        assert len(seen["mechanisms"]) == 2 + 2 * STACKED_CTR.pate_teachers
+        # LP-2ST's stage-1 model per epsilon and PATE's teachers (release's
+        # default of 5), each alone.
+        assert len(seen["mechanisms"]) == 2 + 2 * 5
         assert all(ds.labels.ndim == 1 for ds in seen["mechanisms"])
 
     def test_stack_rows_and_reports_in_config_order(self, stacked_ctr):
