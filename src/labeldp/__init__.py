@@ -18,7 +18,6 @@ from .data import (
 from .mechanisms import (
     MECHANISMS,
     MechanismReport,
-    PriorTable,
     PrivacyParams,
     account,
     alibi,

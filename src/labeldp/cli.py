@@ -103,6 +103,25 @@ def _echo(resolved: dict) -> None:
     print("resolved-config " + json.dumps(experiments._jsonable(resolved), sort_keys=True))
 
 
+def _term(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"{args.kind} bound needs --{name.replace('_', '-')}")
+    return value
+
+
+# bound --kind -> its value from the parsed flags and their BoundQuery.
+BOUNDS = {
+    "universal": lambda a, q: metrics.universal_bound(q, a.draft_variant),
+    "advantage": lambda a, q: metrics.advantage_bound(q, a.draft_variant),
+    "weak-threat": lambda a, q: metrics.weak_threat_bound(q, a.draft_variant),
+    "generalization": lambda a, q: metrics.bound_factor(a.epsilon, a.delta, a.draft_variant),
+    "reconstruction": lambda a, q: metrics.reconstruction_bound(
+        a.epsilon, a.delta, _term(a, "domain_size")),
+    "hoeffding": lambda a, q: metrics.hoeffding_lower_bound(a.epsilon, _term(a, "n")),
+}
+
+
 def cmd_bound(args) -> int:
     query = BoundQuery(
         epsilon=args.epsilon,
@@ -110,24 +129,7 @@ def cmd_bound(args) -> int:
         utility_bound=args.B,
         exp_sup_utility=args.exp_sup,
     )
-    if args.kind == "universal":
-        value = metrics.universal_bound(query, args.draft_variant)
-    elif args.kind == "advantage":
-        value = metrics.advantage_bound(query, args.draft_variant)
-    elif args.kind == "weak-threat":
-        value = metrics.weak_threat_bound(query, args.draft_variant)
-    elif args.kind == "generalization":
-        value = metrics.dp_generalization_gap_bound(args.epsilon, args.delta, args.draft_variant)
-    elif args.kind == "reconstruction":
-        if args.domain_size is None:
-            raise ValueError("reconstruction bound needs --domain-size")
-        value = metrics.reconstruction_bound(args.epsilon, args.delta, args.domain_size)
-    elif args.kind == "hoeffding":
-        if args.n is None:
-            raise ValueError("hoeffding bound needs --n")
-        value = metrics.hoeffding_lower_bound(args.epsilon, args.n)
-    else:
-        raise ValueError(f"unknown bound kind {args.kind!r}")
+    value = BOUNDS[args.kind](args, query)
     record = {
         "kind": args.kind, "epsilon": args.epsilon, "delta": args.delta,
         "B": args.B, "exp_sup": args.exp_sup, "domain_size": args.domain_size,
@@ -299,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="evaluate a closed-form advantage bound")
-    p.add_argument("--kind", default="universal",
-                   choices=["universal", "advantage", "weak-threat", "generalization",
-                            "reconstruction", "hoeffding"])
+    p.add_argument("--kind", default="universal", choices=list(BOUNDS))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--B", type=float, default=None)

@@ -41,8 +41,8 @@ from .metrics import (
     universal_bound,
 )
 from .models import (
+    ConstantModel,
     LogisticHyper,
-    constant_model,
     log_loss,
     majority_table,
     stability_threshold,
@@ -272,7 +272,9 @@ class CtrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Building the synthetic source checks its four fields first.
+        if not 0.0 <= self.label_noise < 0.5:  # NaN fails too
+            raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
+        # Building the synthetic source checks its other three fields first.
         self.source  # noqa: B018
         if any(not e > 0 for e in self.epsilons):
             raise ValueError("epsilon grid values must be positive or infinite")
@@ -322,7 +324,7 @@ def run_ctr(config: CtrConfig) -> list[MetricsReport]:
             seeds.append(seed)
     models = _fit_released(released, hyper, seeds)
 
-    baseline = constant_model(marginal)
+    baseline = ConstantModel(marginal)
     candidates = [baseline, *models]
     entries = [("constant-baseline", math.inf, baseline)]
     entries += [(mech, eps, model) for (mech, eps), model in zip(cells, models)]

@@ -43,25 +43,6 @@ class PrivacyParams:
 
 
 @dataclass(frozen=True)
-class PriorTable:
-    """Per-row label distributions used to restrict randomized response."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2:
-            raise ValueError(f"prior must be an (n, k) matrix, got shape {probs.shape}")
-        bad = _first_non_distribution(probs)
-        if bad is not None:
-            raise ValueError(f"prior row {bad} is not a probability distribution")
-        object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
-
-@dataclass(frozen=True)
 class MechanismReport:
     """What a mechanism releases: a training set whose labels are private,
     with the privacy spend they carry and diagnostics of the run."""
@@ -121,28 +102,33 @@ def randomized_response(labels: np.ndarray, k: int, epsilon: float, seed: int) -
 
 def rr_with_prior(
     labels: np.ndarray,
-    prior: PriorTable | np.ndarray,
+    prior: np.ndarray,
     top_k: int,
     epsilon: float,
     seed: int,
 ) -> np.ndarray:
-    """Randomized response restricted to each row's top_k classes by prior.
+    """Randomized response restricted to each row's top_k classes by prior,
+    an (n, k) matrix of per-row label distributions.
 
     A true label outside its row's top set is first mapped to the
     highest-prior in-set class, then k-ary RR runs over the restricted set
     with keep probability e^eps / (e^eps + top_k - 1).
     """
-    if not isinstance(prior, PriorTable):
-        prior = PriorTable(np.asarray(prior))
+    prior = np.asarray(prior, dtype=np.float64)
+    if prior.ndim != 2:
+        raise ValueError(f"prior must be an (n, k) matrix, got shape {prior.shape}")
+    bad = _first_non_distribution(prior)
+    if bad is not None:
+        raise ValueError(f"prior row {bad} is not a probability distribution")
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = prior.probs.shape
+    n, k = prior.shape
     if labels.shape[0] != n:
         raise ValueError(f"{labels.shape[0]} labels but prior has {n} rows")
     if not 1 <= top_k <= k:
         raise ValueError(f"top_k must be in [1, {k}], got {top_k}")
 
     # Stable sort on the negated prior: ties resolve to the lowest class index.
-    order = np.argsort(-prior.probs, axis=1, kind="stable")
+    order = np.argsort(-prior, axis=1, kind="stable")
     top = order[:, :top_k]
     in_set = (top == labels[:, None]).any(axis=1)
     mapped = np.where(in_set, labels, top[:, 0])
@@ -160,35 +146,22 @@ def rr_with_prior(
 
 def lp_mst(
     train: Dataset,
-    num_stages: int,
     epsilon: float,
     top_k: int,
     hyper: LogisticHyper,
     seed: int,
 ) -> MechanismReport:
-    """Multi-stage randomized response (one or two stages).
+    """Two-stage randomized response (LP-2ST).
 
-    Stage 1 applies plain RR to a disjoint subset. With two stages, a model
-    trained on the stage-1 labels supplies a per-row prior for top-k
-    restricted RR on the remaining rows, and the release is the union. Each
-    stage spends epsilon on disjoint rows, so parallel composition keeps
-    the total at epsilon.
+    Stage 1 applies plain RR to a random half of the rows. A model trained
+    on the stage-1 labels supplies a per-row prior for top-k restricted RR
+    on the other half, and the release is the union. Each stage spends
+    epsilon on disjoint rows, so parallel composition keeps the total at
+    epsilon.
     """
-    if num_stages not in (1, 2):
-        raise ValueError(f"num_stages must be 1 or 2, got {num_stages}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     k = train.num_classes
-    diagnostics: dict = {"mechanism": f"lp-{num_stages}st"}
-
-    if num_stages == 1:
-        private = randomized_response(train.labels, k, epsilon, seed)
-        diagnostics["stage_sizes"] = [len(train)]
-        diagnostics["flip_rates"] = [float(np.mean(private != train.labels))]
-        return MechanismReport(
-            train.with_labels(private), account([epsilon], PARALLEL), diagnostics
-        )
-
     n = len(train)
     perm = substream(seed, "lp-mst-split").permutation(n)
     half = n // 2
@@ -201,17 +174,20 @@ def lp_mst(
     model1 = train_logistic(stage1.with_labels(private1), hyper, seed)
 
     stage2 = train.subset(idx2)
-    prior = PriorTable(model1.predict_proba(stage2.features))
+    prior = model1.predict_proba(stage2.features)
     private2 = rr_with_prior(stage2.labels, prior, top_k, epsilon, seed)
 
     private = np.empty(n, dtype=np.int64)
     private[idx1] = private1
     private[idx2] = private2
-    diagnostics["stage_sizes"] = [int(idx1.size), int(idx2.size)]
-    diagnostics["flip_rates"] = [
-        float(np.mean(private1 != stage1.labels)),
-        float(np.mean(private2 != stage2.labels)),
-    ]
+    diagnostics = {
+        "mechanism": "lp-2st",
+        "stage_sizes": [int(idx1.size), int(idx2.size)],
+        "flip_rates": [
+            float(np.mean(private1 != stage1.labels)),
+            float(np.mean(private2 != stage2.labels)),
+        ],
+    }
     return MechanismReport(
         train.with_labels(private), account([epsilon, epsilon], PARALLEL), diagnostics
     )
@@ -330,7 +306,7 @@ def release(
     """Run the mechanism called `name` at a total budget of `epsilon`.
 
     "rr" is plain k-ary randomized response, which also accepts epsilon 0;
-    "lp2st" is two-stage lp_mst with `top_k`; "alibi" is alibi; "pate" asks
+    "lp2st" is lp_mst with `top_k`; "alibi" is alibi; "pate" asks
     min(queries, n) queries of `teachers` teachers, splitting epsilon evenly
     over them. `hyper` trains the models internal to a mechanism (LP-2ST's
     stage-1 model, PATE's teachers).
@@ -339,6 +315,10 @@ def release(
         raise ValueError(
             f"release takes one label vector, got a stack of {train.labels.shape[0]}"
         )
+    if name not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {name!r}")
+    if name != "rr" and not epsilon > 0:
+        raise ValueError(f"{name} needs epsilon > 0, got {epsilon}")
     # Mechanisms are looked up as module globals at call time, so a caller
     # that rebinds them (tracing, tests) sees every call.
     if name == "rr":
@@ -346,10 +326,8 @@ def release(
         diagnostics = {"mechanism": "rr", "flip_rate": float(np.mean(private != train.labels))}
         return MechanismReport(train.with_labels(private), account([epsilon], BASIC), diagnostics)
     if name == "lp2st":
-        return lp_mst(train, 2, epsilon, top_k, hyper, seed)
+        return lp_mst(train, epsilon, top_k, hyper, seed)
     if name == "alibi":
         return alibi(train, epsilon, hyper, seed)
-    if name == "pate":
-        queries = min(queries, len(train))
-        return pate(train, teachers, queries, epsilon / queries, hyper, seed)
-    raise ValueError(f"unknown mechanism {name!r}")
+    queries = min(queries, len(train))
+    return pate(train, teachers, queries, epsilon / queries, hyper, seed)

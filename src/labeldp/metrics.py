@@ -246,7 +246,10 @@ class BoundQuery:
 
 def bound_factor(epsilon: float, delta: float, draft_variant: bool = False) -> float:
     """The privacy factor 1 - (2 / (1 + e^eps)) (1 - delta); with
-    draft_variant, the looser 1 - e^-eps (1 - delta)."""
+    draft_variant, the looser 1 - e^-eps (1 - delta). It is also the bound on
+    the train-test utility gap of a private learner with u in [0, 1]."""
+    if not epsilon >= 0 or not 0.0 <= delta <= 1.0:
+        raise ValueError(f"invalid privacy params ({epsilon}, {delta})")
     if draft_variant:
         return 1.0 - math.exp(-epsilon) * (1.0 - delta)
     if math.isinf(epsilon):
@@ -256,7 +259,9 @@ def bound_factor(epsilon: float, delta: float, draft_variant: bool = False) -> f
 
 def advantage_bound(query: BoundQuery, draft_variant: bool = False) -> float:
     """Distribution-dependent advantage bound: factor times the expected
-    supremum utility conditioned on the features."""
+    supremum utility conditioned on the features. In the feature-unaware
+    threat model the same factor applies to the unconditional expected
+    supremum utility, so weak_threat_bound is this function."""
     if query.exp_sup_utility is None:
         raise ValueError("advantage_bound needs exp_sup_utility")
     return bound_factor(query.epsilon, query.delta, draft_variant) * query.exp_sup_utility
@@ -269,21 +274,8 @@ def universal_bound(query: BoundQuery, draft_variant: bool = False) -> float:
     return bound_factor(query.epsilon, query.delta, draft_variant) * query.utility_bound
 
 
-def dp_generalization_gap_bound(
-    epsilon: float, delta: float, draft_variant: bool = False
-) -> float:
-    """Bound on the train-test utility gap of a private learner, u in [0, 1]."""
-    if not epsilon >= 0 or not 0.0 <= delta <= 1.0:
-        raise ValueError(f"invalid privacy params ({epsilon}, {delta})")
-    return bound_factor(epsilon, delta, draft_variant)
-
-
-def weak_threat_bound(query: BoundQuery, draft_variant: bool = False) -> float:
-    """Advantage bound in the feature-unaware threat model: same factor,
-    applied to the unconditional expected supremum utility."""
-    if query.exp_sup_utility is None:
-        raise ValueError("weak_threat_bound needs exp_sup_utility")
-    return bound_factor(query.epsilon, query.delta, draft_variant) * query.exp_sup_utility
+dp_generalization_gap_bound = bound_factor
+weak_threat_bound = advantage_bound
 
 
 def reconstruction_bound(epsilon: float, delta: float, domain_size: float) -> float:

@@ -335,10 +335,6 @@ class BayesModel(Model):
         return self.conditional(features)
 
 
-def bayes_model(conditional: Conditional) -> BayesModel:
-    return BayesModel(conditional)
-
-
 class ConstantModel(Model):
     kind = "constant"
 
@@ -356,8 +352,8 @@ class ConstantModel(Model):
         return np.tile(self.probs, (n, 1))
 
 
-def constant_model(probs) -> ConstantModel:
-    return ConstantModel(probs)
+bayes_model = BayesModel
+constant_model = ConstantModel
 
 
 def _row_keys(features: np.ndarray) -> np.ndarray:

@@ -66,9 +66,21 @@ class TestBoundCommand:
         assert code == 0
         assert last_record(out)["value"] == pytest.approx(0.642121, abs=1e-6)
 
-    def test_missing_term_is_validation_error(self, capsys):
-        code, _, err = run_cli(capsys, "bound", "--kind", "advantage", "--epsilon", "1")
-        assert code == 1 and "exp_sup" in err
+    def test_hoeffding_kind(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--kind", "hoeffding", "--epsilon", "1",
+                               "--n", "100")
+        assert code == 0
+        assert last_record(out)["value"] == 0.990397
+
+    @pytest.mark.parametrize("kind, term", [
+        pytest.param("advantage", "exp_sup", id="advantage"),
+        pytest.param("reconstruction", "--domain-size", id="reconstruction"),
+        pytest.param("hoeffding", "--n", id="hoeffding"),
+    ])
+    def test_missing_term_is_validation_error(self, capsys, kind, term):
+        code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1")
+        assert code == 1 and out == "" and term in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("kind, terms", [
         pytest.param("universal", ["--B", "1"], id="universal"),
@@ -488,6 +500,16 @@ class TestHarnessCommands:
         assert code == 0, err
         assert len((tmp_path / "z.csv").read_text().strip().split("\n")) == 3
 
+    @pytest.mark.parametrize("mechanism", ["lp2st", "alibi", "pate"])
+    def test_simulate_zero_epsilon_names_the_mechanism(self, tmp_path, capsys, mechanism):
+        args = [a if a != "0.5,2.0" else "0,1" for a in self.SIM_ARGS]
+        out_file = tmp_path / "z.csv"
+        code, _, err = run_cli(capsys, *args, "--mechanism", mechanism,
+                               "--output", str(out_file))
+        assert code == 1
+        assert err.splitlines() == [f"error: {mechanism} needs epsilon > 0, got 0.0"]
+        assert not out_file.exists()
+
     def test_unknown_mechanism_rejected_before_training(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("train_logistic ran before the config was validated")
@@ -579,9 +601,16 @@ class TestHarnessCommands:
         assert err.splitlines() == [f"error: {message}"]
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("separation", ["inf", "nan"])
-    def test_ctr_rejects_non_finite_separation_before_any_data(
-        self, tmp_path, capsys, monkeypatch, separation
+    @pytest.mark.parametrize("option, value, message", [
+        pytest.param("--separation", "inf", "separation must be finite and >= 0, got inf",
+                     id="separation-inf"),
+        pytest.param("--separation", "nan", "separation must be finite and >= 0, got nan",
+                     id="separation-nan"),
+        *(pytest.param("--label-noise", v, f"label_noise must be in [0, 0.5), got {float(v)}",
+                       id=f"label-noise-{v}") for v in ("0.6", "0.5", "-0.1", "nan")),
+    ])
+    def test_ctr_rejects_a_bad_source_option_before_any_data(
+        self, tmp_path, capsys, monkeypatch, option, value, message
     ):
         import labeldp.experiments as experiments
 
@@ -589,11 +618,11 @@ class TestHarnessCommands:
             raise AssertionError("data generated before the source was validated")
 
         monkeypatch.setattr(experiments, "gen_skewed_binary", refuse)
-        out_file = tmp_path / "sep.csv"
-        code, _, err = run_cli(capsys, "ctr", "--n", "2000", "--separation", separation,
+        out_file = tmp_path / "source.csv"
+        code, _, err = run_cli(capsys, "ctr", "--n", "2000", option, value,
                                "--output", str(out_file))
         assert code == 1
-        assert err.splitlines() == [f"error: separation must be finite and >= 0, got {separation}"]
+        assert err.splitlines() == [f"error: {message}"]
         assert not out_file.exists()
 
     # sha256 of the results of `simulate --preset fig1-reduced --trials 10

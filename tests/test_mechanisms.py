@@ -19,7 +19,7 @@ from labeldp.mechanisms import (
     release,
     rr_with_prior,
 )
-from labeldp.models import LogisticHyper, train_logistic
+from labeldp.models import LogisticHyper
 from labeldp.rng import substream
 
 FAST = LogisticHyper(iterations=30)
@@ -122,6 +122,10 @@ class TestRrWithPrior:
         with pytest.raises(ValueError, match="row 1"):
             rr_with_prior(np.array([0, 0]), np.array([[0.5, 0.5], [0.9, 0.3]]), 2, 1.0, 0)
 
+    def test_prior_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match=r"^prior must be an \(n, k\) matrix, got shape \(2,\)$"):
+            rr_with_prior(np.array([0, 1]), np.array([0.5, 0.5]), 2, 1.0, 0)
+
     @pytest.mark.parametrize("row", [[math.nan, math.nan], [math.inf, 0.0]])
     def test_non_finite_prior_row_rejected(self, row):
         prior = np.array([row, [0.5, 0.5]])
@@ -130,43 +134,27 @@ class TestRrWithPrior:
 
 
 class TestLpMst:
-    def test_one_stage_equals_plain_rr(self):
-        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 60, seed=0)
-        report = lp_mst(ds, 1, 1.0, top_k=2, hyper=FAST, seed=42)
-        np.testing.assert_array_equal(
-            report.labels, randomized_response(ds.labels, 3, 1.0, seed=42)
-        )
-
-    def test_infinite_epsilon_recovers_non_private_training(self):
-        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 40, seed=1)
-        report = lp_mst(ds, 1, math.inf, top_k=2, hyper=FAST, seed=0)
-        np.testing.assert_array_equal(report.labels, ds.labels)
-        plain = train_logistic(ds, FAST, seed=0)
-        released = train_logistic(report.released, FAST, seed=0)
-        np.testing.assert_array_equal(released.weights, plain.weights)
-
     def test_parallel_accounting_identity(self):
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 40, seed=2)
-        for stages in (1, 2):
-            report = lp_mst(ds, stages, 2.5, top_k=2, hyper=FAST, seed=0)
-            assert report.params.epsilon == 2.5
-            assert report.params.note == PARALLEL
+        report = lp_mst(ds, 2.5, top_k=2, hyper=FAST, seed=0)
+        assert report.params.epsilon == 2.5
+        assert report.params.note == PARALLEL
 
     def test_two_stages_cover_all_rows(self):
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 41, seed=3)
-        report = lp_mst(ds, 2, 1.0, top_k=2, hyper=FAST, seed=0)
+        report = lp_mst(ds, 1.0, top_k=2, hyper=FAST, seed=0)
         assert report.labels.shape == (41,)
         assert report.diagnostics["stage_sizes"] == [20, 21]
 
     def test_single_row_cannot_split(self):
         ds = Dataset(np.zeros((1, 2)), np.array([0]), 2)
         with pytest.raises(ValueError):
-            lp_mst(ds, 2, 1.0, top_k=2, hyper=FAST, seed=0)
+            lp_mst(ds, 1.0, top_k=2, hyper=FAST, seed=0)
 
     def test_reproducible(self):
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 50, seed=4)
-        a = lp_mst(ds, 2, 1.0, top_k=2, hyper=FAST, seed=8)
-        b = lp_mst(ds, 2, 1.0, top_k=2, hyper=FAST, seed=8)
+        a = lp_mst(ds, 1.0, top_k=2, hyper=FAST, seed=8)
+        b = lp_mst(ds, 1.0, top_k=2, hyper=FAST, seed=8)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.diagnostics == b.diagnostics
 
@@ -288,7 +276,7 @@ class TestRelease:
         ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 50, seed=1)
         np.testing.assert_array_equal(
             release("lp2st", ds, 1.0, FAST, seed=2, top_k=2).labels,
-            lp_mst(ds, 2, 1.0, 2, FAST, seed=2).labels,
+            lp_mst(ds, 1.0, 2, FAST, seed=2).labels,
         )
         np.testing.assert_array_equal(
             release("alibi", ds, 1.0, FAST, seed=2).labels, alibi(ds, 1.0, FAST, seed=2).labels

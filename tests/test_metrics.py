@@ -279,6 +279,10 @@ class TestBounds:
             universal_bound(BoundQuery(1.3, 0.0, utility_bound=b))
         )
 
+    def test_duplicate_bounds_are_aliases(self):
+        assert weak_threat_bound is advantage_bound
+        assert dp_generalization_gap_bound is bound_factor
+
     def test_reconstruction_bound_anchors(self):
         assert reconstruction_bound(0.0, 0.0, 10) == 0.0
         assert reconstruction_bound(math.log(2), 0.0, 10) == pytest.approx(0.5, abs=1e-12)
@@ -335,9 +339,14 @@ class TestBounds:
             BoundQuery(1.0, 0.0, exp_sup_utility=math.nan)
         for epsilon in (math.nan, -1.0):
             with pytest.raises(ValueError, match="invalid privacy params"):
+                bound_factor(epsilon, 0.0)
+            with pytest.raises(ValueError, match="invalid privacy params"):
                 dp_generalization_gap_bound(epsilon, 0.0)
             with pytest.raises(ValueError, match="invalid privacy params"):
                 reconstruction_bound(epsilon, 0.0, 10.0)
+        for delta in (math.nan, -0.1, 1.5):
+            with pytest.raises(ValueError, match="invalid privacy params"):
+                bound_factor(1.0, delta)
 
     def test_infinite_terms_rejected(self):
         with pytest.raises(ValueError, match="utility_bound must be positive and finite, got inf"):
