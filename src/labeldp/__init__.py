@@ -29,7 +29,6 @@ from .mechanisms import (
     rr_with_prior,
 )
 from .metrics import (
-    BoundQuery,
     CalibrationResult,
     MetricsReport,
     UtilitySpec,

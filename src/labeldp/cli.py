@@ -22,7 +22,7 @@ import numpy as np
 from . import experiments, mechanisms, metrics
 from .attacks import AdversaryKnowledge, marginal_guess, spa
 from .data import CsvFormatError, _atomic_write, load_csv, load_csv_features
-from .metrics import BoundQuery, UtilitySpec
+from .metrics import UtilitySpec
 from .models import LogisticHyper, load_model
 
 CHECK_EXIT = 3
@@ -110,30 +110,30 @@ def _term(args, name: str):
     return value
 
 
-# bound --kind -> its value from the parsed flags and their BoundQuery.
+# bound --kind -> its value from the parsed flags.
 BOUNDS = {
-    "universal": lambda a, q: metrics.universal_bound(q, a.draft_variant),
-    "advantage": lambda a, q: metrics.advantage_bound(q, a.draft_variant),
-    "weak-threat": lambda a, q: metrics.weak_threat_bound(q, a.draft_variant),
-    "generalization": lambda a, q: metrics.bound_factor(a.epsilon, a.delta, a.draft_variant),
-    "reconstruction": lambda a, q: metrics.reconstruction_bound(
+    "universal": lambda a: metrics.universal_bound(a.epsilon, a.delta, _term(a, "B")),
+    "advantage": lambda a: metrics.advantage_bound(a.epsilon, a.delta, _term(a, "exp_sup")),
+    "weak-threat": lambda a: metrics.weak_threat_bound(a.epsilon, a.delta, _term(a, "exp_sup")),
+    "generalization": lambda a: metrics.bound_factor(a.epsilon, a.delta),
+    "reconstruction": lambda a: metrics.reconstruction_bound(
         a.epsilon, a.delta, _term(a, "domain_size")),
-    "hoeffding": lambda a, q: metrics.hoeffding_lower_bound(a.epsilon, _term(a, "n")),
+    "hoeffding": lambda a: metrics.hoeffding_lower_bound(a.epsilon, _term(a, "n")),
 }
 
 
 def cmd_bound(args) -> int:
-    query = BoundQuery(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        utility_bound=args.B,
-        exp_sup_utility=args.exp_sup,
-    )
-    value = BOUNDS[args.kind](args, query)
+    # The privacy parameters and any given --B or --exp-sup are checked
+    # before the kind runs, so a kind rejects a bad value of a flag it ignores.
+    metrics.bound_factor(args.epsilon, args.delta)
+    if args.B is not None:
+        metrics.universal_bound(args.epsilon, args.delta, args.B)
+    if args.exp_sup is not None:
+        metrics.advantage_bound(args.epsilon, args.delta, args.exp_sup)
     record = {
         "kind": args.kind, "epsilon": args.epsilon, "delta": args.delta,
         "B": args.B, "exp_sup": args.exp_sup, "domain_size": args.domain_size,
-        "n": args.n, "draft_variant": args.draft_variant, "value": value,
+        "n": args.n, "value": BOUNDS[args.kind](args),
     }
     print(_record(record, args.full_precision))
     return 0
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exp-sup", dest="exp_sup", type=float, default=None)
     p.add_argument("--domain-size", dest="domain_size", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--draft-variant", action="store_true")
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(func=cmd_bound)
 

@@ -168,7 +168,7 @@ class SkewedBinarySpec:
     """Synthetic skewed binary source with a known conditional.
 
     Clean labels are Bernoulli(positive_rate); features are N(y * separation
-    * e_1, I_d). With probability noise_rate a label is replaced by a fresh
+    * e_1, I_d). With probability label_noise a label is replaced by a fresh
     Bernoulli(positive_rate) draw independent of the features, which keeps
     the marginal P(y=1) exactly at positive_rate while washing out the
     feature signal.
@@ -177,7 +177,7 @@ class SkewedBinarySpec:
     positive_rate: float
     dim: int
     separation: float = 1.0
-    noise_rate: float = 0.0
+    label_noise: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.positive_rate < 1.0:
@@ -186,11 +186,11 @@ class SkewedBinarySpec:
             raise ValueError("dim must be >= 1")
         if not 0.0 <= self.separation < np.inf:  # NaN fails too
             raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
-        if not 0.0 <= self.noise_rate < 0.5:
-            raise ValueError(f"noise_rate must be in [0, 0.5), got {self.noise_rate}")
+        if not 0.0 <= self.label_noise < 0.5:  # NaN fails too
+            raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
 
     def conditional(self) -> Conditional:
-        p1, s, rho = self.positive_rate, self.separation, self.noise_rate
+        p1, s, rho = self.positive_rate, self.separation, self.label_noise
         bias = np.log(p1 / (1.0 - p1))
 
         def posterior(x: np.ndarray) -> np.ndarray:
@@ -231,8 +231,8 @@ def gen_skewed_binary(spec: SkewedBinarySpec, n: int, seed: int) -> tuple[Datase
     features = substream(seed, "skew-features").standard_normal((n, spec.dim))
     features[:, 0] += spec.separation * clean
     labels = clean
-    if spec.noise_rate > 0:
-        replace = substream(seed, "skew-noise").random(n) < spec.noise_rate
+    if spec.label_noise > 0:
+        replace = substream(seed, "skew-noise").random(n) < spec.label_noise
         redraw = (substream(seed, "skew-redraw").random(n) < p1).astype(np.int64)
         labels = np.where(replace, redraw, clean)
     return Dataset(features, labels, 2), spec.conditional()

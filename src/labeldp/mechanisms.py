@@ -193,14 +193,13 @@ def lp_mst(
     )
 
 
-def alibi(train: Dataset, epsilon: float, hyper: LogisticHyper, seed: int) -> MechanismReport:
+def alibi(train: Dataset, epsilon: float, seed: int) -> MechanismReport:
     """Laplace noise on one-hot labels followed by MAP denoising.
 
     A one-hot label change moves the encoding by 2 in L1, so coordinate-wise
     Laplace noise of scale 2/eps makes the noisy encodings epsilon-label-DP;
     the denoised labels follow by post-processing. Under a uniform prior the
-    MAP label is the argmax of the noisy vector. ALIBI trains nothing, so
-    hyper is unused; it keeps the signature of the other mechanisms.
+    MAP label is the argmax of the noisy vector. ALIBI trains nothing.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -328,6 +327,6 @@ def release(
     if name == "lp2st":
         return lp_mst(train, epsilon, top_k, hyper, seed)
     if name == "alibi":
-        return alibi(train, epsilon, hyper, seed)
+        return alibi(train, epsilon, seed)
     queries = min(queries, len(train))
     return pate(train, teachers, queries, epsilon / queries, hyper, seed)

@@ -2,9 +2,8 @@
 closed-form theoretical bounds on attack advantage.
 
 All bounds share the factor 1 - (2 / (1 + e^eps)) * (1 - delta), which is 0
-at eps = delta = 0 and tends to 1 as eps grows. An earlier, looser variant
-of the factor, 1 - e^-eps * (1 - delta), is available behind the
-draft_variant flag for comparison.
+at eps = delta = 0 and tends to 1 as eps grows. Each bound is a function of
+(epsilon, delta) and its own scalar term.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Conditional, _first_non_distribution, sample_categorical_rows
+from .mechanisms import keep_probability
 from .models import Model
 from .rng import derive_seed
 
@@ -214,64 +214,39 @@ def advantage(eau: float, leau: float) -> float:
     return eau - leau
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Inputs to the closed-form bounds.
-
-    exp_sup_utility is (1/n) sum_i E[sup_y u(y, y_i) | x_i] for the
-    distribution-dependent bound (or its unconditional analogue for the
-    weaker threat model); utility_bound is the global bound B.
-    """
-
-    epsilon: float
-    delta: float = 0.0
-    utility_bound: float | None = None
-    exp_sup_utility: float | None = None
-
-    def __post_init__(self):
-        if not self.epsilon >= 0:  # NaN fails >= too
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-        if self.utility_bound is not None and not 0 < self.utility_bound < math.inf:
-            raise ValueError(
-                f"utility_bound must be positive and finite, got {self.utility_bound}"
-            )
-        if self.exp_sup_utility is not None:
-            if not self.exp_sup_utility >= 0:
-                raise ValueError(f"exp_sup_utility must be >= 0, got {self.exp_sup_utility}")
-            if math.isinf(self.exp_sup_utility):
-                raise ValueError("exp_sup_utility must be finite, got inf")
+def _check_privacy(epsilon: float, delta: float) -> None:
+    if not epsilon >= 0:  # NaN fails >= too
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must be in [0, 1], got {delta}")
 
 
-def bound_factor(epsilon: float, delta: float, draft_variant: bool = False) -> float:
-    """The privacy factor 1 - (2 / (1 + e^eps)) (1 - delta); with
-    draft_variant, the looser 1 - e^-eps (1 - delta). It is also the bound on
-    the train-test utility gap of a private learner with u in [0, 1]."""
-    if not epsilon >= 0 or not 0.0 <= delta <= 1.0:
-        raise ValueError(f"invalid privacy params ({epsilon}, {delta})")
-    if draft_variant:
-        return 1.0 - math.exp(-epsilon) * (1.0 - delta)
+def bound_factor(epsilon: float, delta: float) -> float:
+    """The privacy factor 1 - (2 / (1 + e^eps)) (1 - delta). It is also the
+    bound on the train-test utility gap of a private learner with u in [0, 1]."""
+    _check_privacy(epsilon, delta)
     if math.isinf(epsilon):
         return 1.0
     return 1.0 - (2.0 / (1.0 + math.exp(epsilon))) * (1.0 - delta)
 
 
-def advantage_bound(query: BoundQuery, draft_variant: bool = False) -> float:
+def advantage_bound(epsilon: float, delta: float, exp_sup_utility: float) -> float:
     """Distribution-dependent advantage bound: factor times the expected
-    supremum utility conditioned on the features. In the feature-unaware
-    threat model the same factor applies to the unconditional expected
-    supremum utility, so weak_threat_bound is this function."""
-    if query.exp_sup_utility is None:
-        raise ValueError("advantage_bound needs exp_sup_utility")
-    return bound_factor(query.epsilon, query.delta, draft_variant) * query.exp_sup_utility
+    supremum utility (1/n) sum_i E[sup_y u(y, y_i) | x_i]. In the
+    feature-unaware threat model the same factor applies to the unconditional
+    expected supremum utility, so weak_threat_bound is this function."""
+    if not exp_sup_utility >= 0:
+        raise ValueError(f"exp_sup_utility must be >= 0, got {exp_sup_utility}")
+    if math.isinf(exp_sup_utility):
+        raise ValueError("exp_sup_utility must be finite, got inf")
+    return bound_factor(epsilon, delta) * exp_sup_utility
 
 
-def universal_bound(query: BoundQuery, draft_variant: bool = False) -> float:
+def universal_bound(epsilon: float, delta: float, utility_bound: float) -> float:
     """Distribution-free advantage bound: factor times the utility bound B."""
-    if query.utility_bound is None:
-        raise ValueError("universal_bound needs utility_bound")
-    return bound_factor(query.epsilon, query.delta, draft_variant) * query.utility_bound
+    if not 0 < utility_bound < math.inf:
+        raise ValueError(f"utility_bound must be positive and finite, got {utility_bound}")
+    return bound_factor(epsilon, delta) * utility_bound
 
 
 dp_generalization_gap_bound = bound_factor
@@ -283,8 +258,7 @@ def reconstruction_bound(epsilon: float, delta: float, domain_size: float) -> fl
     size: 1 - e^-eps + delta * |Z|."""
     if not 0 < domain_size < math.inf:
         raise ValueError(f"domain_size must be positive and finite, got {domain_size}")
-    if not epsilon >= 0 or not 0.0 <= delta <= 1.0:
-        raise ValueError(f"invalid privacy params ({epsilon}, {delta})")
+    _check_privacy(epsilon, delta)
     return 1.0 - math.exp(-epsilon) + delta * domain_size
 
 
@@ -295,7 +269,7 @@ def hoeffding_lower_bound(epsilon: float, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    keep = 1.0 if math.isinf(epsilon) else 1.0 / (1.0 + math.exp(-epsilon))
+    keep = keep_probability(epsilon, 2)
     return max(0.0, 1.0 - 2.0 * math.exp(-((keep - 0.5) ** 2) * n))
 
 

@@ -229,12 +229,11 @@ def _fit_scaler(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class LogisticModel(Model):
     kind = "logistic"
 
-    def __init__(self, weights, mu, sd, num_classes, hyper=None, seed=None, loss_history=None):
+    def __init__(self, weights, mu, sd, num_classes, seed=None, loss_history=None):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.mu = np.asarray(mu, dtype=np.float64)
         self.sd = np.asarray(sd, dtype=np.float64)
         self.num_classes = int(num_classes)
-        self.hyper = hyper
         self.seed = seed
         self.loss_history = loss_history if loss_history is not None else []
 
@@ -316,7 +315,7 @@ def train_logistic(
         fitted = [weights[:, t].copy() for t in range(trials)]
     histories = np.array(history).T.tolist()
     models = [
-        LogisticModel(w, mu, sd, k, hyper=hyper, seed=s, loss_history=h)
+        LogisticModel(w, mu, sd, k, seed=s, loss_history=h)
         for w, s, h in zip(fitted, seeds, histories)
     ]
     return models if stacked else models[0]

@@ -15,7 +15,6 @@ from labeldp.cli import main as cli_main
 from labeldp.data import Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import alibi, randomized_response
 from labeldp.metrics import (
-    BoundQuery,
     UtilitySpec,
     advantage_bound,
     calibrate_epsilon,
@@ -37,7 +36,7 @@ from labeldp.experiments import (
     run_simulation,
     run_thm1_demo,
 )
-from labeldp.models import LogisticHyper, cross_entropy_grad, cross_entropy_loss, log_loss
+from labeldp.models import cross_entropy_grad, cross_entropy_loss, log_loss
 
 mpmath.mp.dps = 40
 
@@ -57,10 +56,9 @@ def test_criterion_1_closed_form_bound_suite():
     for eps in eps_grid:
         for delta in delta_grid:
             ref = float(1 - 2 / (1 + mpmath.exp(eps)) * (1 - mpmath.mpf(delta)))
-            q = BoundQuery(eps, delta, utility_bound=3.0, exp_sup_utility=0.8)
-            ok &= abs(advantage_bound(q) - ref * 0.8) < 1e-12
-            ok &= abs(universal_bound(q) - ref * 3.0) < 1e-12
-            ok &= abs(weak_threat_bound(q) - ref * 0.8) < 1e-12
+            ok &= abs(advantage_bound(eps, delta, 0.8) - ref * 0.8) < 1e-12
+            ok &= abs(universal_bound(eps, delta, 3.0) - ref * 3.0) < 1e-12
+            ok &= abs(weak_threat_bound(eps, delta, 0.8) - ref * 0.8) < 1e-12
             ok &= abs(dp_generalization_gap_bound(eps, delta) - ref) < 1e-12
             recon_ref = float(1 - mpmath.exp(-mpmath.mpf(eps)) + mpmath.mpf(delta) * 100)
             ok &= abs(reconstruction_bound(eps, delta, 100) - recon_ref) < 1e-12
@@ -73,7 +71,7 @@ def test_criterion_1_closed_form_bound_suite():
                 cal = calibrate_epsilon(ref * 3.0, delta, 3.0)
                 ok &= cal.feasible and abs(cal.epsilon - eps) < 1e-9
     # Anchors.
-    ok &= advantage_bound(BoundQuery(0.0, 0.0, exp_sup_utility=1.0)) == 0.0
+    ok &= advantage_bound(0.0, 0.0, 1.0) == 0.0
     ok &= abs(calibrate_epsilon(0.5, 0.0, 1.0).epsilon - math.log(3)) < 1e-12
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
@@ -207,7 +205,7 @@ def test_criterion_6_oracle_consistency():
     # (ii) ALIBI denoised agreement vs an independent noise simulation.
     n, eps = 10**6, 2.0
     ds = Dataset(np.zeros((n, 1)), (np.arange(n) % 2).astype(np.int64), 2)
-    impl_rate = np.mean(alibi(ds, eps, LogisticHyper(iterations=1), seed=41).labels == ds.labels)
+    impl_rate = np.mean(alibi(ds, eps, seed=41).labels == ds.labels)
     rng = np.random.default_rng(43)
     scale = 2.0 / eps
     true = rng.integers(0, 2, n)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,14 +74,22 @@ class TestBoundCommand:
         assert last_record(out)["value"] == 0.990397
 
     @pytest.mark.parametrize("kind, term", [
-        pytest.param("advantage", "exp_sup", id="advantage"),
+        pytest.param("universal", "--B", id="universal"),
+        pytest.param("advantage", "--exp-sup", id="advantage"),
+        pytest.param("weak-threat", "--exp-sup", id="weak-threat"),
         pytest.param("reconstruction", "--domain-size", id="reconstruction"),
         pytest.param("hoeffding", "--n", id="hoeffding"),
     ])
     def test_missing_term_is_validation_error(self, capsys, kind, term):
         code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1")
-        assert code == 1 and out == "" and term in err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {kind} bound needs {term}"]
+
+    def test_draft_variant_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--epsilon", "1", "--B", "1", "--draft-variant"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --draft-variant" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, terms", [
         pytest.param("universal", ["--B", "1"], id="universal"),
@@ -103,18 +112,47 @@ class TestBoundCommand:
                      "exp_sup_utility must be finite, got inf", id="weak-threat"),
         pytest.param("reconstruction", ["--delta", "0", "--domain-size", "inf"],
                      "domain_size must be positive and finite, got inf", id="reconstruction"),
+        # A kind rejects a bad value of a flag it does not use.
+        pytest.param("hoeffding", ["--n", "100", "--B", "inf"],
+                     "utility_bound must be positive and finite, got inf", id="hoeffding-B"),
     ])
     def test_infinite_term_is_one_error_line(self, capsys, kind, terms, message):
         code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1", *terms)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize("kind", ["advantage", "weak-threat"])
+    @pytest.mark.parametrize("kind", ["advantage", "weak-threat", "generalization"])
     def test_nan_expected_supremum_is_one_error_line(self, capsys, kind):
         code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1",
                                  "--exp-sup", "nan")
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: exp_sup_utility must be >= 0, got nan"]
+
+
+def test_readme_bound_and_calibrate_examples_run(capsys):
+    """Every `labeldp bound` / `labeldp calibrate` line of README's CLI block
+    exits 0 with one JSON record, and a `# -> <number>` comment holds."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    ran = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        if argv[:1] != ["labeldp"] or argv[1] not in ("bound", "calibrate"):
+            continue
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0 and err == "", line
+        [record] = [json.loads(row) for row in out.splitlines()]
+        promised = comment.partition("->")[2].strip()
+        try:
+            expected = float(promised)
+        except ValueError:
+            expected = None
+        if expected is not None:
+            key = "value" if argv[1] == "bound" else "epsilon"
+            assert record[key] == pytest.approx(expected, abs=1e-4), line
+        ran += 1
+    assert ran >= 3
 
 
 class TestCalibrateCommand:
@@ -624,6 +662,23 @@ class TestHarnessCommands:
         assert code == 1
         assert err.splitlines() == [f"error: {message}"]
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        pytest.param("--separation", "inf", id="separation"),
+        pytest.param("--label-noise", "0.7", id="label-noise"),
+        pytest.param("--positive-rate", "0", id="positive-rate"),
+        pytest.param("--n", "5", id="n"),
+    ])
+    def test_ctr_csv_ignores_the_synthetic_source_options(self, tmp_path, capsys, option, value):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 300, seed=0)
+        data_csv = tmp_path / "data.csv"
+        write_csv(ds, str(data_csv))
+        args = ["ctr", "--csv", str(data_csv), "--epsilons", "inf,1.0", "--iterations", "5"]
+        plain, shaped = tmp_path / "plain.csv", tmp_path / "shaped.csv"
+        assert run_cli(capsys, *args, "--output", str(plain))[0] == 0
+        code, _, err = run_cli(capsys, *args, option, value, "--output", str(shaped))
+        assert code == 0, err
+        assert shaped.read_bytes() == plain.read_bytes()
 
     # sha256 of the results of `simulate --preset fig1-reduced --trials 10
     # --seed 1 --mechanism M`, the same whether a cell's trials train one by

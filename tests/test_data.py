@@ -218,26 +218,26 @@ class TestSampleCategoricalRows:
 class TestSkewedBinary:
     def test_positive_count_concentrates(self):
         """Binomial oracle: count is within 3 sigma of n * p1."""
-        spec = SkewedBinarySpec(0.03, 5, separation=0.5, noise_rate=0.1)
+        spec = SkewedBinarySpec(0.03, 5, separation=0.5, label_noise=0.1)
         ds, _ = gen_skewed_binary(spec, 10**5, seed=0)
         tol = 3 * math.sqrt(0.03 * 0.97 * 10**5)
         assert abs(ds.labels.sum() - 3000) <= tol
 
     def test_noiseless_wide_separation_is_bayes_learnable(self):
-        spec = SkewedBinarySpec(0.3, 3, separation=50.0, noise_rate=0.0)
+        spec = SkewedBinarySpec(0.3, 3, separation=50.0, label_noise=0.0)
         ds, cond = gen_skewed_binary(spec, 2000, seed=1)
         bayes = np.argmax(cond(ds.features), axis=1)
         assert np.mean(bayes == ds.labels) == 1.0
 
     def test_uninformative_features_cap_accuracy_at_half(self):
-        spec = SkewedBinarySpec(0.5, 3, separation=0.0, noise_rate=0.0)
+        spec = SkewedBinarySpec(0.5, 3, separation=0.0, label_noise=0.0)
         ds, cond = gen_skewed_binary(spec, 20000, seed=2)
         bayes = np.argmax(cond(ds.features), axis=1)
         assert abs(np.mean(bayes == ds.labels) - 0.5) < 0.02
 
     def test_conditional_marginal_matches_positive_rate(self):
         # Integrating P(y=1|x) over generated features must recover p1.
-        spec = SkewedBinarySpec(0.1, 4, separation=1.0, noise_rate=0.2)
+        spec = SkewedBinarySpec(0.1, 4, separation=1.0, label_noise=0.2)
         ds, cond = gen_skewed_binary(spec, 10**5, seed=3)
         assert abs(cond(ds.features)[:, 1].mean() - 0.1) < 0.005
 

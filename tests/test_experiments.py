@@ -196,7 +196,7 @@ class TestCtr:
             "csv_path", "label_column", "n", "positive_rate", "dim", "separation",
             "label_noise", "mechanisms", "epsilons", "iterations", "seed",
         ]
-        assert SMALL_CTR.source == SkewedBinarySpec(0.1, 5, separation=1.0, noise_rate=0.05)
+        assert SMALL_CTR.source == SkewedBinarySpec(0.1, 5, separation=1.0, label_noise=0.05)
         assert CtrConfig.split_fractions == (0.8, 0.04, 0.16)
         assert CtrConfig.pate_queries == 200
 

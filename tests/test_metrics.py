@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,7 +10,6 @@ from labeldp.attacks import prior_attack, spa
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import randomized_response
 from labeldp.metrics import (
-    BoundQuery,
     MetricsReport,
     UtilitySpec,
     advantage,
@@ -37,10 +37,6 @@ mpmath.mp.dps = 40
 
 def mp_factor(eps, delta):
     return float(1 - 2 / (1 + mpmath.exp(eps)) * (1 - mpmath.mpf(delta)))
-
-
-def mp_draft_factor(eps, delta):
-    return float(1 - mpmath.exp(-mpmath.mpf(eps)) * (1 - mpmath.mpf(delta)))
 
 
 class TestUtility:
@@ -249,16 +245,16 @@ class TestAdvantage:
 
 class TestBounds:
     def test_advantage_bound_anchors(self):
-        assert advantage_bound(BoundQuery(0.0, 0.0, exp_sup_utility=1.0)) == 0.0
-        assert advantage_bound(BoundQuery(math.log(3), 0.0, exp_sup_utility=1.0)) == pytest.approx(0.5, abs=1e-12)
-        assert advantage_bound(BoundQuery(0.1, 0.0, exp_sup_utility=1.0)) == pytest.approx(
+        assert advantage_bound(0.0, 0.0, 1.0) == 0.0
+        assert advantage_bound(math.log(3), 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert advantage_bound(0.1, 0.0, 1.0) == pytest.approx(
             0.049958374957879972, abs=1e-12
         )
 
     def test_universal_bound_anchors(self):
-        assert universal_bound(BoundQuery(0.0, 0.0, utility_bound=1.0)) == 0.0
-        assert universal_bound(BoundQuery(5.0, 1.0, utility_bound=1.0)) == 1.0
-        assert universal_bound(BoundQuery(2.0, 0.0, utility_bound=1.0)) == pytest.approx(
+        assert universal_bound(0.0, 0.0, 1.0) == 0.0
+        assert universal_bound(5.0, 1.0, 1.0) == 1.0
+        assert universal_bound(2.0, 0.0, 1.0) == pytest.approx(
             math.tanh(1.0), abs=1e-12
         )
 
@@ -270,13 +266,13 @@ class TestBounds:
         )
 
     def test_weak_threat_bound(self):
-        assert weak_threat_bound(BoundQuery(0.0, 0.0, exp_sup_utility=1.0)) == 0.0
-        assert weak_threat_bound(BoundQuery(math.log(3), 0.0, exp_sup_utility=1.0)) == pytest.approx(0.5)
+        assert weak_threat_bound(0.0, 0.0, 1.0) == 0.0
+        assert weak_threat_bound(math.log(3), 0.0, 1.0) == pytest.approx(0.5)
         # With the supremum attained on every row, it coincides with the
         # universal bound.
         b = 16.0
-        assert weak_threat_bound(BoundQuery(1.3, 0.0, exp_sup_utility=b)) == pytest.approx(
-            universal_bound(BoundQuery(1.3, 0.0, utility_bound=b))
+        assert weak_threat_bound(1.3, 0.0, b) == pytest.approx(
+            universal_bound(1.3, 0.0, b)
         )
 
     def test_duplicate_bounds_are_aliases(self):
@@ -302,20 +298,13 @@ class TestBounds:
         for eps in eps_grid:
             for delta in delta_grid:
                 ref = mp_factor(eps, delta)
-                q = BoundQuery(eps, delta, utility_bound=2.0, exp_sup_utility=1.5)
                 assert abs(bound_factor(eps, delta) - ref) < 1e-12
-                assert abs(advantage_bound(q) - ref * 1.5) < 1e-12
-                assert abs(universal_bound(q) - ref * 2.0) < 1e-12
-                assert abs(weak_threat_bound(q) - ref * 1.5) < 1e-12
+                assert abs(advantage_bound(eps, delta, 1.5) - ref * 1.5) < 1e-12
+                assert abs(universal_bound(eps, delta, 2.0) - ref * 2.0) < 1e-12
+                assert abs(weak_threat_bound(eps, delta, 1.5) - ref * 1.5) < 1e-12
                 assert abs(dp_generalization_gap_bound(eps, delta) - ref) < 1e-12
-                draft_ref = mp_draft_factor(eps, delta)
-                assert abs(bound_factor(eps, delta, draft_variant=True) - draft_ref) < 1e-12
                 recon_ref = float(1 - mpmath.exp(-mpmath.mpf(eps)) + mpmath.mpf(delta) * 50)
                 assert abs(reconstruction_bound(eps, delta, 50) - recon_ref) < 1e-12
-
-    def test_draft_variant_is_looser(self):
-        for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
-            assert bound_factor(eps, 0.0, draft_variant=True) >= bound_factor(eps, 0.0)
 
     def test_monotone_in_epsilon_and_delta(self):
         eps_grid = np.linspace(0.0, 10.0, 50)
@@ -328,42 +317,39 @@ class TestBounds:
     def test_distribution_dependent_never_exceeds_universal(self):
         for eps in (0.1, 1.0, 4.0):
             for term in (0.2, 0.7, 1.0):
-                adv = advantage_bound(BoundQuery(eps, 0.0, exp_sup_utility=term))
-                uni = universal_bound(BoundQuery(eps, 0.0, utility_bound=1.0))
+                adv = advantage_bound(eps, 0.0, term)
+                uni = universal_bound(eps, 0.0, 1.0)
                 assert adv <= uni + 1e-15
 
     def test_nan_epsilon_and_expected_supremum_rejected(self):
         with pytest.raises(ValueError, match="epsilon must be >= 0, got nan"):
-            BoundQuery(math.nan, 0.0, utility_bound=1.0)
+            universal_bound(math.nan, 0.0, 1.0)
         with pytest.raises(ValueError, match="exp_sup_utility must be >= 0, got nan"):
-            BoundQuery(1.0, 0.0, exp_sup_utility=math.nan)
+            advantage_bound(1.0, 0.0, math.nan)
         for epsilon in (math.nan, -1.0):
-            with pytest.raises(ValueError, match="invalid privacy params"):
+            message = re.escape(f"epsilon must be >= 0, got {epsilon}")
+            with pytest.raises(ValueError, match=message):
                 bound_factor(epsilon, 0.0)
-            with pytest.raises(ValueError, match="invalid privacy params"):
+            with pytest.raises(ValueError, match=message):
                 dp_generalization_gap_bound(epsilon, 0.0)
-            with pytest.raises(ValueError, match="invalid privacy params"):
+            with pytest.raises(ValueError, match=message):
                 reconstruction_bound(epsilon, 0.0, 10.0)
         for delta in (math.nan, -0.1, 1.5):
-            with pytest.raises(ValueError, match="invalid privacy params"):
+            with pytest.raises(ValueError, match=re.escape(f"delta must be in [0, 1], got {delta}")):
                 bound_factor(1.0, delta)
 
     def test_infinite_terms_rejected(self):
         with pytest.raises(ValueError, match="utility_bound must be positive and finite, got inf"):
-            BoundQuery(1.0, 0.0, utility_bound=math.inf)
+            universal_bound(1.0, 0.0, math.inf)
         with pytest.raises(ValueError, match="exp_sup_utility must be finite, got inf"):
-            BoundQuery(1.0, 0.0, exp_sup_utility=math.inf)
+            advantage_bound(1.0, 0.0, math.inf)
         with pytest.raises(ValueError, match="domain_size must be positive and finite, got inf"):
             reconstruction_bound(1.0, 0.0, math.inf)
         with pytest.raises(ValueError, match="utility_bound must be positive and finite, got inf"):
             calibrate_epsilon(0.5, 0.0, math.inf)
-        assert universal_bound(BoundQuery(math.inf, 0.0, utility_bound=2.0)) == 2.0
+        assert universal_bound(math.inf, 0.0, 2.0) == 2.0
 
     def test_missing_terms_rejected(self):
-        with pytest.raises(ValueError):
-            advantage_bound(BoundQuery(1.0, 0.0))
-        with pytest.raises(ValueError):
-            universal_bound(BoundQuery(1.0, 0.0))
         with pytest.raises(ValueError):
             reconstruction_bound(1.0, 0.0, 0.0)
 
@@ -387,7 +373,7 @@ class TestCalibrate:
                     target = frac * b
                     result = calibrate_epsilon(target, delta, b)
                     assert result.feasible
-                    back = universal_bound(BoundQuery(result.epsilon, delta, utility_bound=b))
+                    back = universal_bound(result.epsilon, delta, b)
                     assert back == pytest.approx(target, abs=1e-9)
 
     def test_target_above_bound_is_tagged_infinite(self):
