@@ -165,9 +165,8 @@ def cmd_privatize(args) -> int:
     )
     labels, note = report.labels, report.params.note
     with _atomic_write(args.output) as fh:
-        fh.write("row_index,private_label\n")
-        for i, label in enumerate(labels):
-            fh.write(f"{i},{int(label)}\n")
+        fh.write("row_index,private_label\n"
+                 + "".join(f"{i},{label}\n" for i, label in enumerate(labels.tolist())))
     with _atomic_write(args.output + ".manifest.json") as fh:
         json.dump(
             {
@@ -225,13 +224,13 @@ def cmd_attack(args) -> int:
         inferred = marginal_guess(knowledge, spec)
     with _atomic_write(args.output) as fh:
         if true_labels is None:
-            fh.write("row_index,inferred_label\n")
-            for i, label in enumerate(inferred.labels):
-                fh.write(f"{i},{int(label)}\n")
+            fh.write("row_index,inferred_label\n" + "".join(
+                f"{i},{label}\n" for i, label in enumerate(inferred.labels.tolist())))
         else:
-            fh.write("row_index,inferred_label,true_label\n")
-            for i, (label, truth) in enumerate(zip(inferred.labels, true_labels)):
-                fh.write(f"{i},{int(label)},{int(truth)}\n")
+            fh.write("row_index,inferred_label,true_label\n" + "".join(
+                f"{i},{label},{truth}\n"
+                for i, (label, truth) in enumerate(zip(inferred.labels.tolist(),
+                                                       true_labels.tolist()))))
     if true_labels is not None:
         eau = metrics.eau_empirical(inferred, true_labels, spec)
         print(_record({"attack": inferred.attack, "empirical_eau": eau}, args.full_precision))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, TextIO
@@ -20,6 +21,10 @@ from .rng import substream
 
 class CsvFormatError(ValueError):
     """Raised when a dataset CSV violates the documented format."""
+
+
+# 2**63: CSV labels lie in [-_INT64_END, _INT64_END), the floats that fit int64.
+_INT64_END = 2.0**63
 
 
 def _first_false(ok: np.ndarray) -> tuple | None:
@@ -249,18 +254,17 @@ def sample_categorical_rows(probs: np.ndarray, seed: int) -> np.ndarray:
 def load_csv(path: str, label_column: str) -> Dataset:
     """Load a dataset from a UTF-8 CSV with a header row.
 
-    The named label column must hold integer class indices; every other
-    column is parsed as a finite decimal real. Row order is preserved and
-    num_classes is 1 + the largest label index.
+    The named label column must hold integer class indices that fit int64;
+    every other column is parsed as a finite decimal real. Row order is
+    preserved and num_classes is 1 + the largest label index.
     """
     if not isinstance(label_column, str):
         raise CsvFormatError(f"{path}: label column must be a name, got {label_column!r}")
     features, labels = _read_csv(path, label_column)
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        raise CsvFormatError(f"{path}: negative label {labels_arr.min()}")
-    num_classes = max(2, int(labels_arr.max()) + 1)
-    return Dataset(features, labels_arr, num_classes)
+    if labels.min() < 0:
+        raise CsvFormatError(f"{path}: negative label {labels.min()}")
+    num_classes = max(2, int(labels.max()) + 1)
+    return Dataset(features, labels, num_classes)
 
 
 def load_csv_features(path: str) -> np.ndarray:
@@ -268,9 +272,12 @@ def load_csv_features(path: str) -> np.ndarray:
     return _read_csv(path, None)[0]
 
 
-def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, list]:
-    """Row loop of the CSV loaders: (n, d) features and the list of labels
-    (empty when label_column is None, which makes every column a feature)."""
+def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV loaders' reader: (n, d) features and the int64 labels (empty
+    when label_column is None, which makes every column a feature).
+
+    numpy's C reader parses a plain file; any file it cannot take as is goes
+    to the row scan, which gives the same values and reports every error."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -284,44 +291,14 @@ def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, list]:
                     f"{path}: label column {label_column!r} not in header {header}"
                 )
             label_idx = header.index(label_column)
+        parsed = _parse_plain(fh, len(header), label_idx)
+        if parsed is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)  # the header
+            parsed = _scan_rows(reader, path, header, label_idx)
 
-        features, labels = [], []
-        for row_num, row in enumerate(reader):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            if label_idx is not None:
-                raw_label = row[label_idx]
-                try:
-                    as_float = float(raw_label)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {row_num}, column {label_column!r}: "
-                        f"non-numeric label {raw_label!r}"
-                    ) from None
-                if not as_float.is_integer():
-                    raise CsvFormatError(
-                        f"{path}: row {row_num}, column {label_column!r}: "
-                        f"label {raw_label!r} is not an integer"
-                    )
-                labels.append(int(as_float))
-            feats = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    name = header[i]
-                    raise CsvFormatError(
-                        f"{path}: row {row_num}, column {name!r}: non-numeric cell {cell!r}"
-                    ) from None
-            features.append(feats)
-
-    if not features:
-        raise CsvFormatError(f"{path}: no data rows")
-    features = np.asarray(features, dtype=np.float64)
+    features, labels = parsed
     bad = _first_false(np.isfinite(features))
     if bad is not None:
         row, col = bad
@@ -330,6 +307,97 @@ def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, list]:
             f"{path}: row {row}, column {name!r}: non-finite cell {features[row, col]}"
         )
     return features, labels
+
+
+def _parse_plain(
+    fh: TextIO, width: int, label_idx: int | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """_read_csv's result for the data lines left in fh, parsed by np.loadtxt.
+
+    None when the row scan must read the file instead: a line holds a quote
+    (csv quoting) or is blank (loadtxt skips it), there is no data line,
+    loadtxt rejects a cell or a row, the width is not the header's, or a
+    label is not an integer that fits int64."""
+    plain = True
+
+    def lines() -> Iterator[str]:
+        nonlocal plain
+        for line in fh:
+            if '"' in line or line.isspace():
+                plain = False
+                return
+            yield line
+
+    rest = lines()
+    first = next(rest, None)
+    if first is None:  # loadtxt would warn about an empty input
+        return None
+    try:
+        table = np.loadtxt(itertools.chain([first], rest), dtype=np.float64,
+                           delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not plain or table.shape[1] != width:
+        return None
+    if label_idx is None:
+        return table, np.empty(0, dtype=np.int64)
+    labels = table[:, label_idx]
+    # NaN and +-inf fail these tests too. Casting them, or a float outside
+    # int64, to int64 is undefined.
+    fits = (labels == np.floor(labels)) & (labels >= -_INT64_END) & (labels < _INT64_END)
+    if not fits.all():
+        return None
+    return np.delete(table, label_idx, axis=1), labels.astype(np.int64)
+
+
+def _scan_rows(
+    reader: Iterator[list], path: str, header: list, label_idx: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """_read_csv's result, one csv row and one float() per cell at a time:
+    the reference reader, which names the first bad row and cell."""
+    label_column = None if label_idx is None else header[label_idx]
+    features, labels = [], []
+    for row_num, row in enumerate(reader):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
+            )
+        if label_idx is not None:
+            raw_label = row[label_idx]
+            try:
+                as_float = float(raw_label)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: row {row_num}, column {label_column!r}: "
+                    f"non-numeric label {raw_label!r}"
+                ) from None
+            if not as_float.is_integer():
+                raise CsvFormatError(
+                    f"{path}: row {row_num}, column {label_column!r}: "
+                    f"label {raw_label!r} is not an integer"
+                )
+            if not -_INT64_END <= as_float < _INT64_END:
+                raise CsvFormatError(
+                    f"{path}: row {row_num}, column {label_column!r}: "
+                    f"label {raw_label!r} does not fit int64"
+                )
+            labels.append(int(as_float))
+        feats = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            try:
+                feats.append(float(cell))
+            except ValueError:
+                name = header[i]
+                raise CsvFormatError(
+                    f"{path}: row {row_num}, column {name!r}: non-numeric cell {cell!r}"
+                ) from None
+        features.append(feats)
+
+    if not features:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
 @contextlib.contextmanager

@@ -258,6 +258,20 @@ class TestPrivatizeAndAttack:
                 f"error: {data_csv}: row 5, column 'x1': non-finite cell nan"
             ]
 
+    # A plain file (numpy's C reader) and a quoted one (the row scan).
+    @pytest.mark.parametrize("cell", ["1e20", '"1e20"'])
+    def test_label_outside_int64_is_one_error_line(self, tmp_path, capsys, cell):
+        big = tmp_path / "big.csv"
+        big.write_text(f"x0,label\n0.5,{cell}\n1.5,0\n")
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "privatize", "--input", str(big), "--epsilon", "1",
+                               "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {big}: row 0, column 'label': label '1e20' does not fit int64"
+        ]
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("epsilon, shown", [("nan", "nan"), ("-1", "-1.0")])
     def test_privatize_rr_rejects_nan_or_negative_epsilon(self, tmp_path, capsys,
                                                          epsilon, shown):

@@ -1,9 +1,12 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from labeldp import data
 from labeldp.data import (
     _atomic_write,
     _first_non_distribution,
@@ -317,6 +320,189 @@ class TestCsv:
         back = load_csv(str(path), "label")
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
+
+    # numpy's C reader skips blank lines, warns on an empty input and takes
+    # any width; the reader must still report these files as before.
+    @pytest.mark.parametrize("text, row", [("a,label\n1,0\n\n2,1\n", 1),
+                                           ("a,label\n1,0\n2,1\n\n", 2),
+                                           ("a,label\n1,0\r\n\r\n2,1\r\n", 1)])
+    def test_blank_line_is_a_row_of_no_cells(self, tmp_path, text, row):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        message = f"{path}: row {row} has 0 cells, expected 2"
+        for load in (lambda p: load_csv(p, "label"), load_csv_features):
+            with pytest.raises(CsvFormatError) as err:
+                load(str(path))
+            assert str(err.value) == message
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for load in (lambda p: load_csv(p, "label"), load_csv_features):
+                with pytest.raises(CsvFormatError) as err:
+                    load(str(path))
+                assert str(err.value) == f"{path}: no data rows"
+
+    def test_rows_one_cell_short_of_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\n1,0\n2,1\n")
+        for load in (lambda p: load_csv(p, "label"), load_csv_features):
+            with pytest.raises(CsvFormatError) as err:
+                load(str(path))
+            assert str(err.value) == f"{path}: row 0 has 2 cells, expected 3"
+
+    @pytest.mark.parametrize("cell", ["1e20", "-1e19", "9223372036854775808"])
+    def test_label_outside_int64_is_rejected(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,label\n1.0,0\n2.0,{cell}\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(str(path), "label")
+        assert str(err.value) == (
+            f"{path}: row 1, column 'label': label '{cell}' does not fit int64"
+        )
+
+    def test_largest_int64_labels_are_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1.0,-9.223372036854775e18\n2.0,9223372036854774784\n")
+        labels = data._read_csv(str(path), "label")[1]
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [-9223372036854774784, 9223372036854774784]
+
+
+def _oracle(path, label_column):
+    """Independent reference reader: csv.reader and float() per cell.
+
+    Returns (features, labels) as load_csv should, or None when the file is
+    invalid: a row of the wrong width, a cell float() rejects, a non-finite
+    feature, or a label that is not an integer in [0, 2**63)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    if not rows or any(len(row) != len(header) for row in rows):
+        return None
+    try:
+        table = [[float(cell) for cell in row] for row in rows]
+    except ValueError:
+        return None
+    label_idx = header.index(label_column) if label_column is not None else None
+    features = np.array([[v for i, v in enumerate(row) if i != label_idx] for row in table],
+                        dtype=np.float64).reshape(len(rows), -1)
+    if not np.isfinite(features).all():
+        return None
+    if label_idx is None:
+        return features, None
+    raw = [row[label_idx] for row in table]
+    if not all(v.is_integer() and 0 <= v < 2**63 for v in raw):
+        return None
+    return features, np.array([int(v) for v in raw], dtype=np.int64)
+
+
+def _bit_pattern_csv(path):
+    """write_csv output whose features are random finite bit patterns plus
+    the extremes of float64: signed zeros, subnormals and the largest."""
+    rng = np.random.default_rng(13)
+    values = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1]
+    values = np.concatenate([extremes, values])[: 4 * 900].reshape(-1, 4)
+    labels = rng.integers(0, 3, size=values.shape[0])
+    write_csv(Dataset(values, labels, 3), str(path))
+
+
+# Valid files: (name, text, whether numpy's C reader parses them). The
+# other files fall back to the row scan.
+VALID_CSVS = [
+    ("spaces-tabs-crlf", "a,label,b\r\n 1.5 ,0,\t2e3\r\n+1.,1,.5\r\n-.5E-3 , 2 ,1E+2\t\r\n", True),
+    ("exponents-digits", "a,label\n1e-320,1e1\n"
+     "0.1000000000000000055511151231257827021181583404541015625,-0.0\n"
+     "123456789012345678901234567890,3\n-1.5e-330,2\n", True),
+    ("quoted-header", '"a",label\n1,0\n', True),
+    ("quoted-cells", 'a,label\n"1.5",0\n2,"1"\n', False),
+    ("quoted-newline", 'a,label\n"1.5\n",0\n', False),
+    ("underscore", "a,label\n1_5,0\n", False),
+    ("arabic-digits", "a,label\n\u0661\u0662,0\n", False),
+    ("label-only", "label\n0\n1\n", True),
+    ("old-mac", "a,label\r1,0\r2.5,1\r", True),
+]
+
+# Invalid files: (name, text, load_csv's message after the path).
+INVALID_CSVS = [
+    ("ragged", "a,label\n1,0\n2\n", "row 1 has 1 cells, expected 2"),
+    ("empty-cell", "a,b,label\n1,,0\n", "row 0, column 'b': non-numeric cell ''"),
+    ("trailing-comma", "a,label\n1,0,\n", "row 0 has 3 cells, expected 2"),
+    ("label-nan", "a,label\n1,0\n2,nan\n", "row 1, column 'label': label 'nan' is not an integer"),
+    ("label-inf", "a,label\n1,inf\n", "row 0, column 'label': label 'inf' is not an integer"),
+    ("label-half", "a,label\n1,0.5\n", "row 0, column 'label': label '0.5' is not an integer"),
+    ("label-huge", "a,label\n1,1e20\n", "row 0, column 'label': label '1e20' does not fit int64"),
+    ("label-word", "a,label\n1,one\n", "row 0, column 'label': non-numeric label 'one'"),
+    ("feature-inf", "a,label\n1,0\n1e400,1\n", "row 1, column 'a': non-finite cell inf"),
+    ("quoted-bad-cell", 'a,label\n"x",0\n', "row 0, column 'a': non-numeric cell 'x'"),
+]
+
+
+class TestCsvParity:
+    """load_csv and load_csv_features against the oracle, on the C reader's
+    path and with the row scan forced, compared bit for bit."""
+
+    @pytest.fixture(params=["auto", "row-scan"])
+    def reader(self, request, monkeypatch):
+        if request.param == "row-scan":
+            monkeypatch.setattr(data, "_parse_plain", lambda *args: None)
+
+    @staticmethod
+    def check_valid(path, label_column="label"):
+        features, labels = _oracle(str(path), label_column)
+        ds = load_csv(str(path), label_column)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        expected_all = _oracle(str(path), None)[0]
+        assert load_csv_features(str(path)).tobytes() == expected_all.tobytes()
+
+    def test_bit_patterns(self, tmp_path, reader):
+        path = tmp_path / "bits.csv"
+        _bit_pattern_csv(path)
+        self.check_valid(path)
+
+    @pytest.mark.parametrize("name, text, fast", VALID_CSVS, ids=[c[0] for c in VALID_CSVS])
+    def test_valid_files(self, tmp_path, reader, name, text, fast):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        self.check_valid(path)
+
+    @pytest.mark.parametrize("name, text, message", INVALID_CSVS,
+                             ids=[c[0] for c in INVALID_CSVS])
+    def test_invalid_files(self, tmp_path, reader, name, text, message):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        assert _oracle(str(path), "label") is None
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(str(path), "label")
+        assert str(err.value) == f"{path}: {message}"
+        expected = _oracle(str(path), None)
+        if expected is None:
+            with pytest.raises(CsvFormatError):
+                load_csv_features(str(path))
+        else:
+            assert load_csv_features(str(path)).tobytes() == expected[0].tobytes()
+
+    @staticmethod
+    def c_reader_parses(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+            return data._parse_plain(fh, len(header), header.index("label")) is not None
+
+    @pytest.mark.parametrize("name, text, fast", VALID_CSVS, ids=[c[0] for c in VALID_CSVS])
+    def test_plain_files_take_the_c_reader(self, tmp_path, name, text, fast):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        assert self.c_reader_parses(path) == fast
+
+    def test_write_csv_output_takes_the_c_reader(self, tmp_path):
+        path = tmp_path / "bits.csv"
+        _bit_pattern_csv(path)
+        assert self.c_reader_parses(path)
 
 
 class TestSplit:
