@@ -32,7 +32,6 @@ from .metrics import (
     CalibrationResult,
     MetricsReport,
     UtilitySpec,
-    advantage,
     advantage_bound,
     calibrate_epsilon,
     dp_generalization_gap_bound,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Conditional
-from .metrics import UtilitySpec, best_response, probability_vector, utility_matrix
+from .metrics import UtilitySpec, best_response, probability_vector
 from .models import Model
 
 
@@ -83,10 +83,8 @@ def marginal_guess(
     expected utility under the marginal (the modal class for zero-one)."""
     if knowledge.marginal is None:
         raise ValueError("marginal_guess needs the marginal label distribution")
-    p = knowledge.marginal
     if spec is None:
         spec = UtilitySpec.zero_one()
-    scores = utility_matrix(spec, p.size) @ p
-    label = int(np.argmax(scores))
+    label = int(best_response(knowledge.marginal[None, :], spec)[0])
     n = knowledge.features.shape[0]
     return InferredLabels(np.full(n, label, dtype=np.int64), "marginal-guess")

@@ -164,8 +164,10 @@ def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
                     mixture, config.n, derive_seed(config.seed, "sim-x", mi, si, rep)
                 )
                 features = ds.features
-                # X is fixed across the Monte-Carlo trials of this cell, so
-                # the auto learning rate can be resolved once here.
+                # The step size comes from the cell's full X, which is fixed
+                # across its trials. It is part of the behaviour, not a cache:
+                # PATE's teachers and student and LP-2ST's stage-1 model train
+                # on subsets of X with this same step, not their own.
                 hyper = LogisticHyper(
                     learning_rate=0.9 * stability_threshold(ds),
                     iterations=config.iterations,

@@ -21,7 +21,6 @@ from .rng import derive_seed
 
 ZERO_ONE = "zero-one"
 WEIGHTED = "weighted-zero-one"
-REGRESSION = "bounded-regression"
 
 
 def probability_vector(marginal) -> np.ndarray:
@@ -35,31 +34,23 @@ def probability_vector(marginal) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Attack utility u(yhat, y) in [0, B].
+    """Attack utility u(yhat, y) = 1{yhat == y} * w_y in [0, B].
 
     Kinds:
-      zero-one           u = 1{yhat == y},                    B = 1
-      weighted-zero-one  u = 1{yhat == y} / (2 p_y),          B = max_y 1/(2 p_y)
-      bounded-regression u = 4 b^2 - (yhat - y)^2 for labels
-                         in [-b, b],                          B = 4 b^2
+      zero-one           w_y = 1,              B = 1
+      weighted-zero-one  w_y = 1 / (2 p_y),    B = max_y w_y
     """
 
     kind: str
     marginal: np.ndarray | None = None
-    b: float | None = None
 
     def __post_init__(self):
-        if self.kind == ZERO_ONE:
-            pass
-        elif self.kind == WEIGHTED:
+        if self.kind == WEIGHTED:
             p = probability_vector(self.marginal)
             if np.any(p == 0):
                 raise ValueError("weighted utility needs strictly positive marginals")
             object.__setattr__(self, "marginal", p)
-        elif self.kind == REGRESSION:
-            if self.b is None or not self.b > 0:
-                raise ValueError(f"regression utility needs b > 0, got {self.b}")
-        else:
+        elif self.kind != ZERO_ONE:
             raise ValueError(f"unknown utility kind {self.kind!r}")
 
     @staticmethod
@@ -70,17 +61,15 @@ class UtilitySpec:
     def weighted(marginal) -> "UtilitySpec":
         return UtilitySpec(WEIGHTED, marginal=np.asarray(marginal, dtype=np.float64))
 
-    @staticmethod
-    def regression(b: float) -> "UtilitySpec":
-        return UtilitySpec(REGRESSION, b=b)
+    @property
+    def weights(self) -> np.ndarray | None:
+        """The per-class weights w_y, or None for zero-one (all weights 1)."""
+        return None if self.kind == ZERO_ONE else 1.0 / (2.0 * self.marginal)
 
     @property
     def bound(self) -> float:
-        if self.kind == ZERO_ONE:
-            return 1.0
-        if self.kind == WEIGHTED:
-            return float(np.max(1.0 / (2.0 * self.marginal)))
-        return 4.0 * self.b**2
+        weights = self.weights
+        return 1.0 if weights is None else float(np.max(weights))
 
 
 def utility(spec: UtilitySpec, inferred, true) -> np.ndarray:
@@ -89,24 +78,18 @@ def utility(spec: UtilitySpec, inferred, true) -> np.ndarray:
     true = np.asarray(true)
     if inferred.shape != true.shape:
         raise ValueError(f"shape mismatch: {inferred.shape} vs {true.shape}")
-    if spec.kind == ZERO_ONE:
-        return (inferred == true).astype(np.float64)
-    if spec.kind == WEIGHTED:
-        return (inferred == true) / (2.0 * spec.marginal[true])
-    return 4.0 * spec.b**2 - (inferred.astype(np.float64) - true.astype(np.float64)) ** 2
-
-
-def utility_matrix(spec: UtilitySpec, num_classes: int) -> np.ndarray:
-    """U[yhat, y] over class indices; regression treats indices as reals."""
-    idx = np.arange(num_classes)
-    grid_hat, grid_true = np.meshgrid(idx, idx, indexing="ij")
-    return utility(spec, grid_hat.ravel(), grid_true.ravel()).reshape(num_classes, num_classes)
+    hits = (inferred == true).astype(np.float64)
+    weights = spec.weights
+    return hits if weights is None else hits * weights[true]
 
 
 def expected_utilities(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:
-    """E[u(yhat, y)] per row and candidate yhat, for y ~ the given rows."""
+    """E[u(yhat, y)] per row and candidate yhat, for y ~ the given rows:
+    P(yhat | row) * w_yhat. For zero-one this is probs itself, not a copy,
+    so callers must not write into the result."""
     probs = np.asarray(probs, dtype=np.float64)
-    return probs @ utility_matrix(spec, probs.shape[1]).T
+    weights = spec.weights
+    return probs if weights is None else probs * weights
 
 
 def best_response(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:
@@ -207,11 +190,6 @@ def leau_estimate(models, test, spec: UtilitySpec) -> float:
         inferred = best_response(model.predict_proba(test.features), spec)
         best = max(best, eau_empirical(inferred, test.labels, spec))
     return best
-
-
-def advantage(eau: float, leau: float) -> float:
-    """EAU minus L-EAU; negative values are reported as-is."""
-    return eau - leau
 
 
 def _check_privacy(epsilon: float, delta: float) -> None:

@@ -272,6 +272,20 @@ class TestPrivatizeAndAttack:
         ]
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("mechanism", ["alibi", "lp2st"])
+    def test_class_count_beyond_memory_is_one_error_line(self, tmp_path, capsys, mechanism):
+        # A label of 1e17 sizes (n, 1e17 + 1) float64 arrays: far above any
+        # address space, so the allocation fails at once on every host.
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x0,label\n0.5,1e17\n1.5,0\n2.5,1\n")
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "privatize", "--input", str(huge), "--epsilon", "1",
+                               "--mechanism", mechanism, "--output", str(out_csv))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: Unable to allocate ")
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("epsilon, shown", [("nan", "nan"), ("-1", "-1.0")])
     def test_privatize_rr_rejects_nan_or_negative_epsilon(self, tmp_path, capsys,
                                                          epsilon, shown):

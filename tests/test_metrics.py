@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from labeldp import metrics
-from labeldp.attacks import prior_attack, spa
+from labeldp.attacks import AdversaryKnowledge, marginal_guess, prior_attack, spa
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import randomized_response
 from labeldp.metrics import (
     MetricsReport,
     UtilitySpec,
-    advantage,
     advantage_bound,
     best_response,
     bound_factor,
@@ -27,7 +26,6 @@ from labeldp.metrics import (
     reconstruction_bound,
     universal_bound,
     utility,
-    utility_matrix,
     weak_threat_bound,
 )
 from labeldp.models import LogisticHyper, bayes_model, constant_model, majority_table, train_logistic
@@ -51,12 +49,6 @@ class TestUtility:
         assert value == pytest.approx(1.0 / 0.06, abs=1e-9)
         assert spec.bound == pytest.approx(1.0 / 0.06)
 
-    def test_regression_endpoints(self):
-        spec = UtilitySpec.regression(1.0)
-        assert utility(spec, np.array([0.0]), np.array([0.0]))[0] == 4.0
-        assert utility(spec, np.array([2.0]), np.array([0.0]))[0] == 0.0
-        assert spec.bound == 4.0
-
     def test_weighted_zero_marginal_rejected(self):
         with pytest.raises(ValueError):
             UtilitySpec.weighted([1.0, 0.0])
@@ -77,9 +69,9 @@ class TestUtility:
     def test_argmax_invariant_to_positive_rescaling(self):
         rng = np.random.default_rng(1)
         probs = rng.dirichlet(np.ones(4), size=200)
-        U = utility_matrix(UtilitySpec.weighted([0.4, 0.3, 0.2, 0.1]), 4)
-        base = np.argmax(probs @ U.T, axis=1)
-        scaled = np.argmax(probs @ (7.3 * U).T, axis=1)
+        scores = expected_utilities(probs, UtilitySpec.weighted([0.4, 0.3, 0.2, 0.1]))
+        base = np.argmax(scores, axis=1)
+        scaled = np.argmax(7.3 * scores, axis=1)
         np.testing.assert_array_equal(base, scaled)
 
 
@@ -233,10 +225,14 @@ class TestLeau:
 
 
 class TestAdvantage:
+    @staticmethod
+    def advantage(eau, leau):
+        return MetricsReport(eau=eau, eau_stderr=0.0, leau=leau, theoretical_bound=1.0).advantage
+
     def test_values(self):
-        assert advantage(0.9, 0.9) == 0.0
-        assert advantage(0.5, 0.676) == pytest.approx(-0.176)
-        assert advantage(1.0, 0.0) == 1.0
+        assert self.advantage(0.9, 0.9) == 0.0
+        assert self.advantage(0.5, 0.676) == pytest.approx(-0.176)
+        assert self.advantage(1.0, 0.0) == 1.0
 
     def test_report_advantage_is_exact_difference(self):
         rep = MetricsReport(eau=0.7, eau_stderr=0.01, leau=0.9, theoretical_bound=0.5)
@@ -398,3 +394,62 @@ class TestExpectedUtilityMachinery:
         probs = np.array([[0.2, 0.8]])
         scores = expected_utilities(probs, UtilitySpec.weighted([0.5, 0.5]))
         np.testing.assert_allclose(scores, [[0.2, 0.8]])
+
+
+def _oracle_matrix(spec, k):
+    """The dense utility matrix U[yhat, y] = 1{yhat == y} w_y, built here as
+    the reference the per-class weight form must match bit for bit."""
+    hit = np.arange(k)[:, None] == np.arange(k)[None, :]
+    if spec.kind == metrics.ZERO_ONE:
+        return hit.astype(np.float64)
+    return hit / (2.0 * spec.marginal)[None, :]
+
+
+def _parity_specs():
+    cases = []
+    for k in (2, 3, 100):
+        cases.append((k, UtilitySpec.zero_one()))
+        cases.append((k, UtilitySpec.weighted(np.random.default_rng(k).dirichlet(np.ones(k)))))
+    cases.append((2, UtilitySpec.weighted([0.97, 0.03])))
+    return cases
+
+
+class TestWeightFormParity:
+    """The per-class weight form against the dense (k, k) oracle, by tobytes()."""
+
+    @staticmethod
+    def rows(k, spec):
+        rng = np.random.default_rng(100 + k)
+        ties = [np.full(k, 1.0 / k), np.zeros(k), np.zeros(k)]
+        ties[1][[0, k - 1]] = 0.5  # an exact tie between the first and last class
+        ties[2][-2:] = 0.5
+        rows = [rng.dirichlet(np.ones(k), size=50), np.array(ties)]
+        if spec.kind == metrics.WEIGHTED:
+            # Rows proportional to 1 / w tie every weighted score up to rounding.
+            rows.append(spec.marginal[None, :])
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("k, spec", _parity_specs())
+    def test_scores_and_best_response(self, k, spec):
+        probs = self.rows(k, spec)
+        expected = probs @ _oracle_matrix(spec, k).T
+        assert expected_utilities(probs, spec).tobytes() == expected.tobytes()
+        best = np.argmax(expected, axis=1).astype(np.int64)
+        assert best_response(probs, spec).tobytes() == best.tobytes()
+
+    @pytest.mark.parametrize("k, spec", _parity_specs())
+    def test_utility(self, k, spec):
+        rng = np.random.default_rng(200 + k)
+        inferred = rng.integers(0, k, 500)
+        true = np.where(rng.random(500) < 0.5, inferred, rng.integers(0, k, 500))
+        expected = _oracle_matrix(spec, k)[inferred, true]
+        assert utility(spec, inferred, true).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k, spec", _parity_specs())
+    def test_marginal_guess(self, k, spec):
+        U = _oracle_matrix(spec, k)
+        for p in self.rows(k, spec):
+            knowledge = AdversaryKnowledge(features=np.zeros((3, 1)), model=constant_model(p),
+                                           marginal=p)
+            label = np.full(3, np.argmax(U @ p), dtype=np.int64)
+            assert marginal_guess(knowledge, spec).labels.tobytes() == label.tobytes()
