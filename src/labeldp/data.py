@@ -23,6 +23,9 @@ class CsvFormatError(ValueError):
     """Raised when a dataset CSV violates the documented format."""
 
 
+# Entries of the largest (rows, k, d) temporary of a mixture posterior.
+_POSTERIOR_BLOCK = 1 << 17
+
 # 2**63: CSV labels lie in [-_INT64_END, _INT64_END), the floats that fit int64.
 _INT64_END = 2.0**63
 
@@ -148,17 +151,37 @@ class MixtureModel:
             )
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 < self._inv_two_var() < np.inf:
+            raise ValueError(
+                f"sigma {self.sigma} is out of range: 2*sigma**2 and its reciprocal "
+                f"must be positive finite floats"
+            )
+
+    def _inv_two_var(self) -> float:
+        """1 / (2 sigma^2); 0.0 where sigma**2 overflows or 2 sigma^2 is 0."""
+        try:
+            return 1.0 / (2.0 * self.sigma**2)
+        except (OverflowError, ZeroDivisionError):
+            return 0.0
 
     def means(self) -> np.ndarray:
         return np.eye(self.num_classes, self.dim)
 
     def conditional(self) -> Conditional:
         means = self.means()
-        inv_two_var = 1.0 / (2.0 * self.sigma**2)
+        inv_two_var = self._inv_two_var()
+        # Rows per block, so that no (rows, k, d) temporary exceeds
+        # _POSTERIOR_BLOCK entries. Each distance sums one length-d row,
+        # so the block height does not change its bits.
+        rows = max(1, _POSTERIOR_BLOCK // means.size)
 
         def posterior(x: np.ndarray) -> np.ndarray:
             # log P(y|x) = -||x - e_y||^2 / (2 sigma^2) + const(x)
-            sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+            sq = np.empty((x.shape[0], self.num_classes))
+            for start in range(0, x.shape[0], rows):
+                block = np.subtract(x[start:start + rows, None, :], means)
+                np.square(block, out=block)
+                block.sum(axis=2, out=sq[start:start + rows])
             logits = -sq * inv_two_var
             logits -= logits.max(axis=1, keepdims=True)
             probs = np.exp(logits)

@@ -46,6 +46,7 @@ from .models import (
     majority_table,
     stability_threshold,
     train_logistic,
+    _single_blas_thread,
 )
 from .rng import derive_seed
 
@@ -148,11 +149,18 @@ def mechanism_pipeline(name: str, num_classes: int, epsilon: float, hyper: Logis
     return pipeline
 
 
+@_single_blas_thread()
 def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
     """For every (m, sigma, epsilon) cell: fix the features, compute the
     exact L-EAU, Monte-Carlo the SPA EAU over the mechanism pipeline, and
     pair the advantage with its distribution-dependent bound (the expected
-    supremum term is 1 for zero-one utility)."""
+    supremum term is 1 for zero-one utility).
+
+    The grid runs on one OpenBLAS thread: its products are too small to
+    gain from a second one, which only spins. The thread count is
+    process-global, so it holds for the whole process for the duration of
+    the call; the caller's count is restored when the call returns or
+    raises. Results do not depend on the thread count."""
     spec = UtilitySpec.zero_one()
     attack = lambda knowledge: spa(knowledge, spec)  # noqa: E731
     reports = []
@@ -411,6 +419,11 @@ def check_simulation(reports) -> list[str]:
     groups: dict[tuple, list[MetricsReport]] = {}
     for rep in reports:
         cell = rep.cell
+        # Every comparison below is false for NaN, so non-finite values
+        # are violations of their own.
+        for name in ("eau", "eau_stderr", "leau", "advantage"):
+            if not math.isfinite(getattr(rep, name)):
+                violations.append(f"cell {cell}: {name} is {getattr(rep, name)}")
         if rep.advantage > rep.theoretical_bound + 3.0 * rep.eau_stderr:
             violations.append(
                 f"cell {cell}: advantage {rep.advantage:.6f} exceeds bound "

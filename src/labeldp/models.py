@@ -8,6 +8,10 @@ predict(X) -> argmax labels with ties broken to the lowest class index.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -22,6 +26,60 @@ _LOSS_CAP = -np.log(PROB_CLAMP)
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
+
+
+# (getter, setter) names of the thread count: numpy's wheel, then plain OpenBLAS.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_control():
+    """The (get, set) thread-count functions of the OpenBLAS loaded in this
+    process, found once through /proc/self/maps; None where there is no
+    such library or symbol (MKL, Accelerate, a host without /proc)."""
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            libs = sorted({os.fsdecode(line.split()[-1]) for line in fh
+                           if b"openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
+            get = getattr(handle, get_name, None)
+            set_ = getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count
+    on exit, also when the block raises. The count is process-global, so
+    every thread of the process runs on one BLAS thread meanwhile. Without
+    a known OpenBLAS this does nothing."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 class Model:

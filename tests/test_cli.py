@@ -651,6 +651,12 @@ class TestHarnessCommands:
         pytest.param(["--class-counts", "2,200", "--dim", "100"],
                      "invalid model: 200 classes need 200 basis vectors but dim is 100",
                      id="classes-beyond-dim"),
+        # sigma**2 overflows; 2 sigma^2 is 0; 1 / (2 sigma^2) overflows (the
+        # last once wrote nan cells and exited 0).
+        *(pytest.param(["--sigmas", sigma],
+                       f"sigma {float(sigma)} is out of range: 2*sigma**2 and its reciprocal "
+                       f"must be positive finite floats", id=f"sigma-{sigma}")
+          for sigma in ("1e160", "1e-200", "1e-160")),
     ])
     def test_simulate_rejects_a_bad_mixture_before_any_cell(
         self, tmp_path, capsys, monkeypatch, grid, message
@@ -726,6 +732,44 @@ class TestHarnessCommands:
         assert code == 0, err
         digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert digest == self.FIG1_REDUCED_DIGESTS[mechanism]
+
+    @pytest.mark.parametrize("sigma", ["1e-100", "1e150"])
+    def test_simulate_runs_at_extreme_but_valid_sigma(self, tmp_path, capsys, sigma):
+        out_file = tmp_path / "sigma.csv"
+        code, _, err = run_cli(capsys, "simulate", "--class-counts", "2", "--sigmas", sigma,
+                               "--epsilons", "1", "--trials", "2", "--dim", "2", "--n", "5",
+                               "--check", "--output", str(out_file))
+        assert code == 0, err
+        assert "nan" not in out_file.read_text()
+
+    def test_simulate_fig1_reduced_pinned_without_blas_thread_control(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Where no OpenBLAS is found the grid runs on the default thread
+        count, with the same results."""
+        import labeldp.models as models
+
+        monkeypatch.setattr(models, "_blas_thread_control", lambda: None)
+        self.test_simulate_fig1_reduced_pinned(tmp_path, capsys, "rr")
+
+    @pytest.mark.parametrize("command", ["simulate", "thm1", "ctr", "privatize", "attack"])
+    def test_command_leaves_the_blas_thread_count(self, tmp_path, capsys, blas_threads, command):
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 40, seed=0)
+        data_csv = tmp_path / "data.csv"
+        write_csv(ds, str(data_csv))
+        model_path = tmp_path / "model.txt"
+        save_model(train_logistic(ds, LogisticHyper(iterations=5)), str(model_path))
+        argv = {
+            "simulate": self.SIM_ARGS,
+            "thm1": ["thm1", "--n-values", "10", "--trials", "3"],
+            "ctr": ["ctr", "--n", "2000", "--epsilons", "inf,1.0", "--iterations", "5"],
+            "privatize": ["privatize", "--input", str(data_csv), "--epsilon", "1"],
+            "attack": ["attack", "--model", str(model_path), "--input", str(data_csv),
+                       "--label-column", "label"],
+        }[command]
+        code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "out.csv"))
+        assert code == 0, err
+        assert blas_threads() == 2
 
     # sha256 of the results and manifest of `thm1 --n-values 100,1000
     # --trials 50 --seed 13`, the same whether the majority table is a dict

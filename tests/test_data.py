@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -161,6 +162,16 @@ class TestMixture:
         with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}$"):
             MixtureModel(2, 3, sigma)
 
+    @pytest.mark.parametrize("sigma", [1e160, 1e154, 1e-155, 1e-160, 1e-200])
+    def test_sigma_must_keep_two_var_and_its_reciprocal_finite(self, sigma):
+        message = f"sigma {sigma} is out of range: 2*sigma**2 and its reciprocal must be"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            MixtureModel(2, 3, sigma)
+
+    @pytest.mark.parametrize("sigma", [9e153, 1e150, 1e-100, 6e-155])
+    def test_sigma_near_the_range_ends_is_valid(self, sigma):
+        assert 0 < MixtureModel(2, 3, sigma)._inv_two_var() < math.inf
+
     def test_rows_are_distributions(self):
         cond = MixtureModel(3, 10, 2.0).conditional()
         X = np.random.default_rng(0).normal(size=(1000, 10), scale=5.0)
@@ -179,6 +190,30 @@ class TestMixture:
         ds, _ = gen_mixture(MixtureModel(4, 4, 1.0), 40000, seed=5)
         counts = np.bincount(ds.labels, minlength=4)
         assert stats.chisquare(counts).pvalue > 0.001
+
+
+class TestPosteriorBlockParity:
+    """The posterior sums squared distances over row blocks; each distance
+    must keep the bits of the one-shot (n, k, d) broadcast below."""
+
+    @staticmethod
+    def one_shot(model, x):
+        sq = ((x[:, None, :] - model.means()[None, :, :]) ** 2).sum(axis=2)
+        logits = -sq * (1.0 / (2.0 * model.sigma**2))
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs
+
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("n", [1, 257, 1000])
+    @pytest.mark.parametrize("k, d", [(2, 100), (100, 100), (3, 300)])
+    def test_bits_match_the_one_shot_broadcast(self, k, d, n, sigma):
+        model = MixtureModel(k, d, sigma)
+        rng = np.random.default_rng(k * d + n)
+        x = model.means()[rng.integers(0, k, n)] + sigma * rng.normal(size=(n, d))
+        got = model.conditional()(x)
+        assert got.tobytes() == self.one_shot(model, x).tobytes()
 
 
 class TestSampleCategoricalRows:

@@ -25,7 +25,7 @@ from labeldp.experiments import (
 )
 from labeldp.data import SkewedBinarySpec
 from labeldp.metrics import hoeffding_lower_bound
-from labeldp.models import LogisticHyper, train_logistic
+from labeldp.models import LogisticHyper, TrainingDivergedError, train_logistic
 
 SMALL_SIM = SimulationConfig(
     class_counts=(2, 4),
@@ -140,6 +140,36 @@ class TestSimulation:
         assert [r.cell["x_rep"] for r in reports] == [0, 1, 2]
         # Different feature draws give different exact L-EAU values.
         assert len({r.leau for r in reports}) == 3
+
+
+class TestBlasThreadScope:
+    TINY = SimulationConfig(class_counts=(2,), dim=3, sigmas=(1.0,), n=10, trials=2,
+                            epsilons=(1.0, 2.0), iterations=3)
+
+    def test_grid_runs_on_one_thread_and_restores_the_count(self, blas_threads, monkeypatch):
+        seen = []
+        original = experiments.eau_monte_carlo
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "eau_monte_carlo", recording)
+        run_simulation(self.TINY)
+        assert seen == [1, 1]
+        assert blas_threads() == 2
+
+    def test_count_restored_when_a_cell_raises(self, blas_threads, monkeypatch):
+        error = TrainingDivergedError("training loss became non-finite at iteration 3")
+
+        def diverge(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(experiments, "eau_monte_carlo", diverge)
+        with pytest.raises(TrainingDivergedError) as caught:
+            run_simulation(self.TINY)
+        assert caught.value is error
+        assert blas_threads() == 2
 
 
 class TestThm1:
@@ -308,6 +338,19 @@ class TestCheckFunctions:
         hi = MetricsReport(eau=0.2, eau_stderr=0.0, leau=0.5, theoretical_bound=1.0,
                            cell={**cell, "epsilon": 2.0})
         assert any("drops" in v for v in check_simulation([lo, hi]))
+
+    @pytest.mark.parametrize("field, values", [
+        ("eau", dict(eau=math.nan, leau=0.5)),
+        ("eau_stderr", dict(eau=0.6, eau_stderr=math.inf, leau=0.5)),
+        ("leau", dict(eau=0.6, leau=math.nan)),
+        ("advantage", dict(eau=math.inf, leau=math.inf)),
+    ])
+    def test_check_simulation_flags_non_finite_values(self, field, values):
+        from labeldp.metrics import MetricsReport
+
+        cell = {"m": 2, "sigma": 1.0, "x_rep": 0, "epsilon": 1.0}
+        report = MetricsReport(**{"eau_stderr": 0.01, **values}, theoretical_bound=1.0, cell=cell)
+        assert f"cell {cell}: {field} is {getattr(report, field)}" in check_simulation([report])
 
     def test_check_thm1_flags_bound_violation(self):
         row = {"n": 10, "empirical_eau": 0.2, "hoeffding_lower_bound": 0.4}
