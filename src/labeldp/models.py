@@ -424,12 +424,44 @@ def _row_keys(features: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def _row_words(*blocks: np.ndarray) -> np.ndarray:
+    """The rows of 2-D float64 arrays, stacked, as native uint64 words: each
+    cell's bytes after + 0.0 read big-endian, so comparing two rows' words
+    column by column orders them as memcmp orders their _row_keys keys."""
+    return np.concatenate([(block + 0.0).view(">u8") for block in blocks], dtype=np.uint64)
+
+
+def _rank_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of an (n, d) word array in one stable np.lexsort.
+    Returns, for each distinct row in sorted order, the index of its first
+    occurrence, and for each row the rank of its distinct row."""
+    n, d = words.shape
+    order = np.lexsort(words.T[::-1]) if d else np.arange(n)
+    ranked = np.take(words, order, axis=0)
+    first = np.ones(n, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    del ranked  # freed before the two rank arrays are allocated
+    rank = np.cumsum(first)
+    rank -= 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = rank
+    return order[first], inverse
+
+
+def _row_index(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(_row_keys(features), return_inverse=True), bit for bit,
+    from an integer sort of the rows' words instead of a byte sort."""
+    firsts, inverse = _rank_rows(_row_words(features))
+    return _row_keys(features[firsts]), inverse
+
+
 class MajorityTableModel(Model):
     """Majority training label per distinct feature row, uniform elsewhere.
 
     keys holds the distinct training rows as sorted byte keys (see
-    _row_keys) and labels the majority label of each; a query row is looked
-    up by binary search.
+    _row_keys) and labels the majority label of each. A query is looked up
+    by ranking the table's rows and the query rows together on their
+    integer words (see _rank_rows).
     """
 
     kind = "majority"
@@ -439,6 +471,13 @@ class MajorityTableModel(Model):
         self.labels = labels
         self.num_classes = num_classes
         self.num_features = num_features
+        # A key's bytes are its row's float64 values (none for zero columns).
+        rows = np.frombuffer(keys, dtype=np.float64, count=keys.size * num_features)
+        self._rows = rows.reshape(keys.size, num_features)
+        # Output rows: one-hot per table entry, then a uniform row for misses.
+        self._proba = np.vstack(
+            [np.eye(num_classes)[labels], np.full((1, num_classes), 1.0 / num_classes)]
+        )
 
     @property
     def table(self) -> Mapping[bytes, int]:
@@ -456,22 +495,24 @@ class MajorityTableModel(Model):
                 f"majority table was built on {self.num_features} feature columns, "
                 f"query has {features.shape[1]}"
             )
-        keys = _row_keys(features)
-        out = np.full((keys.size, self.num_classes), 1.0 / self.num_classes)
-        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        found = np.flatnonzero(self.keys[pos] == keys)
-        out[found] = 0.0
-        out[found, self.labels[pos[found]]] = 1.0
-        return out
+        size = self.keys.size
+        firsts, inverse = _rank_rows(_row_words(self._rows, features))
+        # The table's rows are distinct and come first, and the sort is
+        # stable, so a query equal to table row i shares its rank with it and
+        # i is that rank's first occurrence; any other first index is >= size.
+        entry = firsts[inverse[size:]]
+        np.minimum(entry, size, out=entry)
+        return np.take(self._proba, entry, axis=0)
 
 
 def majority_table(train: Dataset) -> MajorityTableModel:
     """Memorize the majority label of each exact feature row; ties go to
-    the lowest class index."""
+    the lowest class index. The distinct rows come from one integer sort
+    (see _row_index)."""
     if train.labels.ndim != 1:
         raise ValueError("majority_table takes one label vector, not a stack")
     k = train.num_classes
-    keys, inverse = np.unique(_row_keys(train.features), return_inverse=True)
+    keys, inverse = _row_index(train.features)
     votes = np.bincount(inverse * k + train.labels, minlength=keys.size * k)
     # argmax returns the first maximum, i.e. the lowest class index.
     labels = votes.reshape(keys.size, k).argmax(axis=1)

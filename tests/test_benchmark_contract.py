@@ -38,3 +38,26 @@ def test_traced_model_classes_define_predict_proba(tracer):
     models = importlib.import_module("labeldp.models")
     for cls_name in tracer.METHODS:
         assert "predict_proba" in vars(getattr(models, cls_name)), cls_name
+
+
+def test_thm1_runs_through_its_traced_layers(monkeypatch):
+    """The thm1-majority workload traces majority_table as called by
+    experiments and MajorityTableModel.predict_proba; a thm1 harness that
+    routes around either would leave those layers empty."""
+    experiments = importlib.import_module("labeldp.experiments")
+    models = importlib.import_module("labeldp.models")
+    calls = {"majority_table": 0, "predict_proba": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "majority_table",
+                        counted("majority_table", experiments.majority_table))
+    monkeypatch.setattr(models.MajorityTableModel, "predict_proba",
+                        counted("predict_proba", models.MajorityTableModel.predict_proba))
+    experiments.run_thm1_demo(experiments.Thm1Config(n_values=(4,), trials=2, seed=0))
+    assert calls["majority_table"] >= 1, calls
+    assert calls["predict_proba"] >= 1, calls

@@ -541,6 +541,43 @@ class TestMajorityTableAgainstReference:
                 model.predict_proba(row), reference_proba(table, k, row)
             )
 
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_zero_row_query_has_zero_rows(self, d):
+        features = np.ones((4, d))
+        model = majority_table(Dataset(features, np.array([0, 2, 2, 1]), 3))
+        queries = np.empty((0, d))
+        probs = model.predict_proba(queries)
+        assert probs.shape == (0, 3)
+        np.testing.assert_array_equal(
+            probs, reference_proba(reference_table(features, [0, 2, 2, 1], 3), 3, queries)
+        )
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_non_finite_query_rows_are_uniform(self, d):
+        features = np.array([[0.0] * d, [1.0] * d, [1.0] * d])
+        labels = np.array([1, 0, 0])
+        model = majority_table(Dataset(features, labels, 2))
+        # One non-finite cell per row, the others those of the key [1.0] * d.
+        queries = np.ones((4, d))
+        queries[[0, 1, 2], [0, min(1, d - 1), d - 1]] = [np.nan, np.inf, -np.inf]
+        probs = model.predict_proba(queries)
+        np.testing.assert_array_equal(
+            probs, reference_proba(reference_table(features, labels, 2), 2, queries)
+        )
+        np.testing.assert_array_equal(probs[:3], 0.5)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_negative_zero_query_matches_zero_key(self, d):
+        features = np.array([[0.0] * d, [2.5] * d])
+        labels = np.array([1, 0])
+        model = majority_table(Dataset(features, labels, 2))
+        queries = np.array([[-0.0] * d, [0.0] * d, [-2.5] * d])
+        probs = model.predict_proba(queries)
+        np.testing.assert_array_equal(
+            probs, reference_proba(reference_table(features, labels, 2), 2, queries)
+        )
+        np.testing.assert_array_equal(probs[:2], [[0.0, 1.0], [0.0, 1.0]])
+
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_vote_ties_go_to_the_lowest_tied_class(self, k):
         # Row 0.0: every class once. Row 1.0: classes k-1 and k-2 twice each.
@@ -549,6 +586,53 @@ class TestMajorityTableAgainstReference:
         model = majority_table(Dataset(features, labels, k))
         assert dict(model.table) == reference_table(features, labels, k)
         np.testing.assert_array_equal(model.predict(np.array([[-0.0], [1.0]])), [0, k - 2])
+
+
+# Signed zeros, ones, a plain value, the smallest subnormals and the largest
+# finite values: bytes that differ in the sign bit, the first byte or only
+# the last one. NaN and the infinities cover the remaining bit patterns.
+ORACLE_CELLS = np.array([
+    0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan,
+])
+
+
+def oracle_layouts(features):
+    """The same rows in C order, in Fortran order and as a column slice."""
+    wide = np.zeros((features.shape[0], 2 * features.shape[1] + 1))
+    wide[:, 1::2] = features
+    return np.ascontiguousarray(features), np.asfortranarray(features), wide[:, 1::2]
+
+
+class TestRowIndex:
+    """_row_index returns np.unique(_row_keys(x), return_inverse=True) bit
+    for bit: its integer sort orders rows as np.unique's byte sort does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    @pytest.mark.parametrize("d", [0, 1, 2, 5])
+    def test_equals_unique_of_row_keys(self, d, n, seed):
+        rng = np.random.default_rng([d, n, seed])
+        # Few cells per column so that rows repeat and share prefixes.
+        cells = ORACLE_CELLS[rng.integers(0, ORACLE_CELLS.size, (n, d))]
+        for features in oracle_layouts(cells):
+            keys, inverse = models._row_index(features)
+            want_keys, want_inverse = np.unique(
+                models._row_keys(features), return_inverse=True
+            )
+            assert keys.dtype == want_keys.dtype
+            assert keys.tobytes() == want_keys.tobytes()
+            assert inverse.dtype == want_inverse.dtype
+            np.testing.assert_array_equal(inverse, want_inverse)
+
+    def test_every_cell_pair_orders_as_its_bytes(self):
+        rows = np.array([[a, b] for a in ORACLE_CELLS for b in ORACLE_CELLS])
+        keys, inverse = models._row_index(rows[::-1])
+        want_keys, want_inverse = np.unique(models._row_keys(rows[::-1]), return_inverse=True)
+        assert keys.tobytes() == want_keys.tobytes()
+        np.testing.assert_array_equal(inverse, want_inverse)
+        # +0.0 and -0.0 share a key; every other cell is its own.
+        assert keys.size == (ORACLE_CELLS.size - 1) ** 2
 
 
 class TestLogLoss:
