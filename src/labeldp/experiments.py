@@ -297,12 +297,19 @@ class CtrConfig:
         return SkewedBinarySpec(self.positive_rate, self.dim, self.separation, self.label_noise)
 
 
+@_single_blas_thread()
 def run_ctr(config: CtrConfig) -> list[MetricsReport]:
     """Per (mechanism, epsilon): train privately, record test log loss and
     the weighted-SPA training EAU, and compare the advantage against the
     universal bound with B = max_y 1/(2 p_y). The first row is the
     constant-predictor baseline; the marginal p_y is estimated from the
-    training split."""
+    training split.
+
+    The study runs on one OpenBLAS thread, as run_simulation does: a
+    second thread mostly spins here. The caller's count is restored when
+    the call returns or raises, and results do not depend on it. The
+    source dataset and the unused validation split are dropped once split,
+    so only the training and test copies live through training."""
     if config.csv_path is not None:
         dataset = load_csv(config.csv_path, config.label_column)
         conditional = None
@@ -311,8 +318,10 @@ def run_ctr(config: CtrConfig) -> list[MetricsReport]:
             config.source, config.n, derive_seed(config.seed, "ctr-data")
         )
     train, _val, test = split(dataset, config.split_fractions, derive_seed(config.seed, "ctr-split"))
+    num_classes = dataset.num_classes
+    del dataset, _val
 
-    counts = np.bincount(train.labels, minlength=dataset.num_classes)
+    counts = np.bincount(train.labels, minlength=num_classes)
     if np.any(counts == 0):
         missing = int(np.argmin(counts))
         raise ValueError(f"class {missing} absent from the training split; cannot weight")

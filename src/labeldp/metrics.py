@@ -93,8 +93,17 @@ def expected_utilities(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:
 
 
 def best_response(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:
-    """Per-row expected-utility-maximizing label; ties to the lowest index."""
-    return np.argmax(expected_utilities(probs, spec), axis=1).astype(np.int64)
+    """Per-row expected-utility-maximizing label; ties to the lowest index.
+
+    Gives exactly np.argmax's labels, NaN rows included (the first NaN
+    wins). Two classes compare their columns instead, since np.argmax
+    runs one short reduction per row: class 1 where column 0 is not NaN
+    and not >= column 1."""
+    scores = expected_utilities(probs, spec)
+    if scores.shape[1] == 2:
+        first, second = scores[:, 0], scores[:, 1]
+        return (~(first >= second) & (first == first)).astype(np.int64)
+    return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def eau_empirical(inferred, true_labels, spec: UtilitySpec) -> float:

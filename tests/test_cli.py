@@ -814,6 +814,14 @@ class TestHarnessCommands:
             path = tmp_path / f"ctr.csv{suffix}"
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, suffix
 
+    def test_ctr_pinned_without_blas_thread_control(self, tmp_path, capsys, monkeypatch):
+        """Where no OpenBLAS is found ctr runs on the default thread count,
+        with the same results and manifest."""
+        import labeldp.models as models
+
+        monkeypatch.setattr(models, "_blas_thread_control", lambda: None)
+        self.test_ctr_pinned(tmp_path, capsys)
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +248,76 @@ class TestCtr:
         reports = run_ctr(cfg)
         assert len(reports) == 2
         assert all(math.isfinite(r.leau) for r in reports)
+
+
+# Two epsilons of RR on a small synthetic source: two release calls.
+TINY_CTR = CtrConfig(positive_rate=0.2, dim=3, n=400, epsilons=(math.inf, 1.0), iterations=3)
+
+
+class TestCtrBlasThreadScope:
+    def test_run_uses_one_thread_and_restores_the_count(self, blas_threads, monkeypatch):
+        seen = []
+        original = experiments.release
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "release", recording)
+        run_ctr(TINY_CTR)
+        assert seen == [1, 1]
+        assert blas_threads() == 2
+
+    def test_count_restored_when_a_cell_raises(self, blas_threads, monkeypatch):
+        error = TrainingDivergedError("training loss became non-finite at iteration 3")
+
+        def diverge(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(experiments, "release", diverge)
+        with pytest.raises(TrainingDivergedError) as caught:
+            run_ctr(TINY_CTR)
+        assert caught.value is error
+        assert blas_threads() == 2
+
+
+class TestCtrSourceLifetime:
+    """The source dataset and the validation split are freed before the
+    first release, so only the training and test splits live through
+    training."""
+
+    @staticmethod
+    def alive_at_each_release(monkeypatch, config):
+        refs, alive = {}, []
+        original_split, original_release = experiments.split, experiments.release
+
+        def recording_split(dataset, *args):
+            parts = original_split(dataset, *args)
+            refs.update(source=weakref.ref(dataset), val=weakref.ref(parts[1]))
+            return parts
+
+        def recording_release(*args, **kwargs):
+            alive.append({name: ref() is not None for name, ref in refs.items()})
+            return original_release(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "split", recording_split)
+        monkeypatch.setattr(experiments, "release", recording_release)
+        run_ctr(config)
+        return alive
+
+    def test_synthetic_source_is_freed(self, monkeypatch):
+        alive = self.alive_at_each_release(monkeypatch, TINY_CTR)
+        assert alive == [{"source": False, "val": False}] * 2
+
+    def test_csv_source_is_freed(self, monkeypatch, tmp_path):
+        from labeldp.data import gen_skewed_binary, write_csv
+
+        ds, _ = gen_skewed_binary(TINY_CTR.source, 400, seed=5)
+        path = tmp_path / "ctr.csv"
+        write_csv(ds, str(path))
+        config = dataclasses.replace(TINY_CTR, csv_path=str(path))
+        alive = self.alive_at_each_release(monkeypatch, config)
+        assert alive == [{"source": False, "val": False}] * 2
 
 
 @pytest.fixture(scope="module")

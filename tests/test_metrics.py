@@ -396,6 +396,37 @@ class TestExpectedUtilityMachinery:
         np.testing.assert_allclose(scores, [[0.2, 0.8]])
 
 
+class TestTwoClassBestResponse:
+    """Two classes compare their score columns; the labels must be
+    np.argmax's, ties and NaN rows included (the first NaN wins)."""
+
+    SPECS = [
+        pytest.param(UtilitySpec.zero_one(), id="zero-one"),
+        pytest.param(UtilitySpec.weighted([0.97, 0.03]), id="weighted-skewed"),
+        pytest.param(UtilitySpec.weighted([0.5, 0.5]), id="weighted-even"),
+    ]
+
+    @staticmethod
+    def rows():
+        nan, inf = math.nan, math.inf
+        special = [
+            [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [0.0, -0.0], [-0.0, 0.0],
+            [inf, inf], [-inf, -inf], [inf, 1.0], [1.0, inf], [-inf, 0.0],
+            [nan, 0.3], [0.3, nan], [nan, nan], [nan, inf], [inf, nan], [-inf, nan],
+            [0.97, 0.03],  # ties the weighted-skewed scores up to rounding
+        ]
+        rng = np.random.default_rng(300)
+        random = rng.dirichlet(np.ones(2), size=500)
+        coarse = rng.integers(0, 3, size=(200, 2)) / 2.0  # many exact ties
+        return np.vstack([np.array(special), random, coarse])
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_argmax(self, spec):
+        probs = self.rows()
+        expected = np.argmax(expected_utilities(probs, spec), axis=1).astype(np.int64)
+        assert best_response(probs, spec).tobytes() == expected.tobytes()
+
+
 def _oracle_matrix(spec, k):
     """The dense utility matrix U[yhat, y] = 1{yhat == y} w_y, built here as
     the reference the per-class weight form must match bit for bit."""
