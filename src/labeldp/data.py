@@ -23,9 +23,6 @@ class CsvFormatError(ValueError):
     """Raised when a dataset CSV violates the documented format."""
 
 
-# Entries of the largest (rows, k, d) temporary of a mixture posterior.
-_POSTERIOR_BLOCK = 1 << 17
-
 # 2**63: CSV labels lie in [-_INT64_END, _INT64_END), the floats that fit int64.
 _INT64_END = 2.0**63
 
@@ -168,27 +165,24 @@ class MixtureModel:
         return np.eye(self.num_classes, self.dim)
 
     def conditional(self) -> Conditional:
-        means = self.means()
-        inv_two_var = self._inv_two_var()
-        # Rows per block, so that no (rows, k, d) temporary exceeds
-        # _POSTERIOR_BLOCK entries. Each distance sums one length-d row,
-        # so the block height does not change its bits.
-        rows = max(1, _POSTERIOR_BLOCK // means.size)
+        k, inv_two_var = self.num_classes, self._inv_two_var()
+        # exp(-1000.0) is 0.0, so clipping differences at -500 / inv_two_var
+        # leaves their probability 0 and keeps the scaled logits finite at the
+        # smallest sigma, where 2 * inv_two_var overflows.
+        floor = -500.0 / inv_two_var
 
         def posterior(x: np.ndarray) -> np.ndarray:
-            # log P(y|x) = -||x - e_y||^2 / (2 sigma^2) + const(x)
-            sq = np.empty((x.shape[0], self.num_classes))
-            for start in range(0, x.shape[0], rows):
-                block = np.subtract(x[start:start + rows, None, :], means)
-                np.square(block, out=block)
-                block.sum(axis=2, out=sq[start:start + rows])
-            logits = -sq * inv_two_var
-            logits -= logits.max(axis=1, keepdims=True)
+            # The means are e_y, so -||x - e_y||^2 / (2 sigma^2) is
+            # x_y / sigma^2 plus a per-row constant, which the softmax drops.
+            logits = x[:, :k] - x[:, :k].max(axis=1, keepdims=True)
+            np.maximum(logits, floor, out=logits)
+            logits *= inv_two_var
+            logits *= 2.0
             probs = np.exp(logits)
             probs /= probs.sum(axis=1, keepdims=True)
             return probs
 
-        return Conditional(self.num_classes, posterior)
+        return Conditional(k, posterior)
 
 
 @dataclass(frozen=True)

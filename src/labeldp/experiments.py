@@ -285,8 +285,9 @@ class CtrConfig:
             # Building the synthetic source checks its four fields; a CSV
             # run draws no source, so they shape nothing and go unchecked.
             self.source  # noqa: B018
-            if self.n < 10:
-                raise ValueError("synthetic source needs n >= 10")
+            if self.n < 25:
+                raise ValueError(f"synthetic source needs n >= 25: a smaller n leaves a "
+                                 f"part of the {self.split_fractions} split empty")
         if any(not e > 0 for e in self.epsilons):
             raise ValueError("epsilon grid values must be positive or infinite")
         _check_mechanisms(self.mechanisms)

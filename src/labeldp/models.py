@@ -13,8 +13,7 @@ import ctypes
 import functools
 import os
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -413,21 +412,10 @@ bayes_model = BayesModel
 constant_model = ConstantModel
 
 
-def _row_keys(features: np.ndarray) -> np.ndarray:
-    """One np.void key per row of a 2-D float64 array: the row's bytes after
-    + 0.0, which turns -0.0 into 0.0 so both signed zeros share a key. Equal
-    keys mean byte-equal rows (a NaN row matches only its own bit pattern)."""
-    rows = np.ascontiguousarray(features + 0.0)
-    if rows.shape[1] == 0:
-        # A zero-column row has no bytes to view; every such row is the same.
-        return np.zeros(rows.shape[0], dtype="V1")
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
 def _row_words(*blocks: np.ndarray) -> np.ndarray:
     """The rows of 2-D float64 arrays, stacked, as native uint64 words: each
-    cell's bytes after + 0.0 read big-endian, so comparing two rows' words
-    column by column orders them as memcmp orders their _row_keys keys."""
+    cell's bytes after + 0.0 (-0.0 becomes 0.0) read big-endian, so comparing
+    two rows' words column by column orders them as memcmp orders their bytes."""
     return np.concatenate([(block + 0.0).view(">u8") for block in blocks], dtype=np.uint64)
 
 
@@ -448,44 +436,25 @@ def _rank_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[first], inverse
 
 
-def _row_index(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(_row_keys(features), return_inverse=True), bit for bit,
-    from an integer sort of the rows' words instead of a byte sort."""
-    firsts, inverse = _rank_rows(_row_words(features))
-    return _row_keys(features[firsts]), inverse
-
-
 class MajorityTableModel(Model):
     """Majority training label per distinct feature row, uniform elsewhere.
 
-    keys holds the distinct training rows as sorted byte keys (see
-    _row_keys) and labels the majority label of each. A query is looked up
-    by ranking the table's rows and the query rows together on their
-    integer words (see _rank_rows).
+    rows holds the distinct training rows after + 0.0 and labels the majority
+    label of each. A query is looked up by ranking the table's rows and the
+    query rows together on their integer words (see _rank_rows), so it
+    matches a row with its bytes after + 0.0; a NaN matches only its own bits.
     """
 
     kind = "majority"
 
-    def __init__(self, keys: np.ndarray, labels: np.ndarray, num_classes: int, num_features: int):
-        self.keys = keys
+    def __init__(self, rows: np.ndarray, labels: np.ndarray, num_classes: int):
+        self.rows = np.asarray(rows, dtype=np.float64) + 0.0
         self.labels = labels
         self.num_classes = num_classes
-        self.num_features = num_features
-        # A key's bytes are its row's float64 values (none for zero columns).
-        rows = np.frombuffer(keys, dtype=np.float64, count=keys.size * num_features)
-        self._rows = rows.reshape(keys.size, num_features)
+        self.num_features = self.rows.shape[1]
         # Output rows: one-hot per table entry, then a uniform row for misses.
         self._proba = np.vstack(
             [np.eye(num_classes)[labels], np.full((1, num_classes), 1.0 / num_classes)]
-        )
-
-    @property
-    def table(self) -> Mapping[bytes, int]:
-        """Read-only {row bytes: majority label}; a row's bytes are those of
-        its float64 values after + 0.0 (b"" for zero-column rows)."""
-        size = 8 * self.num_features
-        return MappingProxyType(
-            {key.tobytes()[:size]: int(label) for key, label in zip(self.keys, self.labels)}
         )
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
@@ -495,8 +464,8 @@ class MajorityTableModel(Model):
                 f"majority table was built on {self.num_features} feature columns, "
                 f"query has {features.shape[1]}"
             )
-        size = self.keys.size
-        firsts, inverse = _rank_rows(_row_words(self._rows, features))
+        size = self.rows.shape[0]
+        firsts, inverse = _rank_rows(_row_words(self.rows, features))
         # The table's rows are distinct and come first, and the sort is
         # stable, so a query equal to table row i shares its rank with it and
         # i is that rank's first occurrence; any other first index is >= size.
@@ -508,15 +477,15 @@ class MajorityTableModel(Model):
 def majority_table(train: Dataset) -> MajorityTableModel:
     """Memorize the majority label of each exact feature row; ties go to
     the lowest class index. The distinct rows come from one integer sort
-    (see _row_index)."""
+    (see _rank_rows)."""
     if train.labels.ndim != 1:
         raise ValueError("majority_table takes one label vector, not a stack")
     k = train.num_classes
-    keys, inverse = _row_index(train.features)
-    votes = np.bincount(inverse * k + train.labels, minlength=keys.size * k)
+    firsts, inverse = _rank_rows(_row_words(train.features))
+    votes = np.bincount(inverse * k + train.labels, minlength=firsts.size * k)
     # argmax returns the first maximum, i.e. the lowest class index.
-    labels = votes.reshape(keys.size, k).argmax(axis=1)
-    return MajorityTableModel(keys, labels, k, train.features.shape[1])
+    labels = votes.reshape(firsts.size, k).argmax(axis=1)
+    return MajorityTableModel(train.features[firsts], labels, k)
 
 
 def log_loss(model: Model, dataset: Dataset) -> float:

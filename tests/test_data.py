@@ -192,9 +192,10 @@ class TestMixture:
         assert stats.chisquare(counts).pvalue > 0.001
 
 
-class TestPosteriorBlockParity:
-    """The posterior sums squared distances over row blocks; each distance
-    must keep the bits of the one-shot (n, k, d) broadcast below."""
+class TestPosteriorAgainstDistanceOracle:
+    """The posterior is a softmax of x[:, :k] / sigma^2; it must agree with
+    the softmax of -||x - e_y||^2 / (2 sigma^2) from the one-shot (n, k, d)
+    broadcast below, to rounding, with the same argmax in every row."""
 
     @staticmethod
     def one_shot(model, x):
@@ -208,12 +209,25 @@ class TestPosteriorBlockParity:
     @pytest.mark.parametrize("sigma", [1.0, 10.0, 100.0])
     @pytest.mark.parametrize("n", [1, 257, 1000])
     @pytest.mark.parametrize("k, d", [(2, 100), (100, 100), (3, 300)])
-    def test_bits_match_the_one_shot_broadcast(self, k, d, n, sigma):
+    def test_matches_the_one_shot_distances(self, k, d, n, sigma):
         model = MixtureModel(k, d, sigma)
         rng = np.random.default_rng(k * d + n)
         x = model.means()[rng.integers(0, k, n)] + sigma * rng.normal(size=(n, d))
-        got = model.conditional()(x)
-        assert got.tobytes() == self.one_shot(model, x).tobytes()
+        got, want = model.conditional()(x), self.one_shot(model, x)
+        assert np.abs(got - want).max() <= 1e-13
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    @pytest.mark.parametrize("sigma", [6e-155, 9e153])
+    def test_range_ends_give_finite_distributions(self, sigma):
+        """At 9e153 a squared distance over 2 sigma^2 overflows; at 6e-155
+        1 / sigma^2 does. Neither may warn or leave a non-finite row."""
+        model = MixtureModel(2, 3, sigma)
+        ds, cond = gen_mixture(model, 200, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = cond(ds.features)
+        assert np.isfinite(probs).all()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestSampleCategoricalRows:

@@ -222,6 +222,19 @@ class TestCtr:
         with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
             CtrConfig(mechanisms=("rr", "bogus"))
 
+    def test_n_below_the_split_minimum_is_rejected_before_drawing(self, monkeypatch):
+        """0.04 * n floors to 0 below n = 25, which would empty the
+        validation split after the source is drawn."""
+        drawn = []
+        monkeypatch.setattr(experiments, "gen_skewed_binary", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=r"^synthetic source needs n >= 25: .* split empty$"):
+            run_ctr(CtrConfig(n=24))
+        assert drawn == []
+
+    def test_smallest_synthetic_n_runs(self):
+        config = CtrConfig(positive_rate=0.5, dim=2, n=25, epsilons=(1.0,), iterations=3)
+        assert len(run_ctr(config)) == 2
+
     def test_options_are_the_fields_and_source_is_derived(self):
         assert [f.name for f in dataclasses.fields(CtrConfig)] == [
             "csv_path", "label_column", "n", "positive_rate", "dim", "separation",

@@ -454,7 +454,7 @@ class TestMajorityTable:
     def test_signed_zeros_share_one_key(self):
         ds = Dataset(np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]), np.array([1, 0, 1]), 2)
         model = majority_table(ds)
-        assert len(model.table) == 1
+        assert len(table_of(model)) == 1
         probs = model.predict_proba(np.array([[0.0, 1.0], [-0.0, 1.0]]))
         np.testing.assert_array_equal(probs, [[0.0, 1.0], [0.0, 1.0]])
 
@@ -468,13 +468,8 @@ class TestMajorityTable:
     def test_zero_column_rows_share_one_key(self):
         ds = Dataset(np.zeros((5, 0)), np.array([2, 0, 2, 1, 0]), 3)
         model = majority_table(ds)
-        assert dict(model.table) == {b"": 0}
+        assert table_of(model) == {b"": 0}
         np.testing.assert_array_equal(model.predict_proba(np.zeros((2, 0))), [[1, 0, 0]] * 2)
-
-    def test_table_is_read_only(self):
-        model = majority_table(Dataset(np.zeros((2, 1)), np.array([1, 1]), 2))
-        with pytest.raises(TypeError):
-            model.table[b"x"] = 0
 
     def test_query_of_the_wrong_width_is_rejected(self):
         model = majority_table(Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2))
@@ -492,6 +487,11 @@ class TestMajorityTable:
         model = majority_table(Dataset(np.zeros((2, 2)), np.array([1, 1]), 2))
         probs = model.predict_proba(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         np.testing.assert_array_equal(probs, [[0.5, 0.5], [0.0, 1.0]])
+
+
+def table_of(model):
+    """The model's table as a dict of row bytes, like reference_table's."""
+    return {row.tobytes(): int(label) for row, label in zip(model.rows, model.labels)}
 
 
 def reference_table(features, labels, k):
@@ -530,7 +530,7 @@ class TestMajorityTableAgainstReference:
         labels = rng.integers(0, k, n)
         model = majority_table(Dataset(features, labels, k))
         table = reference_table(features, labels, k)
-        assert dict(model.table) == table
+        assert table_of(model) == table
         unseen = rng.normal(size=(5, d))
         queries = np.vstack([features, -features, cells[rng.integers(0, 5, (20, d))], unseen])
         expected = reference_proba(table, k, queries)
@@ -584,7 +584,7 @@ class TestMajorityTableAgainstReference:
         features = np.array([[0.0]] * k + [[1.0]] * 4)
         labels = np.concatenate([np.arange(k)[::-1], [k - 1, k - 2, k - 2, k - 1]])
         model = majority_table(Dataset(features, labels, k))
-        assert dict(model.table) == reference_table(features, labels, k)
+        assert table_of(model) == reference_table(features, labels, k)
         np.testing.assert_array_equal(model.predict(np.array([[-0.0], [1.0]])), [0, k - 2])
 
 
@@ -604,35 +604,47 @@ def oracle_layouts(features):
     return np.ascontiguousarray(features), np.asfortranarray(features), wide[:, 1::2]
 
 
-class TestRowIndex:
-    """_row_index returns np.unique(_row_keys(x), return_inverse=True) bit
-    for bit: its integer sort orders rows as np.unique's byte sort does."""
+FINITE_CELLS = ORACLE_CELLS[np.isfinite(ORACLE_CELLS)]
+
+
+class TestMajorityTableOnOracleCells:
+    """majority_table and predict_proba agree with reference_table and
+    reference_proba on training rows of the finite oracle cells, in every
+    layout, for queries that add NaN and infinite rows."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 7, 60])
     @pytest.mark.parametrize("d", [0, 1, 2, 5])
-    def test_equals_unique_of_row_keys(self, d, n, seed):
+    def test_matches_the_reference(self, d, n, seed):
         rng = np.random.default_rng([d, n, seed])
         # Few cells per column so that rows repeat and share prefixes.
-        cells = ORACLE_CELLS[rng.integers(0, ORACLE_CELLS.size, (n, d))]
+        cells = FINITE_CELLS[rng.integers(0, FINITE_CELLS.size, (n, d))]
+        labels = rng.integers(0, 3, n)
+        table = reference_table(cells, labels, 3)
+        queries = np.vstack([
+            cells,
+            np.repeat([[np.nan], [np.inf], [-np.inf]], d, axis=1),
+            ORACLE_CELLS[rng.integers(0, ORACLE_CELLS.size, (20, d))],
+        ])
+        expected = reference_proba(table, 3, queries)
         for features in oracle_layouts(cells):
-            keys, inverse = models._row_index(features)
-            want_keys, want_inverse = np.unique(
-                models._row_keys(features), return_inverse=True
-            )
-            assert keys.dtype == want_keys.dtype
-            assert keys.tobytes() == want_keys.tobytes()
-            assert inverse.dtype == want_inverse.dtype
-            np.testing.assert_array_equal(inverse, want_inverse)
+            model = majority_table(Dataset(features, labels, 3))
+            assert table_of(model) == table
+            for layout in oracle_layouts(queries):
+                np.testing.assert_array_equal(model.predict_proba(layout), expected)
 
-    def test_every_cell_pair_orders_as_its_bytes(self):
-        rows = np.array([[a, b] for a in ORACLE_CELLS for b in ORACLE_CELLS])
-        keys, inverse = models._row_index(rows[::-1])
-        want_keys, want_inverse = np.unique(models._row_keys(rows[::-1]), return_inverse=True)
-        assert keys.tobytes() == want_keys.tobytes()
-        np.testing.assert_array_equal(inverse, want_inverse)
-        # +0.0 and -0.0 share a key; every other cell is its own.
-        assert keys.size == (ORACLE_CELLS.size - 1) ** 2
+    def test_every_cell_pair_is_its_own_row(self):
+        rows = np.array([[a, b] for a in FINITE_CELLS for b in FINITE_CELLS])[::-1]
+        labels = np.arange(rows.shape[0]) % 3
+        model = majority_table(Dataset(rows, labels, 3))
+        table = reference_table(rows, labels, 3)
+        assert table_of(model) == table
+        # +0.0 and -0.0 share a row; every other cell is its own.
+        assert len(table) == (FINITE_CELLS.size - 1) ** 2
+        queries = np.array([[a, b] for a in ORACLE_CELLS for b in ORACLE_CELLS])
+        np.testing.assert_array_equal(
+            model.predict_proba(queries), reference_proba(table, 3, queries)
+        )
 
 
 class TestLogLoss:
