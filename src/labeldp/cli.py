@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -26,6 +27,8 @@ from .metrics import UtilitySpec
 from .models import LogisticHyper, load_model
 
 CHECK_EXIT = 3
+# Rows _write_rows turns into Python ints and text at a time.
+_WRITE_ROWS = 4096
 
 
 def _fmt(value, full_precision: bool):
@@ -99,6 +102,19 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+def _write_rows(path: str, header: str, *columns: np.ndarray) -> None:
+    """Write a CSV of the header and the lines `i,a_i,b_i,...` of integer
+    columns. Rows become text a block at a time, so no text or list as long
+    as the file is built."""
+    line = ",".join(["{}"] * (len(columns) + 1)) + "\n"
+    with _atomic_write(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            block = (column[start:stop].tolist() for column in columns)
+            fh.writelines(itertools.starmap(line.format, zip(range(start, stop), *block)))
+
+
 def _echo(resolved: dict) -> None:
     print("resolved-config " + json.dumps(experiments._jsonable(resolved), sort_keys=True))
 
@@ -164,9 +180,7 @@ def cmd_privatize(args) -> int:
         LogisticHyper(iterations=args.iterations), args.seed, top_k=args.top_k,
     )
     labels, note = report.labels, report.params.note
-    with _atomic_write(args.output) as fh:
-        fh.write("row_index,private_label\n"
-                 + "".join(f"{i},{label}\n" for i, label in enumerate(labels.tolist())))
+    _write_rows(args.output, "row_index,private_label", labels)
     with _atomic_write(args.output + ".manifest.json") as fh:
         json.dump(
             {
@@ -222,16 +236,11 @@ def cmd_attack(args) -> int:
         inferred = spa(knowledge, spec)
     else:
         inferred = marginal_guess(knowledge, spec)
-    with _atomic_write(args.output) as fh:
-        if true_labels is None:
-            fh.write("row_index,inferred_label\n" + "".join(
-                f"{i},{label}\n" for i, label in enumerate(inferred.labels.tolist())))
-        else:
-            fh.write("row_index,inferred_label,true_label\n" + "".join(
-                f"{i},{label},{truth}\n"
-                for i, (label, truth) in enumerate(zip(inferred.labels.tolist(),
-                                                       true_labels.tolist()))))
-    if true_labels is not None:
+    if true_labels is None:
+        _write_rows(args.output, "row_index,inferred_label", inferred.labels)
+    else:
+        _write_rows(args.output, "row_index,inferred_label,true_label",
+                    inferred.labels, true_labels)
         eau = metrics.eau_empirical(inferred, true_labels, spec)
         print(_record({"attack": inferred.attack, "empirical_eau": eau}, args.full_precision))
     return 0

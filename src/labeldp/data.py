@@ -364,7 +364,13 @@ def _parse_plain(
     fits = (labels == np.floor(labels)) & (labels >= -_INT64_END) & (labels < _INT64_END)
     if not fits.all():
         return None
-    return np.delete(table, label_idx, axis=1), labels.astype(np.int64)
+    labels = labels.astype(np.int64)
+    # Drop the label column in place: each column right of it moves one step
+    # left, one column at a time, so no second table is made.
+    d = width - 1
+    for col in range(label_idx, d):
+        table[:, col] = table[:, col + 1]
+    return table[:, :d], labels
 
 
 def _scan_rows(

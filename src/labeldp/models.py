@@ -21,6 +21,9 @@ from .data import Conditional, Dataset, _atomic_write, _first_non_distribution
 
 PROB_CLAMP = 1e-15
 _LOSS_CAP = -np.log(PROB_CLAMP)
+# Design entries (rows times d+1 columns) LogisticModel.predict_proba builds
+# at a time: 1 MiB of float64, as metrics.MC_BLOCK_ENTRIES bounds a block.
+_SCORE_BLOCK_ENTRIES = 2**17
 
 
 class TrainingDivergedError(RuntimeError):
@@ -276,9 +279,17 @@ def stability_threshold(train: Dataset) -> float:
 
 
 def _fit_scaler(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard deviation; a constant column keeps sd 1."""
+    """Per-column mean and standard deviation; a constant column keeps sd 1.
+    A column whose squared deviations overflow gets the sd of the column
+    divided by its largest magnitude, times that magnitude."""
     mu = features.mean(axis=0)
-    sd = features.std(axis=0)
+    with np.errstate(over="ignore"):
+        sd = features.std(axis=0)
+    huge = ~np.isfinite(sd)
+    if huge.any():
+        columns = features[:, huge]
+        scale = np.abs(columns).max(axis=0)
+        sd[huge] = scale * (columns / scale).std(axis=0)
     sd[sd == 0] = 1.0
     return mu, sd
 
@@ -299,8 +310,21 @@ class LogisticModel(Model):
         return self.mu.size
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        """Class probabilities of each row. The logits are filled into the
+        (n, k) output a block of rows at a time, each block's design built
+        and multiplied into its rows, then one softmax runs in place. Up to
+        one block this is the one-shot product's arithmetic bit for bit;
+        beyond it a block's product may round differently (tested to move
+        no probability by more than 1e-13)."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return _softmax(_design(features, self.mu, self.sd) @ self.weights)
+        n = features.shape[0]
+        rows = max(1, _SCORE_BLOCK_ENTRIES // (self.mu.size + 1))
+        logits = np.empty((n, self.num_classes))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            np.matmul(_design(features[block], self.mu, self.sd), self.weights,
+                      out=logits[block])
+        return _softmax(logits)
 
 
 def train_logistic(

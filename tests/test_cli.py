@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labeldp.cli as cli
+import labeldp.data as data
+import labeldp.models as models
 from labeldp.cli import main
-from labeldp.data import MixtureModel, gen_mixture, write_csv
+from labeldp.data import Dataset, MixtureModel, gen_mixture, write_csv
 from labeldp.models import LogisticHyper, save_model, train_logistic
 
 
@@ -443,6 +448,88 @@ class TestPrivatizeMechanisms:
         assert len(fit_calls) == fits
 
 
+class TestCsvCommandsPinned:
+    """privatize and attack on a 2400-row CSV of 127 feature columns, where
+    LogisticModel.predict_proba scores 1024 rows per block: the attack
+    scores three blocks and LP-2ST's stage 2 two. sha256 of the written
+    files (and the attack's printed EAU), taken while predict_proba still
+    formed one product over all rows."""
+
+    ATTACK_DIGEST = "eb6ee324b6fd2fd820abed9a366d22efae30c80e4e0d65fd1e7f0d0136d9126c"
+    ATTACK_RECORD = '{"attack": "spa", "empirical_eau": 0.5770833333333333}'
+    LP2ST_DIGEST = "52d9b77c39221775fabc28cb1e732a29831491ee6d6602273767ceb42bababee"
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        assert models._SCORE_BLOCK_ENTRIES // 128 < 1200
+        path = tmp_path_factory.mktemp("csv-commands")
+        ds, _ = gen_mixture(MixtureModel(3, 127, 1.0), 2400, seed=5)
+        ds = Dataset(np.round(ds.features, 3), ds.labels, 3)
+        write_csv(ds, str(path / "data.csv"))
+        model = train_logistic(ds.subset(np.arange(400)), LogisticHyper(iterations=20), seed=0)
+        save_model(model, str(path / "model.txt"))
+        return path
+
+    def test_attack_full_precision(self, inputs, capsys):
+        out = inputs / "inferred.csv"
+        code, stdout, err = run_cli(capsys, "attack", "--model", str(inputs / "model.txt"),
+                                    "--input", str(inputs / "data.csv"), "--label-column",
+                                    "label", "--full-precision", "--output", str(out))
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.ATTACK_DIGEST
+        assert stdout.strip().split("\n")[-1] == self.ATTACK_RECORD
+
+    def test_privatize_lp2st(self, inputs, capsys):
+        out = inputs / "private.csv"
+        code, _, err = run_cli(capsys, "privatize", "--input", str(inputs / "data.csv"),
+                               "--mechanism", "lp2st", "--epsilon", "1.0", "--iterations", "20",
+                               "--seed", "3", "--output", str(out))
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.LP2ST_DIGEST
+
+
+class TestStreamedWriters:
+    """privatize and attack write their rows a block at a time: the peak
+    that tracemalloc (which sees numpy's buffers) reads from opening the
+    output file to closing it must not grow with the row count."""
+
+    @staticmethod
+    def writer_peak(tmp_path, capsys, monkeypatch, command, n):
+        rng = np.random.default_rng(n)
+        ds = Dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n), 2)
+        data_path, out = str(tmp_path / f"data{n}.csv"), str(tmp_path / f"out{n}.csv")
+        write_csv(ds, data_path)
+        if command == "privatize":
+            argv = ["privatize", "--input", data_path, "--epsilon", "1"]
+        else:
+            model_path = str(tmp_path / "model.txt")
+            save_model(train_logistic(ds, LogisticHyper(iterations=5)), model_path)
+            argv = ["attack", "--model", model_path, "--input", data_path,
+                    "--label-column", "label"]
+        peaks = {}
+
+        @contextlib.contextmanager
+        def traced(path, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                with data._atomic_write(path, *args, **kwargs) as fh:
+                    yield fh
+            finally:
+                peaks[path] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_atomic_write", traced)
+        code, _, err = run_cli(capsys, *argv, "--output", out)
+        assert code == 0, err
+        return peaks[out]
+
+    @pytest.mark.parametrize("command", ["privatize", "attack"])
+    def test_writer_peak_does_not_grow_with_rows(self, tmp_path, capsys, monkeypatch, command):
+        small = self.writer_peak(tmp_path, capsys, monkeypatch, command, 10_000)
+        large = self.writer_peak(tmp_path, capsys, monkeypatch, command, 50_000)
+        assert large <= small + 4096
+
+
 class TestHarnessCommands:
     SIM_ARGS = [
         "simulate", "--class-counts", "2", "--dim", "5", "--sigmas", "1.0",
@@ -736,14 +823,19 @@ class TestHarnessCommands:
         digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert digest == self.FIG1_REDUCED_DIGESTS[mechanism]
 
-    @pytest.mark.parametrize("sigma", ["1e-100", "1e150"])
+    @pytest.mark.parametrize("sigma", ["1e-100", "1e150", "6e-155", "9e153"])
     def test_simulate_runs_at_extreme_but_valid_sigma(self, tmp_path, capsys, sigma):
+        """Up to the ends of the sigma range; filterwarnings = error turns an
+        overflow warning (from the scaler's squared deviations at 9e153)
+        into a failure."""
         out_file = tmp_path / "sigma.csv"
         code, _, err = run_cli(capsys, "simulate", "--class-counts", "2", "--sigmas", sigma,
                                "--epsilons", "1", "--trials", "2", "--dim", "2", "--n", "5",
                                "--check", "--output", str(out_file))
         assert code == 0, err
         assert "nan" not in out_file.read_text()
+        _header, *rows = out_file.read_text().splitlines()
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
     def test_simulate_fig1_reduced_pinned_without_blas_thread_control(
         self, tmp_path, capsys, monkeypatch

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from labeldp.models import (
     _design,
     _fit_scaler,
     _objective,
+    _softmax,
     TrainingDivergedError,
     bayes_model,
     constant_model,
@@ -234,6 +236,78 @@ class TestInPlaceKernels:
                 assert resid.tobytes() == expected_resid.tobytes()
             else:
                 assert resid is None
+
+
+class TestBlockedScoring:
+    """LogisticModel.predict_proba fills its output a block of rows at a
+    time. Up to one block it must give the bits of the one-shot product;
+    beyond one, every probability agrees with it within SCORE_BOUND
+    (measured: at most 5.5e-15) and every row has the same argmax."""
+
+    DIM = 127  # d+1 = 128 design columns, so one block is 1024 rows
+    SCORE_BOUND = 1e-13
+
+    def model_and_rows(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        features = (rng.normal(size=(n, self.DIM)) * rng.uniform(0.1, 10.0, self.DIM)
+                    + rng.uniform(-5.0, 5.0, self.DIM))
+        mu, sd = _fit_scaler(features)
+        weights = rng.normal(size=(self.DIM + 1, k))
+        return models.LogisticModel(weights, mu, sd, k), features
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["1", "B-1", "B", "B+1", "2B+1"])
+    def test_matches_the_one_shot_product(self, k, blocks, extra):
+        block = models._SCORE_BLOCK_ENTRIES // (self.DIM + 1)
+        assert block == 1024
+        n = blocks * block + extra
+        model, features = self.model_and_rows(k, n, seed=n + k)
+        probs = model.predict_proba(features)
+        expected = _softmax(_design(features, model.mu, model.sd) @ model.weights)
+        assert probs.shape == (n, k)
+        if n <= block:
+            assert probs.tobytes() == expected.tobytes()
+        else:
+            assert np.abs(probs - expected).max() <= self.SCORE_BOUND
+            assert np.array_equal(probs.argmax(axis=1), expected.argmax(axis=1))
+
+    @pytest.mark.parametrize("k", [2, 100])
+    def test_peak_memory_is_the_output_and_two_blocks(self, k):
+        """tracemalloc sees numpy's buffers. 20 000 rows of 21 design columns
+        are more than three blocks, so a full design would break the bound."""
+        rng = np.random.default_rng(k)
+        features = rng.normal(size=(20_000, 20))
+        model = models.LogisticModel(rng.normal(size=(21, k)), *_fit_scaler(features), k)
+        tracemalloc.start()
+        try:
+            probs = model.predict_proba(features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes + 2 * models._SCORE_BLOCK_ENTRIES * 8
+
+
+class TestScalerAtTheTopOfTheSigmaRange:
+    """Squared deviations of a column near 1e154 overflow; its sd must come
+    out finite, and every other column's sd must keep features.std's bits."""
+
+    def test_huge_column_gets_a_finite_sd(self):
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(50, 4))
+        features[:, 1] *= 9e153
+        features[:, 3] = 2.0
+        mu, sd = _fit_scaler(features)  # filterwarnings = error: no overflow warning
+        assert np.isfinite(sd).all() and (sd > 0).all()
+        with np.errstate(over="ignore"):
+            expected = features.std(axis=0)
+        assert not np.isfinite(expected[1])
+        kept = [0, 2]
+        assert sd[kept].tobytes() == expected[kept].tobytes()
+        assert sd[3] == 1.0
+        assert math.isclose(sd[1], 9e153 * (features[:, 1] / 9e153).std(), rel_tol=1e-12)
+        design = _design(features, mu, sd)
+        assert np.isfinite(design).all() and np.abs(design[:, 1]).max() > 0.5
 
 
 class TestStackedTraining:
