@@ -24,7 +24,7 @@ from . import experiments, mechanisms, metrics
 from .attacks import AdversaryKnowledge, marginal_guess, spa
 from .data import CsvFormatError, _atomic_write, load_csv, load_csv_features
 from .metrics import UtilitySpec
-from .models import LogisticHyper, load_model
+from .models import LogisticHyper, TrainingDivergedError, load_model
 
 CHECK_EXIT = 3
 # Rows _write_rows turns into Python ints and text at a time.
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CsvFormatError, OSError, MemoryError) as exc:
+    except (ValueError, CsvFormatError, OSError, MemoryError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

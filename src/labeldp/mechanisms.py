@@ -157,7 +157,8 @@ def lp_mst(
     on the stage-1 labels supplies a per-row prior for top-k restricted RR
     on the other half, and the release is the union. Each stage spends
     epsilon on disjoint rows, so parallel composition keeps the total at
-    epsilon.
+    epsilon. With two classes and top_k = 2 the prior cannot change a
+    released label, so that case trains no stage-1 model.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -169,13 +170,18 @@ def lp_mst(
     if idx1.size == 0 or idx2.size == 0:
         raise ValueError(f"cannot form two non-empty stages from n={n}")
 
-    stage1 = train.subset(idx1)
-    private1 = randomized_response(stage1.labels, k, epsilon, seed)
-    model1 = train_logistic(stage1.with_labels(private1), hyper, seed)
-
-    stage2 = train.subset(idx2)
-    prior = model1.predict_proba(stage2.features)
-    private2 = rr_with_prior(stage2.labels, prior, top_k, epsilon, seed)
+    labels1, labels2 = train.labels[idx1], train.labels[idx2]
+    private1 = randomized_response(labels1, k, epsilon, seed)
+    if k == top_k == 2:
+        # With two classes and top_k = 2 the prior picks nothing: every label
+        # is in its row's top set, a kept label is the label, a flipped one is
+        # the other class, and the random draws do not read the prior. So no
+        # stage-1 model is trained, and a constant prior gives its release.
+        prior = np.full((idx2.size, 2), 0.5)
+    else:
+        model1 = train_logistic(Dataset(train.features[idx1], private1, k), hyper, seed)
+        prior = model1.predict_proba(train.features[idx2])
+    private2 = rr_with_prior(labels2, prior, top_k, epsilon, seed)
 
     private = np.empty(n, dtype=np.int64)
     private[idx1] = private1
@@ -184,8 +190,8 @@ def lp_mst(
         "mechanism": "lp-2st",
         "stage_sizes": [int(idx1.size), int(idx2.size)],
         "flip_rates": [
-            float(np.mean(private1 != stage1.labels)),
-            float(np.mean(private2 != stage2.labels)),
+            float(np.mean(private1 != labels1)),
+            float(np.mean(private2 != labels2)),
         ],
     }
     return MechanismReport(

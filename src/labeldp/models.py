@@ -120,11 +120,20 @@ class LogisticHyper:
 
 
 def _design(features: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """The (n, d+1) design [(features - mu) / sd, 1], built in one array."""
+    """The (n, d+1) design [(features - mu) / sd, 1], built in one array.
+    Where a deviation features - mu leaves float64 (cells near 1e308 on
+    both sides of the mean), the block is formed as features / sd - mu / sd."""
     n, d = features.shape
     design = np.empty((n, d + 1))
-    scaled = np.subtract(features, mu, out=design[:, :d])
-    scaled /= sd
+    scaled = design[:, :d]
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(features, mu, out=scaled)
+    except FloatingPointError:
+        np.divide(features, sd, out=scaled)
+        scaled -= mu / sd
+    else:
+        scaled /= sd
     design[:, d] = 1.0
     return design
 
@@ -281,15 +290,18 @@ def stability_threshold(train: Dataset) -> float:
 def _fit_scaler(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and standard deviation; a constant column keeps sd 1.
     A column whose squared deviations overflow gets the sd of the column
-    divided by its largest magnitude, times that magnitude."""
-    mu = features.mean(axis=0)
+    divided by its largest magnitude, times that magnitude; where its sum
+    overflows too, its mean is formed the same way."""
     with np.errstate(over="ignore"):
+        mu = features.mean(axis=0)
         sd = features.std(axis=0)
     huge = ~np.isfinite(sd)
     if huge.any():
         columns = features[:, huge]
         scale = np.abs(columns).max(axis=0)
-        sd[huge] = scale * (columns / scale).std(axis=0)
+        columns = columns / scale
+        mu[huge] = np.where(np.isfinite(mu[huge]), mu[huge], scale * columns.mean(axis=0))
+        sd[huge] = scale * columns.std(axis=0)
     sd[sd == 0] = 1.0
     return mu, sd
 

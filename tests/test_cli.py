@@ -291,6 +291,40 @@ class TestPrivatizeAndAttack:
         assert err.startswith("error: Unable to allocate ")
         assert not out_csv.exists()
 
+    def test_lp2st_on_a_column_whose_sum_overflows(self, tmp_path, capsys, fit_calls):
+        """The column's sum, and some of its deviations from the mean, leave
+        float64; filterwarnings = error turns an overflow warning into a
+        failure. Three classes, so the stage-1 model is trained."""
+        big = tmp_path / "big.csv"
+        big.write_text("x0,label\n1e308,0\n1.5e308,1\n-1e308,2\n1.7e308,1\n")
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "privatize", "--input", str(big), "--mechanism", "lp2st",
+                               "--epsilon", "1", "--iterations", "5", "--output", str(out_csv))
+        assert code == 0, err
+        assert len(fit_calls) == 1
+        header, *rows = out_csv.read_text().splitlines()
+        assert header == "row_index,private_label" and len(rows) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["privatize", "--mechanism", "lp2st", "--epsilon", "1"],
+        ["ctr", "--n", "200", "--epsilons", "1", "--iterations", "3"],
+    ], ids=["privatize", "ctr"])
+    def test_diverged_training_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        def diverge(*args, **kwargs):
+            raise models.TrainingDivergedError("non-finite loss at iteration 3")
+
+        patch_train_logistic(monkeypatch, diverge)
+        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 30, seed=0)
+        data_csv = tmp_path / "d.csv"
+        write_csv(ds, str(data_csv))
+        out_csv = tmp_path / "o.csv"
+        if argv[0] == "privatize":
+            argv = [*argv, "--input", str(data_csv)]
+        code, _, err = run_cli(capsys, *argv, "--output", str(out_csv))
+        assert code == 1
+        assert err.splitlines() == ["error: non-finite loss at iteration 3"]
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("epsilon, shown", [("nan", "nan"), ("-1", "-1.0")])
     def test_privatize_rr_rejects_nan_or_negative_epsilon(self, tmp_path, capsys,
                                                          epsilon, shown):

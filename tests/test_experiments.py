@@ -24,7 +24,7 @@ from labeldp.experiments import (
     run_thm1_demo,
     write_results,
 )
-from labeldp.data import SkewedBinarySpec
+from labeldp.data import Dataset, MixtureModel, SkewedBinarySpec, gen_mixture
 from labeldp.metrics import hoeffding_lower_bound
 from labeldp.models import LogisticHyper, TrainingDivergedError, train_logistic
 
@@ -367,21 +367,24 @@ def stacked_ctr():
 
 
 class TestCtrStackedFit:
-    """run_ctr releases every cell first, then fits the cells that keep the
-    training split's feature array in one stacked train_logistic call."""
+    """run_ctr releases every cell first, then fits the distinct label
+    vectors of the cells that keep the training split's feature array in one
+    stacked train_logistic call."""
 
     def test_one_stacked_call_over_the_training_split(self, stacked_ctr):
         _, seen = stacked_ctr
         train = seen["train"]
         stack, *students = seen["experiments"]
         assert stack.features is train.features
-        assert stack.labels.shape == (6, len(train))
+        # RR, LP-2ST and ALIBI all release the true labels at epsilon inf, so
+        # the six cells hold four distinct vectors.
+        assert stack.labels.shape == (4, len(train))
         # PATE's students: one fit per epsilon over its own query rows.
         assert [s.labels.shape for s in students] == [(1, STACKED_CTR.pate_queries)] * 2
         assert all(s.features is not train.features for s in students)
-        # LP-2ST's stage-1 model per epsilon and PATE's teachers (release's
-        # default of 5), each alone.
-        assert len(seen["mechanisms"]) == 2 + 2 * 5
+        # PATE's teachers (release's default of 5), each alone; binary LP-2ST
+        # trains no stage-1 model.
+        assert len(seen["mechanisms"]) == 2 * 5
         assert all(ds.labels.ndim == 1 for ds in seen["mechanisms"])
 
     def test_stack_rows_and_reports_in_config_order(self, stacked_ctr):
@@ -390,7 +393,12 @@ class TestCtrStackedFit:
         assert [(r.cell["mechanism"], r.cell["epsilon"]) for r in reports] == [
             ("constant-baseline", math.inf), *cells
         ]
-        kept = [ds.labels for ds in seen["released"][:6]]
+        # Cells in config order: rr inf, rr 1, lp2st inf, lp2st 1, alibi inf,
+        # alibi 1; the epsilon-inf releases after rr's are its duplicates.
+        released = [ds.labels for ds in seen["released"][:6]]
+        for duplicate in (2, 4):
+            np.testing.assert_array_equal(released[duplicate], released[0])
+        kept = [released[i] for i in (0, 1, 3, 5)]
         np.testing.assert_array_equal(seen["experiments"][0].labels, np.stack(kept))
 
     def test_stacked_models_match_fits_alone(self, stacked_ctr):
@@ -403,6 +411,61 @@ class TestCtrStackedFit:
             assert worst <= 1e-12 * np.max(np.abs(alone.weights))
             np.testing.assert_allclose(model.loss_history, alone.loss_history,
                                        rtol=1e-12, atol=0)
+
+
+class TestFitReleasedDeduplicates:
+    """_fit_released fits each distinct label vector of a feature group once."""
+
+    HYPER = LogisticHyper(iterations=20)
+
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """Five released sets: four over one feature array, whose third label
+        vector repeats the first (as a separate array), and one over a copy of
+        that array with the first vector again. Returns the sets, their
+        seeds, the models and every stack train_logistic was given."""
+        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 40, seed=6)
+        rng = np.random.default_rng(6)
+        a, b, c = (rng.integers(0, 3, 40) for _ in range(3))
+        released = [ds.with_labels(v) for v in (a, b, a.copy(), c)]
+        released.append(Dataset(ds.features.copy(), a, 3))
+        seeds = [101, 102, 103, 104, 105]
+        stacks = []
+
+        def recording(train, hyper, seed=0):
+            stacks.append(train)
+            return train_logistic(train, hyper, seed)
+
+        monkeypatch.setattr(experiments, "train_logistic", recording)
+        models = experiments._fit_released(released, self.HYPER, seeds)
+        return released, seeds, models, stacks
+
+    def test_a_repeated_vector_is_fit_once(self, fitted):
+        released, _, _, stacks = fitted
+        shared, other = stacks
+        assert shared.features is released[0].features
+        np.testing.assert_array_equal(
+            shared.labels, np.stack([released[i].labels for i in (0, 1, 3)])
+        )
+        # Another feature array is its own group, even with an equal vector.
+        assert other.features is released[4].features and other.labels.shape == (1, 40)
+
+    def test_duplicates_share_their_representatives_fit(self, fitted):
+        _, seeds, models, _ = fitted
+        assert [m.seed for m in models] == seeds
+        first, duplicate = models[0], models[2]
+        assert duplicate is not first
+        for name in ("weights", "mu", "sd"):
+            assert getattr(duplicate, name).tobytes() == getattr(first, name).tobytes()
+        assert duplicate.loss_history == first.loss_history
+        assert duplicate.num_classes == first.num_classes == 3
+
+    def test_every_model_matches_its_fit_alone(self, fitted):
+        released, seeds, models, _ = fitted
+        for train, seed, model in zip(released, seeds, models):
+            alone = train_logistic(train, self.HYPER, seed)
+            worst = np.max(np.abs(model.weights - alone.weights))
+            assert worst <= 1e-12 * np.max(np.abs(alone.weights))
 
 
 class TestCheckFunctions:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import labeldp.mechanisms as mechanisms
 from labeldp.data import Dataset, gen_mixture, MixtureModel
 from labeldp.mechanisms import (
     BASIC,
@@ -19,7 +20,7 @@ from labeldp.mechanisms import (
     release,
     rr_with_prior,
 )
-from labeldp.models import LogisticHyper
+from labeldp.models import LogisticHyper, train_logistic
 from labeldp.rng import substream
 
 FAST = LogisticHyper(iterations=30)
@@ -157,6 +158,58 @@ class TestLpMst:
         b = lp_mst(ds, 1.0, top_k=2, hyper=FAST, seed=8)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.diagnostics == b.diagnostics
+
+    @staticmethod
+    def trained_stage_one(train, epsilon, top_k, seed):
+        """Oracle: LP-2ST with its stage-1 model always trained, and that
+        model's prior passed to rr_with_prior. Returns the release and the
+        prior."""
+        n, k = len(train), train.num_classes
+        perm = substream(seed, "lp-mst-split").permutation(n)
+        idx1, idx2 = perm[: n // 2], perm[n // 2:]
+        private1 = randomized_response(train.labels[idx1], k, epsilon, seed)
+        model1 = train_logistic(Dataset(train.features[idx1], private1, k), FAST, seed)
+        prior = model1.predict_proba(train.features[idx2])
+        private = np.empty(n, dtype=np.int64)
+        private[idx1] = private1
+        private[idx2] = rr_with_prior(train.labels[idx2], prior, top_k, epsilon, seed)
+        return private, prior
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Every train_logistic call lp_mst makes."""
+        calls = []
+
+        def counted(train, hyper, seed=0):
+            calls.append(train)
+            return train_logistic(train, hyper, seed)
+
+        monkeypatch.setattr(mechanisms, "train_logistic", counted)
+        return calls
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0, math.inf])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_binary_top_two_trains_nothing_and_matches_the_trained_prior(
+        self, fits, epsilon, seed
+    ):
+        """With k = top_k = 2 the stage-1 prior cannot pick a label, so the
+        release with no stage-1 model equals the one with it, bit for bit."""
+        ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 61, seed=seed)
+        report = lp_mst(ds, epsilon, top_k=2, hyper=FAST, seed=seed)
+        assert fits == []
+        expected, prior = self.trained_stage_one(ds, epsilon, 2, seed)
+        # The trained prior ranks the classes both ways across rows, so the
+        # equality does not hold by a constant order alone.
+        assert set(np.argmax(prior, axis=1)) == {0, 1}
+        assert report.labels.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k, top_k", [(3, 2), (3, 3), (2, 1)])
+    def test_prior_that_picks_labels_is_trained(self, fits, k, top_k):
+        ds, _ = gen_mixture(MixtureModel(k, 4, 1.0), 60, seed=5)
+        report = lp_mst(ds, 1.0, top_k=top_k, hyper=FAST, seed=3)
+        assert len(fits) == 1 and len(fits[0]) == 30
+        expected, _ = self.trained_stage_one(ds, 1.0, top_k, 3)
+        assert report.labels.tobytes() == expected.tobytes()
 
 
 class TestAlibi:

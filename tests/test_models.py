@@ -289,8 +289,9 @@ class TestBlockedScoring:
 
 
 class TestScalerAtTheTopOfTheSigmaRange:
-    """Squared deviations of a column near 1e154 overflow; its sd must come
-    out finite, and every other column's sd must keep features.std's bits."""
+    """Squared deviations of a column near 1e154 overflow, and so does the
+    sum of one near 1e308; its mean and sd must come out finite, and every
+    other column's must keep features.mean's and features.std's bits."""
 
     def test_huge_column_gets_a_finite_sd(self):
         rng = np.random.default_rng(3)
@@ -308,6 +309,29 @@ class TestScalerAtTheTopOfTheSigmaRange:
         assert math.isclose(sd[1], 9e153 * (features[:, 1] / 9e153).std(), rel_tol=1e-12)
         design = _design(features, mu, sd)
         assert np.isfinite(design).all() and np.abs(design[:, 1]).max() > 0.5
+
+    def test_column_whose_sum_overflows_gets_a_finite_mean(self):
+        """Cells near 1e308: the column's sum leaves float64, and so do some
+        of its deviations from the mean."""
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(4, 3))
+        features[:, 0] = [1e308, 1.5e308, -1e308, 1.7e308]
+        mu, sd = _fit_scaler(features)  # filterwarnings = error: no overflow warning
+        assert np.isfinite(mu).all() and np.isfinite(sd).all()
+        kept = [1, 2]
+        assert mu[kept].tobytes() == features[:, kept].mean(axis=0).tobytes()
+        assert sd[kept].tobytes() == features[:, kept].std(axis=0).tobytes()
+        scale = 1.7e308
+        assert mu[0] == scale * (features[:, 0] / scale).mean()
+        assert sd[0] == scale * (features[:, 0] / scale).std()
+        design = _design(features, mu, sd)
+        assert np.isfinite(design).all()
+        np.testing.assert_allclose(design[:, 0], (features[:, 0] / scale - mu[0] / scale)
+                                   / (sd[0] / scale), rtol=1e-14)
+        # A design whose deviations stay in range keeps the subtract-first bits.
+        assert _design(features[:, kept], mu[kept], sd[kept])[:, :2].tobytes() == (
+            np.ascontiguousarray((features[:, kept] - mu[kept]) / sd[kept]).tobytes()
+        )
 
 
 class TestStackedTraining:
