@@ -23,6 +23,9 @@ class CsvFormatError(ValueError):
     """Raised when a dataset CSV violates the documented format."""
 
 
+# Entries of a feature array whose finiteness _first_non_finite tests at a
+# time: a 64 KiB mask.
+_FINITE_BLOCK_ENTRIES = 2**16
 # 2**63: CSV labels lie in [-_INT64_END, _INT64_END), the floats that fit int64.
 _INT64_END = 2.0**63
 
@@ -32,6 +35,17 @@ def _first_false(ok: np.ndarray) -> tuple | None:
     if ok.all():
         return None
     return tuple(int(i) for i in np.argwhere(~ok)[0])
+
+
+def _first_non_finite(x: np.ndarray) -> tuple | None:
+    """_first_false(np.isfinite(x)) for a 2-D array, checked a block of
+    rows at a time, so the mask never exceeds _FINITE_BLOCK_ENTRIES."""
+    rows = max(1, _FINITE_BLOCK_ENTRIES // max(1, x.shape[1]))
+    for start in range(0, x.shape[0], rows):
+        bad = _first_false(np.isfinite(x[start:start + rows]))
+        if bad is not None:
+            return start + bad[0], bad[1]
+    return None
 
 
 def _first_non_distribution(probs: np.ndarray) -> int | None:
@@ -316,7 +330,9 @@ def _read_csv(path: str, label_column: str | None) -> tuple[np.ndarray, np.ndarr
             parsed = _scan_rows(reader, path, header, label_idx)
 
     features, labels = parsed
-    bad = _first_false(np.isfinite(features))
+    # In row blocks: load_csv's Dataset checks the table again, with the one
+    # (n, d) mask it builds.
+    bad = _first_non_finite(features)
     if bad is not None:
         row, col = bad
         name = [h for i, h in enumerate(header) if i != label_idx][col]

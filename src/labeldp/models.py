@@ -138,26 +138,34 @@ def _design(features: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return design
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in `logits`."""
+def _softmax(logits: np.ndarray, shared: int = 0) -> np.ndarray:
+    """Softmax over the last axis, computed in place in `logits`. With
+    shared > 0 the last column stands for 1 + shared classes of equal logit:
+    it counts that many times in the normalizer and holds the probability
+    of each of them."""
     logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    total = probs.sum(axis=-1, keepdims=True)
+    if shared:
+        total += shared * probs[..., -1:]
+    probs /= total
     return probs
 
 
 def _softmax_loss(
-    logits: np.ndarray, labels: np.ndarray, with_resid: bool
+    logits: np.ndarray, labels: np.ndarray, with_resid: bool, shared: int = 0
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Cross-entropy of T label vectors from their (n, T, k) logits.
 
     labels is (T, n). Returns the (T,) summed cross-entropy, each true-class
     probability clamped below at PROB_CLAMP, and (when asked) the residual
     probs - onehot. One softmax pass, in place in `logits`; per-trial sums
-    run over contiguous vectors, as np.sum does for one fit.
+    run over contiguous vectors, as np.sum does for one fit. `shared` is
+    _softmax's: the extra classes the last column stands for, none of
+    which is a label.
     """
     n, trials, k = logits.shape
-    probs = _softmax(logits)
+    probs = _softmax(logits, shared)
     # Position of each (trial, row)'s true class in the flattened probs.
     true = (np.arange(n) * trials + np.arange(trials)[:, None]) * k + labels
     flat = probs.reshape(-1)
@@ -219,6 +227,7 @@ def _objective(
     gram: np.ndarray | None,
     targets: np.ndarray,
     with_grad: bool,
+    shared: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The (T,) mean cross-entropies of T stacked fits over one design, and
     (when asked) the descent direction: params -= lr * direction is one
@@ -231,6 +240,11 @@ def _objective(
     as (n, T, k) or (T, n). Then the logits are gram @ A_t, and the weight
     gradient design.T @ R_t / n, R_t the residual, is design.T @ (the
     coefficient direction R_t / n).
+
+    In the softmax form the last column may stand for `shared` more classes
+    than its own, as train_logistic's collapsed fits use it (see
+    _collapse_absent): they count in the normalizer, and the column's
+    direction is that of each of them.
     """
     n = design.shape[0]
     binary = params.ndim == 2
@@ -239,14 +253,40 @@ def _objective(
         logits = params @ basis.T
     else:
         logits = (basis @ params.reshape(len(params), -1)).reshape(n, *params.shape[1:])
-    kernel = _binary_loss if binary else _softmax_loss
-    loss, resid = kernel(logits, targets, with_grad)
+    if binary:
+        loss, resid = _binary_loss(logits, targets, with_grad)
+    else:
+        loss, resid = _softmax_loss(logits, targets, with_grad, shared)
     loss /= n
     if not with_grad:
         return loss, None
     grad = _transpose_product(design, resid) if gram is None else resid
     grad /= n
     return loss, grad
+
+
+def _collapse_absent(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """A (T, n) stack over k classes as a narrower problem in which every
+    class absent from a trial shares one column: (targets, columns, shared).
+
+    With j_t distinct classes in trial t, the problem has kc = max_t j_t + 1
+    columns. targets holds each label's rank among its trial's present
+    classes (in class order); in trial t, columns j_t .. kc-2 carry one
+    absent class each and the last column the other shared + 1 = k - kc + 1.
+    columns[t, c] is the column that class c of trial t takes its weights
+    from: its rank if present, the last column if absent. Where kc >= k
+    nothing narrows, and (labels, None, 0) comes back.
+    """
+    trials = labels.shape[0]
+    seen = np.zeros((trials, k), dtype=bool)
+    seen[np.arange(trials)[:, None], labels] = True
+    width = int(seen.sum(axis=1).max()) + 1
+    if width >= k:
+        return labels, None, 0
+    rank = np.cumsum(seen, axis=1)
+    rank -= 1
+    targets = np.take_along_axis(rank, labels, axis=1)
+    return targets, np.where(seen, rank, width - 1), k - width
 
 
 def _one_trial(weights, onehot):
@@ -359,6 +399,19 @@ def train_logistic(
     coefficient space instead (see _objective): one (n, n) product per
     iteration, with W = design.T @ A formed once at the end. It agrees with
     descent on the weights to 1e-12 relative in weights and loss history.
+
+    For k > 2, the classes absent from a trial's labels share one column
+    (see _collapse_absent). This is exact: two classes absent from trial t
+    have equal weight columns at W = 0; equal columns give equal logits and
+    probabilities, and with no one-hot entry both gradient columns are
+    design.T @ p_c / n, so the columns stay equal at every step, in weight
+    and in coefficient space. The loop then runs on kc = max_t j_t + 1
+    columns, j_t the number of distinct classes of trial t, with the last
+    one counted k - kc + 1 times in the softmax normalizer, and every absent
+    class of a model gets that column's weights, so their columns are equal
+    bit for bit and predict's ties still go to the lowest index. It agrees
+    with full-width descent to 1e-12 relative in weights and loss history.
+    Where kc >= k, and for k = 2, the arithmetic is that of the full width.
     """
     if len(train) < 1:
         raise ValueError("training set is empty")
@@ -384,14 +437,16 @@ def train_logistic(
     size = cols if gram is None else n
     # Descent from zero keeps W[:, 0] == -W[:, 1] for two classes, so the
     # binary form tracks the single column w = W[:, 1] of each trial.
+    columns, shared = None, 0
     if k == 2:
         targets, params = 2.0 * labels - 1.0, np.zeros((trials, size))
     else:
-        targets, params = labels, np.zeros((size, trials, k))
+        targets, columns, shared = _collapse_absent(labels, k)
+        params = np.zeros((size, trials, k - shared))
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = _objective(params, design, gram, targets, not last)
+        loss, grad = _objective(params, design, gram, targets, not last, shared)
         finite = np.isfinite(loss)
         if not finite.all():
             trial = f" in trial {int(np.argmin(finite))}" if stacked else ""
@@ -404,8 +459,10 @@ def train_logistic(
     weights = params if gram is None else _transpose_product(design, params)
     if k == 2:
         fitted = [np.column_stack([-w, w]) for w in weights]
-    else:
+    elif columns is None:
         fitted = [weights[:, t].copy() for t in range(trials)]
+    else:
+        fitted = [np.take(weights[:, t], columns[t], axis=1) for t in range(trials)]
     histories = np.array(history).T.tolist()
     models = [
         LogisticModel(w, mu, sd, k, seed=s, loss_history=h)

@@ -581,6 +581,62 @@ def test_load_csv_peak_memory_is_one_table(tmp_path, label_idx):
     assert peak < 1.25 * (ds.features.nbytes + ds.labels.nbytes)
 
 
+class TestBlockedFinitenessCheck:
+    """_read_csv checks its table for non-finite cells a block of rows at
+    a time."""
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (3275, 19), (3276, 0), (9999, 7), (None, None)])
+    def test_blocked_finiteness_check_matches_the_full_mask(self, row, col):
+        """_first_non_finite runs 2**16 // 20 = 3276 rows at a time; it must
+        name the first bad cell in row-major order, whichever block holds it."""
+        assert data._FINITE_BLOCK_ENTRIES // 20 == 3276
+        features = np.ones((10_000, 20))
+        if row is not None:
+            features[row, col] = -math.inf
+            features[9999, 19] = math.nan
+        expected = data._first_false(np.isfinite(features))
+        assert data._first_non_finite(features) == expected
+        assert expected is None if row is None else expected == (row, col)
+
+    def test_finiteness_check_holds_one_block_of_mask(self):
+        """tracemalloc sees numpy's buffers: the mask is one block, not
+        one bool per cell."""
+        features = np.ones((50_000, 20))
+        tracemalloc.start()
+        try:
+            assert data._first_non_finite(features) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * data._FINITE_BLOCK_ENTRIES < features.size
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["c-reader", "row-scan"])
+@pytest.mark.parametrize("row", [2, 5000])
+def test_non_finite_cell_past_the_first_block(tmp_path, quoted, row):
+    """8000 rows of 20 features: the finiteness check's first block is
+    3276 rows, and the message names the first bad cell wherever it lies."""
+    rng = np.random.default_rng(row)
+    names = [f"x{i}" for i in range(20)] + ["label"]
+    lines = [",".join(names)]
+    for i in range(8000):
+        cells = [repr(v) for v in rng.normal(size=20).tolist()] + [str(i % 3)]
+        if i == row:
+            cells[7] = "inf"
+        if i == 7000:
+            cells[3] = "nan"
+        lines.append(",".join(cells))
+    if quoted:  # a quote sends the file to the row scan
+        lines[1] = '"' + lines[1].replace(",", '",', 1)
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = f"{path}: row {row}, column 'x7': non-finite cell inf"
+    for load in (lambda p: load_csv(p, "label"), load_csv_features):
+        with pytest.raises(CsvFormatError) as err:
+            load(str(path))
+        assert str(err.value) == expected
+
+
 class TestSplit:
     def test_published_ratios(self):
         ds, _ = gen_mixture(MixtureModel(2, 2, 1.0), 100, seed=0)

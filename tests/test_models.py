@@ -487,6 +487,128 @@ class TestCoefficientSpace:
         assert str(err.value) == f"non-finite loss{trial} at iteration {iteration}"
 
 
+def coefficient_space_fit(ds, hyper):
+    """Descent on the coefficients A of W = design.T @ A over all k > 2
+    columns, the path train_logistic takes when n < 2(d+1), on any shape:
+    (weights per trial, loss history per trial)."""
+    labels = np.atleast_2d(ds.labels)
+    design = _design(ds.features, *_fit_scaler(ds.features))
+    lr = hyper.learning_rate or 0.9 * stability_threshold(ds)
+    gram = design @ design.T
+    params = np.zeros((len(ds), labels.shape[0], ds.num_classes))
+    history = []
+    for it in range(hyper.iterations + 1):
+        last = it == hyper.iterations
+        loss, grad = _objective(params, design, gram, labels, not last)
+        history.append(loss)
+        if not last:
+            params -= lr * grad
+    return [design.T @ a for a in params.transpose(1, 0, 2)], np.array(history).T
+
+
+def labels_with_counts(k, n, counts, rng):
+    """A (len(counts), n) label stack whose trial t holds exactly counts[t]
+    distinct classes out of k, drawn at random."""
+    stack = []
+    for count in counts:
+        classes = rng.choice(k, size=count, replace=False)
+        labels = np.concatenate([classes, rng.choice(classes, size=n - count)])
+        stack.append(rng.permutation(labels))
+    return np.array(stack)
+
+
+class TestAbsentClasses:
+    """For k > 2 the classes absent from a trial share one column; the fit
+    must agree with full-width descent, give every absent class the same
+    weights and fall back to the full width where nothing narrows."""
+
+    CASES = {
+        3: [[1], [1, 1, 1, 1, 1], [1, 3, 2, 1, 2]],
+        100: [[17], [1, 9, 30, 4, 22], [1, 9, 100, 4, 22]],
+    }
+
+    @staticmethod
+    def spy_widths(monkeypatch):
+        """Record, per _objective call, (coefficient space?, columns, shared)."""
+        calls = []
+        original = models._objective
+
+        def spy(params, design, gram, targets, with_grad, shared=0):
+            calls.append((gram is not None, params.shape[-1], shared))
+            return original(params, design, gram, targets, with_grad, shared)
+
+        monkeypatch.setattr(models, "_objective", spy)
+        return calls
+
+    @staticmethod
+    def problem(k, counts, coefficients, seed=41):
+        rng = np.random.default_rng([k, len(counts), max(counts), seed])
+        n = max(40, max(counts))
+        d = n if coefficients else 4
+        features = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0, d) + rng.normal(size=d)
+        labels = labels_with_counts(k, n, counts, rng)
+        return Dataset(features, labels if len(counts) > 1 else labels[0], k)
+
+    @pytest.mark.parametrize("coefficients", [False, True], ids=["weights", "coefficients"])
+    @pytest.mark.parametrize("k, counts", [(k, c) for k, cases in CASES.items() for c in cases])
+    def test_matches_full_width_descent(self, monkeypatch, k, counts, coefficients):
+        hyper = LogisticHyper(iterations=35)
+        ds = self.problem(k, counts, coefficients)
+        calls = self.spy_widths(monkeypatch)
+        fitted = train_logistic(ds, hyper, seed=0)
+        width = min(max(counts) + 1, k)
+        assert set(calls) == {(coefficients, width, k - width)}
+        fitted = fitted if len(counts) > 1 else [fitted]
+        oracle = coefficient_space_fit if coefficients else weight_space_fit
+        weights, histories = oracle(ds, hyper)
+        labels = np.atleast_2d(ds.labels)
+        for model, y, w, h in zip(fitted, labels, weights, histories, strict=True):
+            assert model.weights.shape == w.shape == (ds.dim + 1, k)
+            assert model.weights.flags.c_contiguous
+            assert_close_relative(model.weights, w)
+            np.testing.assert_allclose(model.loss_history, h, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(
+                model.predict(ds.features),
+                np.argmax(_design(ds.features, model.mu, model.sd) @ w, axis=1))
+            if width < k:  # the full width keeps no such guarantee
+                absent = np.setdiff1d(np.arange(k), y)
+                bits = model.weights[:, absent].T.view(np.uint64)
+                assert (bits == bits[:1]).all()
+
+    @pytest.mark.parametrize("k, counts", [(3, [2, 1, 2]), (100, [99, 50, 99])])
+    def test_one_class_absent_runs_the_full_width(self, monkeypatch, k, counts):
+        """kc = max_t j_t + 1 == k: nothing narrows, and the fit is the
+        full-width arithmetic bit for bit."""
+        hyper = LogisticHyper(iterations=20)
+        ds = self.problem(k, counts, coefficients=False)
+        calls = self.spy_widths(monkeypatch)
+        fitted = train_logistic(ds, hyper, seed=0)
+        assert set(calls) == {(False, k, 0)}
+        weights, histories = weight_space_fit(ds, hyper)
+        for model, w, h in zip(fitted, weights, histories, strict=True):
+            np.testing.assert_array_equal(model.weights, w)
+            assert model.loss_history == h.tolist()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("n, seed, coefficients, iteration", [
+        pytest.param(5, 0, True, 7, id="coefficients"),
+        pytest.param(10, 2, False, 12, id="weights"),
+    ])
+    def test_divergence_names_trial_and_iteration(
+        self, monkeypatch, stacked, n, seed, coefficients, iteration
+    ):
+        # As in TestCoefficientSpace, the collapsed and the full-width
+        # fits round differently, so they may diverge at other iterations.
+        features, labels = conflicting_rows(100, n, seed)
+        calls = self.spy_widths(monkeypatch)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            train_logistic(Dataset(features, labels if stacked else labels[2], 100), OVERFLOW)
+        [(space, width, shared)] = set(calls)
+        assert space == coefficients and width <= n + 1 and shared == 100 - width
+        trial = " in trial 2" if stacked else ""
+        assert str(err.value) == f"non-finite loss{trial} at iteration {iteration}"
+
+
 class TestAnalyticModels:
     def test_bayes_equidistant_point_is_symmetric(self):
         cond = MixtureModel(2, 4, 1.0).conditional()
