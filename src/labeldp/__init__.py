@@ -1,7 +1,7 @@
 """Label-DP training mechanisms, label inference attacks, and the bounds
 that relate the two through attack advantage."""
 
-from .attacks import AdversaryKnowledge, InferredLabels, marginal_guess, prior_attack, spa
+from .attacks import AdversaryKnowledge, InferredLabels, marginal_guess, spa
 from .data import (
     Conditional,
     CsvFormatError,
@@ -33,8 +33,8 @@ from .metrics import (
     MetricsReport,
     UtilitySpec,
     advantage_bound,
+    bound_factor,
     calibrate_epsilon,
-    dp_generalization_gap_bound,
     eau_empirical,
     eau_monte_carlo,
     hoeffding_lower_bound,
@@ -43,14 +43,13 @@ from .metrics import (
     reconstruction_bound,
     universal_bound,
     utility,
-    weak_threat_bound,
 )
 from .models import (
+    BayesModel,
+    ConstantModel,
     LogisticHyper,
     Model,
     TrainingDivergedError,
-    bayes_model,
-    constant_model,
     load_model,
     log_loss,
     majority_table,

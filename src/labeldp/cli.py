@@ -130,7 +130,7 @@ def _term(args, name: str):
 BOUNDS = {
     "universal": lambda a: metrics.universal_bound(a.epsilon, a.delta, _term(a, "B")),
     "advantage": lambda a: metrics.advantage_bound(a.epsilon, a.delta, _term(a, "exp_sup")),
-    "weak-threat": lambda a: metrics.weak_threat_bound(a.epsilon, a.delta, _term(a, "exp_sup")),
+    "weak-threat": lambda a: metrics.advantage_bound(a.epsilon, a.delta, _term(a, "exp_sup")),
     "generalization": lambda a: metrics.bound_factor(a.epsilon, a.delta),
     "reconstruction": lambda a: metrics.reconstruction_bound(
         a.epsilon, a.delta, _term(a, "domain_size")),

@@ -69,6 +69,13 @@ def _check_mechanisms(names) -> None:
             raise ValueError(f"unknown mechanism {name!r}")
 
 
+def _check_grids(config, names) -> None:
+    """An empty grid would run no cell and write an empty result file."""
+    for name in names:
+        if not len(getattr(config, name)):
+            raise ValueError(f"{name} must not be empty")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Gaussian-mixture study grid; defaults match the published protocol
@@ -86,6 +93,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_grids(self, ("class_counts", "sigmas", "epsilons"))
         for name in ("dim", "n", "feature_redraws", "iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -186,7 +194,6 @@ def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
     the call; the caller's count is restored when the call returns or
     raises. Results do not depend on the thread count."""
     spec = UtilitySpec.zero_one()
-    attack = lambda knowledge: spa(knowledge, spec)  # noqa: E731
     reports = []
     for mi, m in enumerate(config.class_counts):
         for si, sigma in enumerate(config.sigmas):
@@ -211,7 +218,6 @@ def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
                         conditional,
                         features,
                         pipeline,
-                        attack,
                         spec,
                         config.trials,
                         derive_seed(config.seed, "sim-mc", mi, si, rep, ei),
@@ -239,6 +245,7 @@ class Thm1Config:
     seed: int = 0
 
     def __post_init__(self):
+        _check_grids(self, ("n_values",))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if self.trials < 1:

@@ -128,16 +128,16 @@ def eau_monte_carlo(
     conditional: Conditional,
     features: np.ndarray,
     pipeline: Callable[[np.ndarray, np.ndarray, list], Sequence[Model]],
-    attack: Callable,
     spec: UtilitySpec,
     trials: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Monte-Carlo EAU with the feature matrix held fixed.
+    """Monte-Carlo EAU of the simple prediction attack (attacks.spa) with the
+    feature matrix held fixed.
 
     Per trial: resample labels from the conditional, run the training
-    pipeline, run the attack on the adversary's knowledge, and record the
-    mean row utility. Returns (mean, stderr) over trials with the unbiased
+    pipeline, run spa on the released model, and record the mean row
+    utility. Returns (mean, stderr) over trials with the unbiased
     sample standard deviation; trials accumulate in index order so the
     result is schedule-independent.
 
@@ -147,7 +147,7 @@ def eau_monte_carlo(
     labels[b] with seeds[b]. Trial t's labels and seed come from substreams
     keyed by t alone, so the block size changes no draw.
     """
-    from .attacks import AdversaryKnowledge  # local import to avoid a cycle
+    from .attacks import AdversaryKnowledge, spa  # local import to avoid a cycle
 
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
@@ -168,13 +168,7 @@ def eau_monte_carlo(
                 f"pipeline returned {len(models)} models for {len(block_trials)} label vectors"
             )
         for t, trial_labels, model in zip(block_trials, labels, models):
-            knowledge = AdversaryKnowledge(
-                features=features,
-                model=model,
-                conditional=conditional,
-                marginal=spec.marginal if spec.kind == WEIGHTED else None,
-            )
-            inferred = attack(knowledge)
+            inferred = spa(AdversaryKnowledge(features, model), spec)
             values[t] = eau_empirical(inferred, trial_labels, spec)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials))
@@ -221,7 +215,8 @@ def advantage_bound(epsilon: float, delta: float, exp_sup_utility: float) -> flo
     """Distribution-dependent advantage bound: factor times the expected
     supremum utility (1/n) sum_i E[sup_y u(y, y_i) | x_i]. In the
     feature-unaware threat model the same factor applies to the unconditional
-    expected supremum utility, so weak_threat_bound is this function."""
+    expected supremum utility, so this is that bound too (the CLI's
+    weak-threat kind)."""
     if not exp_sup_utility >= 0:
         raise ValueError(f"exp_sup_utility must be >= 0, got {exp_sup_utility}")
     if math.isinf(exp_sup_utility):
@@ -234,10 +229,6 @@ def universal_bound(epsilon: float, delta: float, utility_bound: float) -> float
     if not 0 < utility_bound < math.inf:
         raise ValueError(f"utility_bound must be positive and finite, got {utility_bound}")
     return bound_factor(epsilon, delta) * utility_bound
-
-
-dp_generalization_gap_bound = bound_factor
-weak_threat_bound = advantage_bound
 
 
 def reconstruction_bound(epsilon: float, delta: float, domain_size: float) -> float:

@@ -289,30 +289,6 @@ def _collapse_absent(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return targets, np.where(seen, rank, width - 1), k - width
 
 
-def _one_trial(weights, onehot):
-    """_objective's arguments for one fit given as a (d+1, k) weight matrix
-    and (n, k) one-hot targets."""
-    labels = np.argmax(onehot, axis=1)
-    if not np.array_equal(onehot, np.eye(onehot.shape[1])[labels]):
-        raise ValueError("onehot must hold one 1 per row and 0 elsewhere")
-    return np.asarray(weights, dtype=np.float64)[:, None, :], labels[None, :]
-
-
-def cross_entropy_loss(weights: np.ndarray, design: np.ndarray, onehot: np.ndarray) -> float:
-    """Mean cross-entropy of a (d+1, k) weight matrix on an (n, d+1) design.
-
-    This is the training objective; the finite-difference gradient oracle in
-    the test suite differentiates exactly this function.
-    """
-    weights, labels = _one_trial(weights, onehot)
-    return float(_objective(weights, design, None, labels, False)[0][0])
-
-
-def cross_entropy_grad(weights: np.ndarray, design: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    weights, labels = _one_trial(weights, onehot)
-    return _objective(weights, design, None, labels, True)[1][:, 0]
-
-
 def stability_threshold(train: Dataset) -> float:
     """Largest learning rate with guaranteed non-increasing loss.
 
@@ -501,10 +477,6 @@ class ConstantModel(Model):
         return np.tile(self.probs, (n, 1))
 
 
-bayes_model = BayesModel
-constant_model = ConstantModel
-
-
 def _row_words(*blocks: np.ndarray) -> np.ndarray:
     """The rows of 2-D float64 arrays, stacked, as native uint64 words: each
     cell's bytes after + 0.0 (-0.0 becomes 0.0) read big-endian, so comparing
@@ -614,7 +586,7 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
-    """Read a model written by save_model. A missing, non-numeric,
+    """Read a model written by save_model. A missing, repeated, non-numeric,
     non-finite or inconsistent field raises ValueError naming the path and
     the field."""
     fields: dict[str, str] = {}
@@ -623,6 +595,8 @@ def load_model(path: str) -> Model:
             line = line.strip()
             if line:
                 key, _, value = line.partition(" ")
+                if key in fields:
+                    raise ValueError(f"{path}: field {key!r} appears more than once")
                 fields[key] = value
     kind = fields.get("kind")
     if kind not in ("logistic", "constant"):

@@ -10,22 +10,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from labeldp.attacks import AdversaryKnowledge, marginal_guess, prior_attack
+from labeldp.attacks import AdversaryKnowledge, marginal_guess
 from labeldp.cli import main as cli_main
 from labeldp.data import Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import alibi, randomized_response
 from labeldp.metrics import (
     UtilitySpec,
     advantage_bound,
+    bound_factor,
     calibrate_epsilon,
-    dp_generalization_gap_bound,
     eau_empirical,
     eau_monte_carlo,
     hoeffding_lower_bound,
     leau_exact,
     reconstruction_bound,
     universal_bound,
-    weak_threat_bound,
 )
 from labeldp.experiments import (
     CtrConfig,
@@ -36,7 +35,8 @@ from labeldp.experiments import (
     run_simulation,
     run_thm1_demo,
 )
-from labeldp.models import cross_entropy_grad, cross_entropy_loss, log_loss
+from labeldp.models import BayesModel, ConstantModel, log_loss
+from test_models import cross_entropy_grad, cross_entropy_loss
 
 mpmath.mp.dps = 40
 
@@ -58,8 +58,7 @@ def test_criterion_1_closed_form_bound_suite():
             ref = float(1 - 2 / (1 + mpmath.exp(eps)) * (1 - mpmath.mpf(delta)))
             ok &= abs(advantage_bound(eps, delta, 0.8) - ref * 0.8) < 1e-12
             ok &= abs(universal_bound(eps, delta, 3.0) - ref * 3.0) < 1e-12
-            ok &= abs(weak_threat_bound(eps, delta, 0.8) - ref * 0.8) < 1e-12
-            ok &= abs(dp_generalization_gap_bound(eps, delta) - ref) < 1e-12
+            ok &= abs(bound_factor(eps, delta) - ref) < 1e-12
             recon_ref = float(1 - mpmath.exp(-mpmath.mpf(eps)) + mpmath.mpf(delta) * 100)
             ok &= abs(reconstruction_bound(eps, delta, 100) - recon_ref) < 1e-12
             if eps > 0:
@@ -151,7 +150,6 @@ def test_criterion_5_ctr_study():
     )
 
     from labeldp.data import gen_skewed_binary, split
-    from labeldp.models import constant_model
     from labeldp.rng import derive_seed
 
     ds, _ = gen_skewed_binary(config.source, config.n, derive_seed(config.seed, "ctr-data"))
@@ -161,11 +159,11 @@ def test_criterion_5_ctr_study():
     # (c) evaluates the constant baseline over all 1e5 rows, where the
     # +-0.005 window is 2.6 sigma of the empirical-marginal noise.
     entropy_003 = 0.13474216817976674
-    baseline_loss = log_loss(constant_model(marginal), ds)
+    baseline_loss = log_loss(ConstantModel(marginal), ds)
     ok_c = abs(baseline_loss - entropy_003) < 0.005
     spec = UtilitySpec.weighted(marginal)
     knowledge = AdversaryKnowledge(
-        features=train.features, model=constant_model(marginal), marginal=marginal
+        features=train.features, model=ConstantModel(marginal), marginal=marginal
     )
     guess = marginal_guess(knowledge, spec)
     guess_eau = eau_empirical(guess, train.labels, spec)
@@ -184,19 +182,16 @@ def test_criterion_6_oracle_consistency():
     ok = True
     details = []
 
-    # (i) Monte-Carlo prior attack vs exact L-EAU on 6 mixture configurations.
-    from labeldp.models import constant_model
-
+    # (i) Monte-Carlo SPA on the released exact conditional (the Bayes
+    # classifier, label-independent) vs exact L-EAU on 6 mixture configurations.
     for m, sigma in [(2, 1.0), (2, 10.0), (2, 100.0), (100, 1.0), (100, 10.0), (100, 100.0)]:
         ds, cond = gen_mixture(MixtureModel(m, 100, sigma), 50, seed=31)
         spec = UtilitySpec.zero_one()
 
-        def pipeline(features, labels, seeds, m=m):
-            return [constant_model(np.full(m, 1.0 / m)) for _ in labels]
+        def pipeline(features, labels, seeds, cond=cond):
+            return [BayesModel(cond) for _ in labels]
 
-        est, se = eau_monte_carlo(
-            cond, ds.features, pipeline, prior_attack, spec, trials=200, seed=37
-        )
+        est, se = eau_monte_carlo(cond, ds.features, pipeline, spec, trials=200, seed=37)
         exact = leau_exact(cond, ds.features, spec)
         close = abs(est - exact) <= 3.0 * max(se, 1e-12)
         ok &= close

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from labeldp.attacks import AdversaryKnowledge, InferredLabels, marginal_guess, prior_attack, spa
+from labeldp.attacks import AdversaryKnowledge, InferredLabels, marginal_guess, spa
 from labeldp.data import Conditional, MixtureModel, gen_mixture
 from labeldp.metrics import UtilitySpec, eau_empirical
-from labeldp.models import bayes_model, constant_model, majority_table
+from labeldp.models import BayesModel, ConstantModel, majority_table
 
 
 class FixedScoreModel:
@@ -40,34 +40,36 @@ class TestSpa:
 
     def test_zero_one_equals_weighted_under_uniform_marginal(self):
         ds, cond = gen_mixture(MixtureModel(4, 5, 2.0), 200, seed=1)
-        knowledge = AdversaryKnowledge(features=ds.features, model=bayes_model(cond))
+        knowledge = AdversaryKnowledge(features=ds.features, model=BayesModel(cond))
         a = spa(knowledge, UtilitySpec.zero_one())
         b = spa(knowledge, UtilitySpec.weighted([0.25] * 4))
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_missing_model_rejected(self):
-        cond = MixtureModel(2, 2, 1.0).conditional()
-        knowledge = AdversaryKnowledge(features=np.zeros((3, 2)), conditional=cond)
         with pytest.raises(ValueError, match="model"):
-            spa(knowledge, UtilitySpec.zero_one())
+            AdversaryKnowledge(features=np.zeros((3, 2)), model=None)
 
     def test_one_hot_constant_predicts_that_class_everywhere(self):
-        model = constant_model([0.0, 1.0])
+        model = ConstantModel([0.0, 1.0])
         knowledge = AdversaryKnowledge(features=np.zeros((8, 2)), model=model)
         assert np.all(spa(knowledge, UtilitySpec.zero_one()).labels == 1)
 
 
-class TestPriorAttack:
+def bayes_spa(features, cond, marginal=None):
+    """SPA on the released exact conditional: the Bayes-classifier attack."""
+    knowledge = AdversaryKnowledge(features, BayesModel(cond), marginal=marginal)
+    return spa(knowledge, UtilitySpec.zero_one()).labels
+
+
+class TestSpaOnBayesModel:
     def test_deterministic_conditional_is_perfect(self):
         cond = Conditional(2, lambda X: np.column_stack([X[:, 0] < 0, X[:, 0] >= 0]).astype(float))
         X = np.array([[-1.0], [1.0], [2.0], [-3.0]])
-        knowledge = AdversaryKnowledge(features=X, conditional=cond)
-        np.testing.assert_array_equal(prior_attack(knowledge).labels, [0, 1, 1, 0])
+        np.testing.assert_array_equal(bayes_spa(X, cond), [0, 1, 1, 0])
 
     def test_uniform_conditional_ties_to_class_zero(self):
         cond = Conditional(3, lambda X: np.full((X.shape[0], 3), 1.0 / 3.0))
-        knowledge = AdversaryKnowledge(features=np.zeros((5, 1)), conditional=cond)
-        assert np.all(prior_attack(knowledge).labels == 0)
+        assert np.all(bayes_spa(np.zeros((5, 1)), cond) == 0)
 
     def test_mixture_boundary_matches_brute_force(self):
         """Oracle: densities computed from scratch; the decision follows the
@@ -76,36 +78,26 @@ class TestPriorAttack:
         cond = model.conditional()
         rng = np.random.default_rng(5)
         X = rng.normal(size=(100, 6), scale=2.0)
-        knowledge = AdversaryKnowledge(features=X, conditional=cond)
-        out = prior_attack(knowledge).labels
+        out = bayes_spa(X, cond)
         means = model.means()
         expected = np.array(
             [np.argmin([np.sum((x - mu) ** 2) for mu in means]) for x in X]
         )
         np.testing.assert_array_equal(out, expected)
 
-    def test_invariant_to_released_model(self):
+    def test_is_the_argmax_of_the_conditional_whatever_the_marginal(self):
         ds, cond = gen_mixture(MixtureModel(3, 4, 1.0), 100, seed=2)
-        base = prior_attack(AdversaryKnowledge(features=ds.features, conditional=cond))
-        for model in (constant_model([1.0, 0.0, 0.0]), majority_table(ds)):
-            with_model = prior_attack(
-                AdversaryKnowledge(features=ds.features, model=model, conditional=cond)
-            )
-            np.testing.assert_array_equal(with_model.labels, base.labels)
-
-    def test_missing_conditional_rejected(self):
-        knowledge = AdversaryKnowledge(
-            features=np.zeros((2, 2)), model=constant_model([0.5, 0.5])
-        )
-        with pytest.raises(ValueError, match="conditional"):
-            prior_attack(knowledge)
+        base = bayes_spa(ds.features, cond)
+        np.testing.assert_array_equal(base, np.argmax(cond(ds.features), axis=1))
+        for marginal in ([1.0, 0.0, 0.0], [0.2, 0.3, 0.5]):
+            np.testing.assert_array_equal(bayes_spa(ds.features, cond, marginal), base)
 
 
 class TestMarginalGuess:
     def test_skewed_marginal_predicts_majority(self):
         knowledge = AdversaryKnowledge(
             features=np.zeros((100, 1)),
-            model=constant_model([0.5, 0.5]),
+            model=ConstantModel([0.5, 0.5]),
             marginal=np.array([0.97, 0.03]),
         )
         out = marginal_guess(knowledge, UtilitySpec.zero_one())
@@ -117,10 +109,10 @@ class TestMarginalGuess:
     def test_uniform_marginal_ties_to_class_zero(self):
         knowledge = AdversaryKnowledge(
             features=np.zeros((4, 1)),
-            model=constant_model([0.5, 0.5]),
+            model=ConstantModel([0.5, 0.5]),
             marginal=np.array([0.5, 0.5]),
         )
-        assert np.all(marginal_guess(knowledge).labels == 0)
+        assert np.all(marginal_guess(knowledge, UtilitySpec.zero_one()).labels == 0)
 
     def test_weighted_utility_makes_naive_strategies_worth_half(self):
         """All-0, all-1, and marginal-random guessing all attain a weighted
@@ -142,15 +134,15 @@ class TestMarginalGuess:
 
     def test_missing_marginal_rejected(self):
         knowledge = AdversaryKnowledge(
-            features=np.zeros((2, 1)), model=constant_model([0.5, 0.5])
+            features=np.zeros((2, 1)), model=ConstantModel([0.5, 0.5])
         )
         with pytest.raises(ValueError, match="marginal"):
-            marginal_guess(knowledge)
+            marginal_guess(knowledge, UtilitySpec.zero_one())
 
 
 class TestKnowledgeContainer:
-    def test_requires_model_or_conditional(self):
-        with pytest.raises(ValueError):
+    def test_requires_model(self):
+        with pytest.raises(TypeError, match="model"):
             AdversaryKnowledge(features=np.zeros((2, 2)))
 
     @pytest.mark.parametrize("marginal", [
@@ -158,13 +150,14 @@ class TestKnowledgeContainer:
     ])
     def test_marginal_must_be_a_probability_vector(self, marginal):
         with pytest.raises(ValueError, match="marginal must be a probability vector"):
-            AdversaryKnowledge(np.zeros((2, 1)), constant_model([0.5, 0.5]), marginal=marginal)
+            AdversaryKnowledge(np.zeros((2, 1)), ConstantModel([0.5, 0.5]), marginal=marginal)
 
     def test_marginal_may_have_zero_entries(self):
         knowledge = AdversaryKnowledge(
-            np.zeros((3, 1)), constant_model([0.5, 0.5]), marginal=[0.0, 1.0]
+            np.zeros((3, 1)), ConstantModel([0.5, 0.5]), marginal=[0.0, 1.0]
         )
-        np.testing.assert_array_equal(marginal_guess(knowledge).labels, [1, 1, 1])
+        labels = marginal_guess(knowledge, UtilitySpec.zero_one()).labels
+        np.testing.assert_array_equal(labels, [1, 1, 1])
 
     def test_inferred_labels_validate(self):
         with pytest.raises(ValueError):

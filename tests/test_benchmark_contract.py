@@ -5,6 +5,7 @@ These checks read perfbench/tracer.py's tables without installing it."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,25 @@ def test_thm1_runs_through_its_traced_layers(monkeypatch):
     experiments.run_thm1_demo(experiments.Thm1Config(n_values=(4,), trials=2, seed=0))
     assert calls["majority_table"] >= 1, calls
     assert calls["predict_proba"] >= 1, calls
+
+
+def test_simulation_runs_through_spa(monkeypatch):
+    """The sim-mc workload traces attacks.spa as every labeldp module holds
+    it; a Monte-Carlo loop that inlines the attack would leave that layer
+    empty."""
+    attacks = importlib.import_module("labeldp.attacks")
+    experiments = importlib.import_module("labeldp.experiments")
+    original = attacks.spa
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("labeldp") and getattr(module, "spa", None) is original:
+            monkeypatch.setattr(module, "spa", counted)
+    experiments.run_simulation(experiments.SimulationConfig(
+        class_counts=(2,), dim=3, sigmas=(1.0,), n=10, trials=2, epsilons=(1.0,),
+        iterations=3))
+    assert calls

@@ -420,16 +420,21 @@ class TestPrivatizeAndAttack:
         ]
         assert not out_csv.exists()
 
-    def test_attack_rejects_malformed_model_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("kind logistic\nclasses 2\n", "logistic model has no 'features' field"),
+        ("kind constant\nclasses 2\nprobs 0.5 0.5\nprobs 0.1 0.9\n",
+         "field 'probs' appears more than once"),
+    ])
+    def test_attack_rejects_malformed_model_file(self, tmp_path, capsys, text, message):
         model_path = tmp_path / "m.txt"
-        model_path.write_text("kind logistic\nclasses 2\n")
+        model_path.write_text(text)
         data_csv = tmp_path / "d.csv"
         write_csv(gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=0)[0], str(data_csv))
         out_csv = tmp_path / "o.csv"
         code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
                                "--input", str(data_csv), "--output", str(out_csv))
         assert code == 1
-        assert err.splitlines() == [f"error: {model_path}: logistic model has no 'features' field"]
+        assert err.splitlines() == [f"error: {model_path}: {message}"]
         assert not out_csv.exists()
 
     def test_privatize_missing_column_fails(self, tmp_path, capsys):
@@ -624,6 +629,20 @@ class TestHarnessCommands:
                                  "--output", str(tmp_path / "x.csv"))
         assert code == 1 and out == ""
         assert err.startswith("error: " + expected) and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "class_counts"), ("simulate", "sigmas"), ("simulate", "epsilons"),
+        ("thm1", "n_values"),
+    ])
+    def test_empty_grid_in_config_file_rejected(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: []}))
+        out_file = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), "--check",
+                               "--output", str(out_file))
+        assert code == 1
+        assert err.splitlines() == [f"error: {key} must not be empty"]
+        assert not out_file.exists()
 
     def test_config_file_must_hold_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labeldp import metrics
-from labeldp.attacks import AdversaryKnowledge, marginal_guess, prior_attack, spa
+from labeldp.attacks import AdversaryKnowledge, marginal_guess
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import randomized_response
 from labeldp.metrics import (
@@ -16,7 +16,6 @@ from labeldp.metrics import (
     best_response,
     bound_factor,
     calibrate_epsilon,
-    dp_generalization_gap_bound,
     eau_empirical,
     eau_monte_carlo,
     expected_utilities,
@@ -26,9 +25,8 @@ from labeldp.metrics import (
     reconstruction_bound,
     universal_bound,
     utility,
-    weak_threat_bound,
 )
-from labeldp.models import LogisticHyper, bayes_model, constant_model, majority_table, train_logistic
+from labeldp.models import BayesModel, ConstantModel, LogisticHyper, majority_table, train_logistic
 
 mpmath.mp.dps = 40
 
@@ -102,10 +100,7 @@ class TestEau:
         def pipeline(features, labels, seeds):
             return [majority_table(Dataset(features, row, 2)) for row in labels]
 
-        est, se = eau_monte_carlo(
-            cond, X, pipeline, lambda k: spa(k, UtilitySpec.zero_one()),
-            UtilitySpec.zero_one(), trials=10, seed=0,
-        )
+        est, se = eau_monte_carlo(cond, X, pipeline, UtilitySpec.zero_one(), trials=10, seed=0)
         assert est == 1.0 and se == 0.0
 
     def test_monte_carlo_exhausted_budget_hits_chance(self):
@@ -124,23 +119,20 @@ class TestEau:
                 for row, seed in zip(labels, seeds)
             ]
 
-        est, se = eau_monte_carlo(
-            cond, X, pipeline, lambda k: spa(k, UtilitySpec.zero_one()),
-            UtilitySpec.zero_one(), trials=300, seed=1,
-        )
+        est, se = eau_monte_carlo(cond, X, pipeline, UtilitySpec.zero_one(), trials=300, seed=1)
         assert abs(est - 1.0 / m) <= 3 * se
 
-    def test_monte_carlo_prior_attack_matches_exact_leau(self):
+    def test_monte_carlo_bayes_model_matches_exact_leau(self):
+        """A pipeline that releases the exact conditional ignores the labels,
+        so SPA on it is the label-independent attack."""
         mixture = MixtureModel(3, 5, 2.0)
         ds, cond = gen_mixture(mixture, 60, seed=2)
         spec = UtilitySpec.zero_one()
 
         def pipeline(features, labels, seeds):
-            return [constant_model([1 / 3] * 3) for _ in labels]
+            return [BayesModel(cond) for _ in labels]
 
-        est, se = eau_monte_carlo(
-            cond, ds.features, pipeline, prior_attack, spec, trials=400, seed=3
-        )
+        est, se = eau_monte_carlo(cond, ds.features, pipeline, spec, trials=400, seed=3)
         assert abs(est - leau_exact(cond, ds.features, spec)) <= 3 * max(se, 1e-12)
 
 
@@ -164,7 +156,6 @@ class TestMonteCarloBlocks:
                     for row, seed in zip(labels, seeds)]
 
         result = eau_monte_carlo(cond, ds.features, pipeline,
-                                 lambda k: spa(k, UtilitySpec.zero_one()),
                                  UtilitySpec.zero_one(), trials=trials, seed=9)
         return result, blocks
 
@@ -178,8 +169,7 @@ class TestMonteCarloBlocks:
     def test_pipeline_must_return_one_model_per_trial(self):
         cond = Conditional(2, lambda X: np.full((X.shape[0], 2), 0.5))
         with pytest.raises(ValueError, match="returned 1 models for 4 label vectors"):
-            eau_monte_carlo(cond, np.zeros((5, 1)), lambda f, labels, s: [constant_model([0.5, 0.5])],
-                            lambda k: spa(k, UtilitySpec.zero_one()),
+            eau_monte_carlo(cond, np.zeros((5, 1)), lambda f, labels, s: [ConstantModel([0.5, 0.5])],
                             UtilitySpec.zero_one(), trials=4, seed=0)
 
 
@@ -199,7 +189,7 @@ class TestLeau:
     def test_estimate_with_bayes_candidate_matches_exact(self):
         ds, cond = gen_mixture(MixtureModel(2, 4, 1.0), 4000, seed=4)
         spec = UtilitySpec.zero_one()
-        est = leau_estimate([bayes_model(cond)], ds, spec)
+        est = leau_estimate([BayesModel(cond)], ds, spec)
         exact = leau_exact(cond, ds.features, spec)
         assert abs(est - exact) < 0.03
 
@@ -208,14 +198,14 @@ class TestLeau:
         labels[:60] = 1
         ds = Dataset(np.zeros((2000, 1)), labels, 2)
         spec = UtilitySpec.weighted([0.97, 0.03])
-        est = leau_estimate([constant_model([0.97, 0.03])], ds, spec)
+        est = leau_estimate([ConstantModel([0.97, 0.03])], ds, spec)
         assert est == pytest.approx(0.5, abs=1e-12)
 
     def test_estimate_is_monotone_in_candidates(self):
         ds, cond = gen_mixture(MixtureModel(2, 3, 1.0), 500, seed=5)
         spec = UtilitySpec.zero_one()
-        good = leau_estimate([bayes_model(cond)], ds, spec)
-        both = leau_estimate([bayes_model(cond), constant_model([0.5, 0.5])], ds, spec)
+        good = leau_estimate([BayesModel(cond)], ds, spec)
+        both = leau_estimate([BayesModel(cond), ConstantModel([0.5, 0.5])], ds, spec)
         assert both >= good
 
     def test_estimate_needs_candidates(self):
@@ -255,25 +245,21 @@ class TestBounds:
         )
 
     def test_generalization_gap_anchors(self):
-        assert dp_generalization_gap_bound(0.0, 0.0) == 0.0
-        assert dp_generalization_gap_bound(math.inf, 0.0) == 1.0
-        assert dp_generalization_gap_bound(1.0, 0.01) == pytest.approx(
+        assert bound_factor(0.0, 0.0) == 0.0
+        assert bound_factor(math.inf, 0.0) == 1.0
+        assert bound_factor(1.0, 0.01) == pytest.approx(
             0.4674959856874097, abs=1e-12
         )
 
     def test_weak_threat_bound(self):
-        assert weak_threat_bound(0.0, 0.0, 1.0) == 0.0
-        assert weak_threat_bound(math.log(3), 0.0, 1.0) == pytest.approx(0.5)
+        assert advantage_bound(0.0, 0.0, 1.0) == 0.0
+        assert advantage_bound(math.log(3), 0.0, 1.0) == pytest.approx(0.5)
         # With the supremum attained on every row, it coincides with the
         # universal bound.
         b = 16.0
-        assert weak_threat_bound(1.3, 0.0, b) == pytest.approx(
+        assert advantage_bound(1.3, 0.0, b) == pytest.approx(
             universal_bound(1.3, 0.0, b)
         )
-
-    def test_duplicate_bounds_are_aliases(self):
-        assert weak_threat_bound is advantage_bound
-        assert dp_generalization_gap_bound is bound_factor
 
     def test_reconstruction_bound_anchors(self):
         assert reconstruction_bound(0.0, 0.0, 10) == 0.0
@@ -297,8 +283,6 @@ class TestBounds:
                 assert abs(bound_factor(eps, delta) - ref) < 1e-12
                 assert abs(advantage_bound(eps, delta, 1.5) - ref * 1.5) < 1e-12
                 assert abs(universal_bound(eps, delta, 2.0) - ref * 2.0) < 1e-12
-                assert abs(weak_threat_bound(eps, delta, 1.5) - ref * 1.5) < 1e-12
-                assert abs(dp_generalization_gap_bound(eps, delta) - ref) < 1e-12
                 recon_ref = float(1 - mpmath.exp(-mpmath.mpf(eps)) + mpmath.mpf(delta) * 50)
                 assert abs(reconstruction_bound(eps, delta, 50) - recon_ref) < 1e-12
 
@@ -326,8 +310,6 @@ class TestBounds:
             message = re.escape(f"epsilon must be >= 0, got {epsilon}")
             with pytest.raises(ValueError, match=message):
                 bound_factor(epsilon, 0.0)
-            with pytest.raises(ValueError, match=message):
-                dp_generalization_gap_bound(epsilon, 0.0)
             with pytest.raises(ValueError, match=message):
                 reconstruction_bound(epsilon, 0.0, 10.0)
         for delta in (math.nan, -0.1, 1.5):
@@ -480,7 +462,7 @@ class TestWeightFormParity:
     def test_marginal_guess(self, k, spec):
         U = _oracle_matrix(spec, k)
         for p in self.rows(k, spec):
-            knowledge = AdversaryKnowledge(features=np.zeros((3, 1)), model=constant_model(p),
+            knowledge = AdversaryKnowledge(features=np.zeros((3, 1)), model=ConstantModel(p),
                                            marginal=p)
             label = np.full(3, np.argmax(U @ p), dtype=np.int64)
             assert marginal_guess(knowledge, spec).labels.tobytes() == label.tobytes()

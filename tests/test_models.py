@@ -14,11 +14,9 @@ from labeldp.models import (
     _fit_scaler,
     _objective,
     _softmax,
+    BayesModel,
+    ConstantModel,
     TrainingDivergedError,
-    bayes_model,
-    constant_model,
-    cross_entropy_grad,
-    cross_entropy_loss,
     load_model,
     log_loss,
     majority_table,
@@ -26,6 +24,27 @@ from labeldp.models import (
     stability_threshold,
     train_logistic,
 )
+
+
+def _one_trial(weights, onehot):
+    """_objective's arguments for one fit given as a (d+1, k) weight matrix
+    and (n, k) one-hot targets."""
+    labels = np.argmax(onehot, axis=1)
+    if not np.array_equal(onehot, np.eye(onehot.shape[1])[labels]):
+        raise ValueError("onehot must hold one 1 per row and 0 elsewhere")
+    return np.asarray(weights, dtype=np.float64)[:, None, :], labels[None, :]
+
+
+def cross_entropy_loss(weights, design, onehot):
+    """Mean cross-entropy of a (d+1, k) weight matrix on an (n, d+1) design:
+    the training objective, which the finite-difference oracles differentiate."""
+    weights, labels = _one_trial(weights, onehot)
+    return float(_objective(weights, design, None, labels, False)[0][0])
+
+
+def cross_entropy_grad(weights, design, onehot):
+    weights, labels = _one_trial(weights, onehot)
+    return _objective(weights, design, None, labels, True)[1][:, 0]
 
 
 def toy_separable():
@@ -612,32 +631,32 @@ class TestAbsentClasses:
 class TestAnalyticModels:
     def test_bayes_equidistant_point_is_symmetric(self):
         cond = MixtureModel(2, 4, 1.0).conditional()
-        model = bayes_model(cond)
+        model = BayesModel(cond)
         midpoint = np.array([[0.5, 0.5, 0.0, 0.0]])
         np.testing.assert_allclose(model.predict_proba(midpoint)[0], [0.5, 0.5], atol=1e-12)
 
     def test_bayes_at_component_mean(self):
         cond = MixtureModel(2, 50, 1.0).conditional()
-        probs = bayes_model(cond).predict_proba(np.eye(2, 50)[:1])[0]
+        probs = BayesModel(cond).predict_proba(np.eye(2, 50)[:1])[0]
         np.testing.assert_allclose(probs, [0.731059, 0.268941], atol=1e-6)
 
     def test_bayes_one_hot_conditional(self):
         cond = Conditional(2, lambda X: np.tile([1.0, 0.0], (X.shape[0], 1)))
-        assert np.all(bayes_model(cond).predict(np.zeros((5, 1))) == 0)
+        assert np.all(BayesModel(cond).predict(np.zeros((5, 1))) == 0)
 
     def test_constant_model_ignores_input(self):
-        model = constant_model([0.97, 0.03])
+        model = ConstantModel([0.97, 0.03])
         probs = model.predict_proba(np.random.default_rng(0).normal(size=(4, 6)))
         np.testing.assert_array_equal(probs, np.tile([0.97, 0.03], (4, 1)))
 
     def test_constant_model_rejects_non_distribution(self):
         with pytest.raises(ValueError):
-            constant_model([0.5, 0.6])
+            ConstantModel([0.5, 0.6])
 
     @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
     def test_constant_model_rejects_non_finite_probs(self, probs):
         with pytest.raises(ValueError, match="probs must be a distribution"):
-            constant_model(probs)
+            ConstantModel(probs)
 
     def test_constant_log_loss_is_label_entropy_at_matching_marginal(self):
         """Labels at exactly the 3% marginal: loss equals the entropy
@@ -645,7 +664,7 @@ class TestAnalyticModels:
         labels = np.zeros(10000, dtype=int)
         labels[:300] = 1
         ds = Dataset(np.zeros((10000, 1)), labels, 2)
-        loss = log_loss(constant_model([0.97, 0.03]), ds)
+        loss = log_loss(ConstantModel([0.97, 0.03]), ds)
         np.testing.assert_allclose(loss, 0.13474216817976674, atol=1e-12)
 
 
@@ -870,16 +889,16 @@ class TestMajorityTableOnOracleCells:
 class TestLogLoss:
     def test_perfect_one_hot_is_tiny_after_clamping(self):
         ds = Dataset(np.zeros((3, 1)), np.zeros(3, dtype=int), 2)
-        assert log_loss(constant_model([1.0, 0.0]), ds) <= 1e-14
+        assert log_loss(ConstantModel([1.0, 0.0]), ds) <= 1e-14
 
     def test_uniform_binary_is_ln_two(self):
         ds = Dataset(np.zeros((7, 1)), np.array([0, 1, 0, 1, 0, 1, 0]), 2)
-        np.testing.assert_allclose(log_loss(constant_model([0.5, 0.5]), ds), math.log(2), atol=1e-12)
+        np.testing.assert_allclose(log_loss(ConstantModel([0.5, 0.5]), ds), math.log(2), atol=1e-12)
 
     def test_skewed_constant_on_all_zero_labels(self):
         ds = Dataset(np.zeros((9, 1)), np.zeros(9, dtype=int), 2)
         np.testing.assert_allclose(
-            log_loss(constant_model([0.97, 0.03]), ds), 0.030459207484708574, atol=1e-12
+            log_loss(ConstantModel([0.97, 0.03]), ds), 0.030459207484708574, atol=1e-12
         )
 
 
@@ -892,9 +911,9 @@ class TestModelContracts:
             ds = Dataset(X[:50], rng.integers(0, 3, 50), 3)
             model = train_logistic(ds, LogisticHyper(iterations=20), seed=0)
         elif kind == "bayes":
-            model = bayes_model(MixtureModel(3, 3, 2.0).conditional())
+            model = BayesModel(MixtureModel(3, 3, 2.0).conditional())
         elif kind == "constant":
-            model = constant_model([0.2, 0.3, 0.5])
+            model = ConstantModel([0.2, 0.3, 0.5])
         else:
             model = majority_table(Dataset(X[:10], rng.integers(0, 3, 10), 3))
         probs = model.predict_proba(X)
@@ -913,7 +932,7 @@ class TestModelContracts:
         )
 
     def test_save_load_round_trip_constant(self, tmp_path):
-        model = constant_model([0.97, 0.03])
+        model = ConstantModel([0.97, 0.03])
         path = tmp_path / "model.txt"
         save_model(model, str(path))
         back = load_model(str(path))
@@ -939,6 +958,10 @@ class TestModelContracts:
         ("kind constant\nclasses 3\nprobs 0.5 0.5\n",
          "field 'probs' has 2 values, expected 3 (one per class)"),
         ("kind constant\nclasses 2\nprobs 0.5 0.6\n", "probs must be a distribution"),
+        ("kind constant\nclasses 2\nprobs 0.5 0.5\nprobs 0.1 0.9\n",
+         "field 'probs' appears more than once"),
+        ("kind logistic\nkind constant\nclasses 2\nprobs 0.5 0.5\n",
+         "field 'kind' appears more than once"),
     ])
     def test_load_rejects_malformed_file_naming_it(self, tmp_path, text, message):
         path = tmp_path / "model.txt"
@@ -951,6 +974,6 @@ class TestModelContracts:
     def test_num_features(self):
         model = train_logistic(toy_separable(), LogisticHyper(iterations=5))
         assert model.num_features == 2
-        assert constant_model([0.5, 0.5]).num_features is None
+        assert ConstantModel([0.5, 0.5]).num_features is None
         ds = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
         assert majority_table(ds).num_features == 3
