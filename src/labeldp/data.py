@@ -64,7 +64,8 @@ class Dataset:
         features: (n, d) float array of finite values, one row per sample.
         labels: (n,) integer array with values in {0, ..., num_classes-1};
             or a (T, n) stack of T such vectors over the same rows, which
-            train_logistic fits at once (other consumers take one vector).
+            train_logistic and majority_table fit at once (other consumers
+            take one vector).
         num_classes: number of classes k >= 2.
     """
 

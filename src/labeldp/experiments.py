@@ -237,7 +237,13 @@ def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
 
 @dataclass(frozen=True)
 class Thm1Config:
-    """Two-feature construction sizes; every n must be even (n = 2r)."""
+    """Two-feature construction sizes; every n must be even (n = 2r).
+
+    Trials run in blocks of at most block_labels labels (at least one trial
+    per block), a fixed class constant, not an option.
+    """
+
+    block_labels: ClassVar[int] = 1 << 15
 
     epsilon: float = 1.0
     n_values: tuple = (100, 1000)
@@ -257,7 +263,12 @@ class Thm1Config:
 def run_thm1_demo(config: Thm1Config) -> list[dict]:
     """Binary RR on the deterministic two-valued-feature dataset, majority
     vote per feature value, SPA accuracy against the true labels, averaged
-    over trials and paired with the matching Hoeffding lower bound."""
+    over trials and paired with the matching Hoeffding lower bound.
+
+    The feature matrix of an n is fixed over its trials, so they run in
+    blocks of B = max(1, Thm1Config.block_labels // n): each trial's RR,
+    under its own seed, fills one row of a (B, n) label stack, and the block
+    is one Dataset and one stacked majority_table call."""
     spec = UtilitySpec.zero_one()
     rows = []
     for ni, n in enumerate(config.n_values):
@@ -267,13 +278,19 @@ def run_thm1_demo(config: Thm1Config) -> list[dict]:
             [np.ones(r, dtype=np.int64), np.zeros(r, dtype=np.int64)]
         )
         accs = np.empty(config.trials)
-        for t in range(config.trials):
-            private = randomized_response(
-                true_labels, 2, config.epsilon, derive_seed(config.seed, "thm1", ni, t)
-            )
-            model = majority_table(Dataset(features, private, 2))
-            inferred = spa(AdversaryKnowledge(features=features, model=model), spec)
-            accs[t] = eau_empirical(inferred, true_labels, spec)
+        size = min(max(1, config.block_labels // n), config.trials)
+        block = np.empty((size, n), dtype=np.int64)
+        for start in range(0, config.trials, size):
+            trials = range(start, min(start + size, config.trials))
+            private = block[: len(trials)]
+            for row, t in zip(private, trials):
+                row[:] = randomized_response(
+                    true_labels, 2, config.epsilon, derive_seed(config.seed, "thm1", ni, t)
+                )
+            models = majority_table(Dataset(features, private, 2))
+            for t, model in zip(trials, models):
+                inferred = spa(AdversaryKnowledge(features=features, model=model), spec)
+                accs[t] = eau_empirical(inferred, true_labels, spec)
         rows.append(
             {
                 "epsilon": float(config.epsilon),

@@ -539,18 +539,26 @@ class MajorityTableModel(Model):
         return np.take(self._proba, entry, axis=0)
 
 
-def majority_table(train: Dataset) -> MajorityTableModel:
+def majority_table(train: Dataset) -> MajorityTableModel | list[MajorityTableModel]:
     """Memorize the majority label of each exact feature row; ties go to
     the lowest class index. The distinct rows come from one integer sort
-    (see _rank_rows)."""
-    if train.labels.ndim != 1:
-        raise ValueError("majority_table takes one label vector, not a stack")
+    (see _rank_rows).
+
+    A (T, n) label stack is fit vector by vector over one ranking of the
+    rows: the result is the list of the T models, in stack order, each equal
+    to the model of its vector alone.
+    """
     k = train.num_classes
     firsts, inverse = _rank_rows(_row_words(train.features))
-    votes = np.bincount(inverse * k + train.labels, minlength=firsts.size * k)
-    # argmax returns the first maximum, i.e. the lowest class index.
-    labels = votes.reshape(firsts.size, k).argmax(axis=1)
-    return MajorityTableModel(train.features[firsts], labels, k)
+    rows = train.features[firsts]
+    offsets = inverse * k
+    stacked = train.labels.ndim == 2
+    models = []
+    for labels in train.labels if stacked else [train.labels]:
+        votes = np.bincount(offsets + labels, minlength=firsts.size * k)
+        # argmax returns the first maximum, i.e. the lowest class index.
+        models.append(MajorityTableModel(rows, votes.reshape(firsts.size, k).argmax(axis=1), k))
+    return models if stacked else models[0]
 
 
 def log_loss(model: Model, dataset: Dataset) -> float:

@@ -38,7 +38,9 @@ def seed_sequence(seed: int, *tags) -> np.random.SeedSequence:
     words = _tag_words(seed)
     for tag in tags:
         words.extend(_tag_words(tag))
-    return np.random.SeedSequence(words)
+    # Every word is below 2**32, so a uint32 array is the entropy the list
+    # would be coerced to, built in one call instead of one array per word.
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def substream(seed: int, *tags) -> np.random.Generator:

@@ -936,6 +936,31 @@ class TestHarnessCommands:
             path = tmp_path / f"thm1.csv{suffix}"
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, suffix
 
+    # sha256 of the results and manifest of `thm1 --epsilon 0.3 --n-values
+    # 2,30,300 --trials 40 --seed 13`, made with one majority_table call per
+    # trial. Every empirical_eau of THM1_DIGESTS is 1.0; these (0.5375,
+    # 0.7125, 0.9375) move when one trial's draw or vote does.
+    THM1_LOW_EPSILON_DIGESTS = {
+        "": "4a534f677ae8bd27c526356da7b1a77c76af2962a01d3a9cbf5a4a52943412ee",
+        ".manifest.json": "6dc6fd63f437b56d7dca02db2abf4f1b57583ec2742fa328022db5c983adc001",
+    }
+
+    @pytest.mark.parametrize("block_labels", [None, 1, 1000])
+    def test_thm1_low_epsilon_pinned(self, tmp_path, capsys, monkeypatch, block_labels):
+        """The same files with the default block bound, with one trial per
+        block, and with blocks of at most 1000 labels: all 40 trials of n = 2
+        in one block, n = 30 in blocks of 33 and 7 trials, n = 300 in
+        thirteen blocks of 3 and a last block of 1."""
+        if block_labels is not None:
+            monkeypatch.setattr(cli.experiments.Thm1Config, "block_labels", block_labels)
+        out_file = tmp_path / "thm1.csv"
+        code, _, err = run_cli(capsys, "thm1", "--epsilon", "0.3", "--n-values", "2,30,300",
+                               "--trials", "40", "--seed", "13", "--output", str(out_file))
+        assert code == 0, err
+        for suffix, expected in self.THM1_LOW_EPSILON_DIGESTS.items():
+            path = tmp_path / f"thm1.csv{suffix}"
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, suffix
+
     # sha256 of the results and manifest of `ctr --n 20000 --mechanisms
     # rr,lp2st,alibi,pate --epsilons inf,1.0 --seed 0`. Every fit there has
     # at least twice as many rows as design columns, so it descends in weight

@@ -195,6 +195,17 @@ class TestThm1:
         with pytest.raises(ValueError, match="even"):
             Thm1Config(n_values=(5,))
 
+    @pytest.mark.parametrize("block_labels", [1, 250, 7 * 1000 + 1])
+    def test_rows_do_not_depend_on_the_block_bound(self, monkeypatch, block_labels):
+        """One trial per block; blocks of at most 250 labels (all 7 trials of
+        n = 10 in one block, n = 100 in blocks of 2, 2, 2 and 1, n = 1000
+        one trial per block); and every n's trials in one block give the
+        rows of the default bound."""
+        config = Thm1Config(epsilon=0.5, n_values=(10, 100, 1000), trials=7, seed=4)
+        expected = run_thm1_demo(config)
+        monkeypatch.setattr(Thm1Config, "block_labels", block_labels)
+        assert run_thm1_demo(config) == expected
+
 
 class TestCtr:
     def test_baseline_row_present(self, ctr_reports):

@@ -717,10 +717,11 @@ class TestMajorityTable:
         with pytest.raises(ValueError, match="built on 2 feature columns, query has 1"):
             model.predict_proba(np.zeros(1))
 
-    def test_label_stack_is_rejected(self):
-        ds = Dataset(np.zeros((3, 1)), np.array([[0, 1, 1], [1, 0, 0]]), 2)
-        with pytest.raises(ValueError, match="one label vector, not a stack"):
-            majority_table(ds)
+    def test_one_vector_stack_returns_a_list_of_one(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([[0, 1, 1]]), 2)
+        models = majority_table(ds)
+        assert isinstance(models, list) and len(models) == 1
+        np.testing.assert_array_equal(models[0].labels, [1])
 
     def test_nan_query_rows_are_unseen(self):
         model = majority_table(Dataset(np.zeros((2, 2)), np.array([1, 1]), 2))
@@ -825,6 +826,47 @@ class TestMajorityTableAgainstReference:
         model = majority_table(Dataset(features, labels, k))
         assert table_of(model) == reference_table(features, labels, k)
         np.testing.assert_array_equal(model.predict(np.array([[-0.0], [1.0]])), [0, k - 2])
+
+
+class TestMajorityTableStack:
+    """A (T, n) label stack gives T models, each bit for bit the model of its
+    vector alone: rows, labels and predict_proba on table rows, unseen rows
+    and NaN queries."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_each_model_equals_its_single_vector_fit(self, k, d, seed):
+        rng = np.random.default_rng([k, d, seed, 23])
+        # Few cells, so rows repeat, votes tie and rows differ only in the
+        # sign of a zero.
+        cells = np.array([-1.0, -0.0, 0.0, 1.0])
+        n = int(rng.integers(1, 40))
+        trials = int(rng.integers(1, 6))
+        features = cells[rng.integers(0, cells.size, (n, d))]
+        stack = rng.integers(0, k, (trials, n))
+        models = majority_table(Dataset(features, stack, k))
+        assert isinstance(models, list) and len(models) == trials
+        queries = np.vstack([
+            features,
+            rng.normal(size=(4, d)),
+            np.full((2, d), np.nan),
+            cells[rng.integers(0, cells.size, (10, d))],
+        ])
+        for labels, model in zip(stack, models):
+            alone = majority_table(Dataset(features, labels, k))
+            assert model.rows.tobytes() == alone.rows.tobytes()
+            np.testing.assert_array_equal(model.labels, alone.labels)
+            assert model.num_classes == alone.num_classes == k
+            np.testing.assert_array_equal(model.predict_proba(queries),
+                                          alone.predict_proba(queries))
+            assert table_of(model) == reference_table(features, labels, k)
+
+    def test_ties_go_to_the_lowest_class_per_vector(self):
+        features = np.zeros((4, 1))
+        stack = np.array([[0, 1, 0, 1], [2, 1, 1, 2], [2, 2, 1, 0]])
+        models = majority_table(Dataset(features, stack, 3))
+        assert [int(model.labels[0]) for model in models] == [0, 1, 2]
 
 
 # Signed zeros, ones, a plain value, the smallest subnormals and the largest

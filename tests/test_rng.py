@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from labeldp.rng import derive_seed, substream
+from labeldp.rng import _tag_words, derive_seed, seed_sequence, substream
 
 
 def test_same_key_same_stream():
@@ -50,3 +50,30 @@ def test_negative_tag_rejected():
 def test_float_tag_rejected():
     with pytest.raises(TypeError):
         substream(1, 2.5)
+
+
+def _random_tag(rng):
+    """0, a value at or beside 2**32, a 70-bit int, a 32-bit int or a string."""
+    return [
+        0,
+        2**32 - 1 + int(rng.integers(0, 3)),
+        int(rng.integers(0, 2**62)) << 8 | int(rng.integers(0, 256)),
+        int(rng.integers(0, 2**32)),
+        f"tag-{rng.integers(0, 50)}",
+    ][rng.integers(0, 5)]
+
+
+def test_seed_sequence_matches_the_word_list():
+    """The uint32 entropy array gives the SeedSequence of the plain list of
+    words: the same pool and the same generated state."""
+    rng = np.random.default_rng(2023)
+    for _ in range(500):
+        seed, *tags = (_random_tag(rng) for _ in range(rng.integers(1, 6)))
+        words = _tag_words(seed)
+        for tag in tags:
+            words += _tag_words(tag)
+        expected = np.random.SeedSequence(words)
+        got = seed_sequence(seed, *tags)
+        np.testing.assert_array_equal(got.pool, expected.pool)
+        np.testing.assert_array_equal(got.generate_state(4, np.uint64),
+                                      expected.generate_state(4, np.uint64))
