@@ -1,7 +1,7 @@
 """Label-DP training mechanisms, label inference attacks, and the bounds
 that relate the two through attack advantage."""
 
-from .attacks import AdversaryKnowledge, InferredLabels, marginal_guess, spa
+from .attacks import marginal_guess, spa
 from .data import (
     Conditional,
     CsvFormatError,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import experiments, mechanisms, metrics
-from .attacks import AdversaryKnowledge, marginal_guess, spa
+from .attacks import marginal_guess, spa
 from .data import CsvFormatError, _atomic_write, load_csv, load_csv_features
 from .metrics import UtilitySpec
 from .models import LogisticHyper, TrainingDivergedError, load_model
@@ -41,8 +41,12 @@ def _record(record: dict, full_precision: bool) -> str:
     return json.dumps({k: _fmt(v, full_precision) for k, v in record.items()})
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+def _marginal(text: str) -> np.ndarray:
+    """--marginal's comma-separated numbers as a float64 vector."""
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValueError(f"--marginal must be comma-separated numbers, got {text!r}") from None
 
 
 def _type_name(default) -> str:
@@ -220,29 +224,31 @@ def cmd_attack(args) -> int:
             f"{args.input} has {features.shape[1]} feature columns but model {args.model} "
             f"takes {model.num_features}"
         )
-    marginal = np.asarray(_floats(args.marginal)) if args.marginal else None
-    if marginal is not None and marginal.size != k:
-        raise ValueError(
-            f"--marginal has {marginal.size} entries but model {args.model} has {k} classes"
-        )
+    marginal = _marginal(args.marginal) if args.marginal else None
+    if marginal is not None:
+        if marginal.size != k:
+            raise ValueError(
+                f"--marginal has {marginal.size} entries but model {args.model} has {k} classes"
+            )
+        marginal = metrics.probability_vector(marginal)
     if args.utility == "weighted":
         if marginal is None:
             raise ValueError("weighted utility needs --marginal")
         spec = UtilitySpec.weighted(marginal)
     else:
         spec = UtilitySpec.zero_one()
-    knowledge = AdversaryKnowledge(features=features, model=model, marginal=marginal)
     if args.attack == "spa":
-        inferred = spa(knowledge, spec)
+        inferred = spa(model, features, spec)
+    elif marginal is None:
+        raise ValueError("marginal-guess attack needs --marginal")
     else:
-        inferred = marginal_guess(knowledge, spec)
+        inferred = marginal_guess(marginal, features.shape[0], spec)
     if true_labels is None:
-        _write_rows(args.output, "row_index,inferred_label", inferred.labels)
+        _write_rows(args.output, "row_index,inferred_label", inferred)
     else:
-        _write_rows(args.output, "row_index,inferred_label,true_label",
-                    inferred.labels, true_labels)
+        _write_rows(args.output, "row_index,inferred_label,true_label", inferred, true_labels)
         eau = metrics.eau_empirical(inferred, true_labels, spec)
-        print(_record({"attack": inferred.attack, "empirical_eau": eau}, args.full_precision))
+        print(_record({"attack": args.attack, "empirical_eau": eau}, args.full_precision))
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .attacks import AdversaryKnowledge, spa
+from .attacks import spa
 from .data import (
     Dataset,
     MixtureModel,
@@ -289,8 +289,7 @@ def run_thm1_demo(config: Thm1Config) -> list[dict]:
                 )
             models = majority_table(Dataset(features, private, 2))
             for t, model in zip(trials, models):
-                inferred = spa(AdversaryKnowledge(features=features, model=model), spec)
-                accs[t] = eau_empirical(inferred, true_labels, spec)
+                accs[t] = eau_empirical(spa(model, features, spec), true_labels, spec)
         rows.append(
             {
                 "epsilon": float(config.epsilon),
@@ -329,6 +328,7 @@ class CtrConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_grids(self, ("mechanisms", "epsilons"))
         if self.csv_path is None:
             # Building the synthetic source checks its four fields; a CSV
             # run draws no source, so they shape nothing and go unchecked.
@@ -403,9 +403,7 @@ def run_ctr(config: CtrConfig) -> list[MetricsReport]:
 
     reports = []
     for mech, eps, model in entries:
-        knowledge = AdversaryKnowledge(features=train.features, model=model, marginal=marginal)
-        inferred = spa(knowledge, spec)
-        eau = eau_empirical(inferred, train.labels, spec)
+        eau = eau_empirical(spa(model, train.features, spec), train.labels, spec)
         bound = universal_bound(eps, 0.0, b)
         reports.append(
             MetricsReport(

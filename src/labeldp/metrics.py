@@ -108,7 +108,7 @@ def best_response(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:
 
 def eau_empirical(inferred, true_labels, spec: UtilitySpec) -> float:
     """Mean per-row utility of one realized label draw."""
-    inferred = np.asarray(getattr(inferred, "labels", inferred))
+    inferred = np.asarray(inferred)
     true_labels = np.asarray(true_labels)
     if inferred.shape[0] != true_labels.shape[0]:
         raise ValueError(
@@ -147,7 +147,7 @@ def eau_monte_carlo(
     labels[b] with seeds[b]. Trial t's labels and seed come from substreams
     keyed by t alone, so the block size changes no draw.
     """
-    from .attacks import AdversaryKnowledge, spa  # local import to avoid a cycle
+    from .attacks import spa  # local import to avoid a cycle
 
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
@@ -168,8 +168,7 @@ def eau_monte_carlo(
                 f"pipeline returned {len(models)} models for {len(block_trials)} label vectors"
             )
         for t, trial_labels, model in zip(block_trials, labels, models):
-            inferred = spa(AdversaryKnowledge(features, model), spec)
-            values[t] = eau_empirical(inferred, trial_labels, spec)
+            values[t] = eau_empirical(spa(model, features, spec), trial_labels, spec)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials))
     return mean, stderr

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from labeldp.attacks import AdversaryKnowledge, marginal_guess
+from labeldp.attacks import marginal_guess
 from labeldp.cli import main as cli_main
 from labeldp.data import Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import alibi, randomized_response
@@ -162,10 +162,7 @@ def test_criterion_5_ctr_study():
     baseline_loss = log_loss(ConstantModel(marginal), ds)
     ok_c = abs(baseline_loss - entropy_003) < 0.005
     spec = UtilitySpec.weighted(marginal)
-    knowledge = AdversaryKnowledge(
-        features=train.features, model=ConstantModel(marginal), marginal=marginal
-    )
-    guess = marginal_guess(knowledge, spec)
+    guess = marginal_guess(marginal, len(train), spec)
     guess_eau = eau_empirical(guess, train.labels, spec)
     sigma3 = 3.0 * spec.bound / math.sqrt(len(train))
     ok_b = abs(guess_eau - 0.5) <= sigma3

@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from labeldp import cli, experiments
+from labeldp.data import MixtureModel, gen_mixture, write_csv
+from labeldp.models import LogisticHyper, save_model, train_logistic
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -64,12 +68,33 @@ def test_thm1_runs_through_its_traced_layers(monkeypatch):
     assert calls["predict_proba"] >= 1, calls
 
 
-def test_simulation_runs_through_spa(monkeypatch):
-    """The sim-mc workload traces attacks.spa as every labeldp module holds
-    it; a Monte-Carlo loop that inlines the attack would leave that layer
-    empty."""
+def _attack(tmp_path):
+    ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 12, seed=2)
+    write_csv(ds, str(tmp_path / "d.csv"))
+    save_model(train_logistic(ds, LogisticHyper(iterations=3), seed=0), str(tmp_path / "m.txt"))
+    assert cli.main(["attack", "--model", str(tmp_path / "m.txt"), "--input",
+                     str(tmp_path / "d.csv"), "--label-column", "label",
+                     "--output", str(tmp_path / "o.csv")]) == 0
+
+
+SPA_RUNS = {
+    "simulate": lambda tmp_path: experiments.run_simulation(experiments.SimulationConfig(
+        class_counts=(2,), dim=3, sigmas=(1.0,), n=10, trials=2, epsilons=(1.0,),
+        iterations=3)),
+    "thm1": lambda tmp_path: experiments.run_thm1_demo(
+        experiments.Thm1Config(n_values=(4,), trials=2, seed=0)),
+    "ctr": lambda tmp_path: experiments.run_ctr(experiments.CtrConfig(
+        positive_rate=0.5, dim=2, n=25, epsilons=(1.0,), iterations=3)),
+    "attack": _attack,
+}
+
+
+@pytest.mark.parametrize("workload", list(SPA_RUNS))
+def test_simulation_runs_through_spa(monkeypatch, tmp_path, workload):
+    """Every workload traces attacks.spa as every labeldp module holds it
+    (perfbench/workloads.py lists it for all of them); a harness or command
+    that inlines the attack would leave that layer empty."""
     attacks = importlib.import_module("labeldp.attacks")
-    experiments = importlib.import_module("labeldp.experiments")
     original = attacks.spa
     calls = []
 
@@ -80,7 +105,5 @@ def test_simulation_runs_through_spa(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("labeldp") and getattr(module, "spa", None) is original:
             monkeypatch.setattr(module, "spa", counted)
-    experiments.run_simulation(experiments.SimulationConfig(
-        class_counts=(2,), dim=3, sigmas=(1.0,), n=10, trials=2, epsilons=(1.0,),
-        iterations=3))
+    SPA_RUNS[workload](tmp_path)
     assert calls

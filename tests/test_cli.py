@@ -227,13 +227,14 @@ class TestPrivatizeAndAttack:
         model_path = tmp_path / "m.txt"
         save_model(train_logistic(ds, LogisticHyper(iterations=10), seed=0), str(model_path))
         out_csv = tmp_path / "g.csv"
-        code, _, _ = run_cli(capsys, "attack", "--model", str(model_path),
-                             "--input", str(data_csv), "--label-column", "label",
-                             "--attack", "marginal-guess", "--marginal", "0.9,0.1",
-                             "--output", str(out_csv))
+        code, out, _ = run_cli(capsys, "attack", "--model", str(model_path),
+                               "--input", str(data_csv), "--label-column", "label",
+                               "--attack", "marginal-guess", "--marginal", "0.9,0.1",
+                               "--output", str(out_csv))
         assert code == 0
         inferred = [line.split(",")[1] for line in out_csv.read_text().strip().split("\n")[1:]]
         assert set(inferred) == {"0"}
+        assert out.splitlines()[-1] == '{"attack": "marginal-guess", "empirical_eau": 0.5}'
 
     def test_attack_without_labels_rejects_ragged_row(self, tmp_path, capsys):
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=1)
@@ -340,10 +341,10 @@ class TestPrivatizeAndAttack:
         assert not out_csv.exists()
         assert not (tmp_path / "p.csv.manifest.json").exists()
 
-    @pytest.mark.parametrize("marginal, shown", [("0.2,nan", "[0.2 nan]"), ("5,-3", "[ 5. -3.]")])
-    def test_marginal_guess_rejects_a_marginal_that_is_not_a_distribution(
-        self, tmp_path, capsys, marginal, shown
-    ):
+    @staticmethod
+    def attack_error(tmp_path, capsys, *argv):
+        """The stderr lines of a failing `attack` run on a small labelled
+        CSV and a two-class model, after checking that it wrote nothing."""
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 12, seed=2)
         data_csv = tmp_path / "d.csv"
         write_csv(ds, str(data_csv))
@@ -352,11 +353,26 @@ class TestPrivatizeAndAttack:
         out_csv = tmp_path / "g.csv"
         code, _, err = run_cli(capsys, "attack", "--model", str(model_path),
                                "--input", str(data_csv), "--label-column", "label",
-                               "--attack", "marginal-guess", "--marginal", marginal,
-                               "--output", str(out_csv))
+                               *argv, "--output", str(out_csv))
         assert code == 1
-        assert err.splitlines() == [f"error: marginal must be a probability vector, got {shown}"]
         assert not out_csv.exists()
+        return err.splitlines()
+
+    @pytest.mark.parametrize("attack", ["spa", "marginal-guess"])
+    @pytest.mark.parametrize("marginal, shown", [("0.2,nan", "[0.2 nan]"), ("5,-3", "[ 5. -3.]")])
+    def test_marginal_guess_rejects_a_marginal_that_is_not_a_distribution(
+        self, tmp_path, capsys, marginal, shown, attack
+    ):
+        err = self.attack_error(tmp_path, capsys, "--attack", attack, "--marginal", marginal)
+        assert err == [f"error: marginal must be a probability vector, got {shown}"]
+
+    def test_marginal_that_is_not_numbers_names_the_flag(self, tmp_path, capsys):
+        err = self.attack_error(tmp_path, capsys, "--marginal", "a,b")
+        assert err == ["error: --marginal must be comma-separated numbers, got 'a,b'"]
+
+    def test_marginal_guess_without_a_marginal_names_the_flag(self, tmp_path, capsys):
+        err = self.attack_error(tmp_path, capsys, "--attack", "marginal-guess")
+        assert err == ["error: marginal-guess attack needs --marginal"]
 
     @staticmethod
     def two_class_model_and_three_class_csv(tmp_path):
@@ -632,7 +648,7 @@ class TestHarnessCommands:
 
     @pytest.mark.parametrize("command, key", [
         ("simulate", "class_counts"), ("simulate", "sigmas"), ("simulate", "epsilons"),
-        ("thm1", "n_values"),
+        ("thm1", "n_values"), ("ctr", "mechanisms"), ("ctr", "epsilons"),
     ])
     def test_empty_grid_in_config_file_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "cfg.json"

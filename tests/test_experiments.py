@@ -233,6 +233,11 @@ class TestCtr:
         with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
             CtrConfig(mechanisms=("rr", "bogus"))
 
+    @pytest.mark.parametrize("grid", ["mechanisms", "epsilons"])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match=f"^{grid} must not be empty$"):
+            CtrConfig(**{grid: ()})
+
     def test_n_below_the_split_minimum_is_rejected_before_drawing(self, monkeypatch):
         """0.04 * n floors to 0 below n = 25, which would empty the
         validation split after the source is drawn."""

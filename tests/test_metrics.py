@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labeldp import metrics
-from labeldp.attacks import AdversaryKnowledge, marginal_guess
+from labeldp.attacks import marginal_guess
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import randomized_response
 from labeldp.metrics import (
@@ -462,7 +462,5 @@ class TestWeightFormParity:
     def test_marginal_guess(self, k, spec):
         U = _oracle_matrix(spec, k)
         for p in self.rows(k, spec):
-            knowledge = AdversaryKnowledge(features=np.zeros((3, 1)), model=ConstantModel(p),
-                                           marginal=p)
             label = np.full(3, np.argmax(U @ p), dtype=np.int64)
-            assert marginal_guess(knowledge, spec).labels.tobytes() == label.tobytes()
+            assert marginal_guess(p, 3, spec).tobytes() == label.tobytes()
