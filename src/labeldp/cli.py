@@ -224,7 +224,7 @@ def cmd_attack(args) -> int:
             f"{args.input} has {features.shape[1]} feature columns but model {args.model} "
             f"takes {model.num_features}"
         )
-    marginal = _marginal(args.marginal) if args.marginal else None
+    marginal = _marginal(args.marginal) if args.marginal is not None else None
     if marginal is not None:
         if marginal.size != k:
             raise ValueError(

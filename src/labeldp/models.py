@@ -508,6 +508,8 @@ class MajorityTableModel(Model):
     label of each. A query is looked up by ranking the table's rows and the
     query rows together on their integer words (see _rank_rows), so it
     matches a row with its bytes after + 0.0; a NaN matches only its own bits.
+    A model from majority_table also keeps its training rows and each one's
+    table entry, so a query equal to those rows costs no ranking.
     """
 
     kind = "majority"
@@ -517,6 +519,8 @@ class MajorityTableModel(Model):
         self.labels = labels
         self.num_classes = num_classes
         self.num_features = self.rows.shape[1]
+        # (features + 0.0, inverse) of the fit, set by majority_table.
+        self._train = None
         # Output rows: one-hot per table entry, then a uniform row for misses.
         self._proba = np.vstack(
             [np.eye(num_classes)[labels], np.full((1, num_classes), 1.0 / num_classes)]
@@ -529,6 +533,10 @@ class MajorityTableModel(Model):
                 f"majority table was built on {self.num_features} feature columns, "
                 f"query has {features.shape[1]}"
             )
+        if self._train is not None and np.array_equal(features, self._train[0]):
+            # Equal values have equal words after + 0.0 and NaN is never
+            # equal, so the fit's ranking is the ranking of this query.
+            return np.take(self._proba, self._train[1], axis=0)
         size = self.rows.shape[0]
         firsts, inverse = _rank_rows(_row_words(self.rows, features))
         # The table's rows are distinct and come first, and the sort is
@@ -546,18 +554,24 @@ def majority_table(train: Dataset) -> MajorityTableModel | list[MajorityTableMod
 
     A (T, n) label stack is fit vector by vector over one ranking of the
     rows: the result is the list of the T models, in stack order, each equal
-    to the model of its vector alone.
+    to the model of its vector alone. The models share a copy of the
+    training rows and their ranking, which predict_proba reuses for a query
+    equal to those rows.
     """
     k = train.num_classes
     firsts, inverse = _rank_rows(_row_words(train.features))
     rows = train.features[firsts]
+    # A copy, so that changing the caller's array cannot leave a stale answer.
+    fit = (train.features + 0.0, inverse)
     offsets = inverse * k
     stacked = train.labels.ndim == 2
     models = []
     for labels in train.labels if stacked else [train.labels]:
         votes = np.bincount(offsets + labels, minlength=firsts.size * k)
         # argmax returns the first maximum, i.e. the lowest class index.
-        models.append(MajorityTableModel(rows, votes.reshape(firsts.size, k).argmax(axis=1), k))
+        model = MajorityTableModel(rows, votes.reshape(firsts.size, k).argmax(axis=1), k)
+        model._train = fit
+        models.append(model)
     return models if stacked else models[0]
 
 

@@ -370,6 +370,11 @@ class TestPrivatizeAndAttack:
         err = self.attack_error(tmp_path, capsys, "--marginal", "a,b")
         assert err == ["error: --marginal must be comma-separated numbers, got 'a,b'"]
 
+    @pytest.mark.parametrize("argv", [[], ["--utility", "weighted"], ["--attack", "marginal-guess"]])
+    def test_empty_marginal_is_not_numbers(self, tmp_path, capsys, argv):
+        err = self.attack_error(tmp_path, capsys, *argv, "--marginal", "")
+        assert err == ["error: --marginal must be comma-separated numbers, got ''"]
+
     def test_marginal_guess_without_a_marginal_names_the_flag(self, tmp_path, capsys):
         err = self.attack_error(tmp_path, capsys, "--attack", "marginal-guess")
         assert err == ["error: marginal-guess attack needs --marginal"]

@@ -8,6 +8,7 @@ import pytest
 
 import labeldp.experiments as experiments
 import labeldp.mechanisms as mechanisms
+import labeldp.models as models
 from labeldp.experiments import (
     CTR_COLUMNS,
     SIMULATION_COLUMNS,
@@ -205,6 +206,16 @@ class TestThm1:
         expected = run_thm1_demo(config)
         monkeypatch.setattr(Thm1Config, "block_labels", block_labels)
         assert run_thm1_demo(config) == expected
+
+    def test_one_row_ranking_per_block(self, monkeypatch):
+        """Blocks of at most 250 labels: 1 block for n = 10, 4 for n = 100
+        and 7 for n = 1000. The SPA queries reuse their block's ranking."""
+        ranks = []
+        rank_rows = models._rank_rows
+        monkeypatch.setattr(models, "_rank_rows", lambda words: ranks.append(1) or rank_rows(words))
+        monkeypatch.setattr(Thm1Config, "block_labels", 250)
+        run_thm1_demo(Thm1Config(epsilon=0.5, n_values=(10, 100, 1000), trials=7, seed=4))
+        assert len(ranks) == 1 + 4 + 7
 
 
 class TestCtr:

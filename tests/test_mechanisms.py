@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,27 @@ class TestRandomizedResponse:
     def test_infinite_epsilon_identity(self):
         labels = np.arange(100) % 4
         np.testing.assert_array_equal(randomized_response(labels, 4, math.inf, 0), labels)
+
+    @pytest.mark.parametrize("labels, shown", [([0, 2, -1], "[-1, 2]"), ([1, 3, 0], "[0, 3]")])
+    def test_labels_outside_the_classes_rejected(self, labels, shown):
+        message = rf"labels must lie in \[0, 3\), got range {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            randomized_response(np.array(labels), 3, 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [2, 3, 5, 100])
+    def test_flip_is_the_modulo_of_the_same_draws(self, k, seed):
+        """Bit for bit the modulo form of the flip, drawn from the same substream."""
+        labels = np.random.default_rng([k, seed]).integers(0, k, 3000)
+        labels[:k] = np.arange(k)
+        epsilon = 0.4
+        rng = substream(seed, "rr")
+        keep = rng.random(labels.size) < keep_probability(epsilon, k)
+        offset = rng.integers(1, k, size=labels.size)
+        expected = np.where(keep, labels, (labels + offset) % k)
+        out = randomized_response(labels, k, epsilon, seed)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestRrWithPrior:

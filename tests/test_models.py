@@ -868,6 +868,55 @@ class TestMajorityTableStack:
         models = majority_table(Dataset(features, stack, 3))
         assert [int(model.labels[0]) for model in models] == [0, 1, 2]
 
+    # Queries built from the training rows f: the rows themselves, which
+    # reuse the fit's ranking, and queries that must not.
+    LOOKUP_QUERIES = {
+        "training rows": lambda f, rng: f,
+        "equal copy": lambda f, rng: f.copy(),
+        "equal, Fortran order": lambda f, rng: np.asfortranarray(f),
+        "signs of zeros flipped": lambda f, rng: np.where(f == 0.0, -f, f),
+        "one changed row": lambda f, rng: np.where(
+            np.arange(f.shape[0])[:, None] == rng.integers(f.shape[0]), 0.5, f),
+        "one NaN cell": lambda f, rng: np.where(
+            np.arange(f.size).reshape(f.shape) == rng.integers(f.size), np.nan, f),
+        "unseen rows": lambda f, rng: rng.normal(size=f.shape),
+        "one row fewer": lambda f, rng: f[:-1],
+        "one row more": lambda f, rng: np.vstack([f, f[:1]]),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("case", list(LOOKUP_QUERIES))
+    def test_lookup_equals_the_ranked_lookup(self, case, d, seed):
+        rng = np.random.default_rng([d, seed, 25])
+        cells = np.array([-1.0, -0.0, 0.0, 1.0])
+        n = int(rng.integers(2, 40))
+        features = cells[rng.integers(0, cells.size, (n, d))]
+        stack = rng.integers(0, 3, (4, n))
+        query = self.LOOKUP_QUERIES[case](features, rng)
+        for model in majority_table(Dataset(features, stack, 3)):
+            ranked = models.MajorityTableModel(model.rows, model.labels, 3)
+            np.testing.assert_array_equal(model.predict_proba(query), ranked.predict_proba(query))
+
+    def test_only_the_training_rows_skip_the_ranking(self, monkeypatch):
+        features = np.array([[1.0, 0.0], [1.0, -0.0], [2.0, 0.0]])
+        model = majority_table(Dataset(features, np.array([1, 0, 1]), 2))
+        ranks = []
+        rank_rows = models._rank_rows
+        monkeypatch.setattr(models, "_rank_rows", lambda words: ranks.append(1) or rank_rows(words))
+        model.predict_proba(features)
+        model.predict_proba(np.where(features == 0.0, -features, features))
+        assert ranks == []
+        model.predict_proba(features[:2])
+        assert ranks == [1]
+
+    def test_features_changed_after_the_fit_are_looked_up_afresh(self):
+        features = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        model, = majority_table(Dataset(features, np.array([[1, 1, 0, 0]]), 2))
+        features[0, 0] = 5.0
+        np.testing.assert_array_equal(model.predict_proba(features),
+                                      [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+
 
 # Signed zeros, ones, a plain value, the smallest subnormals and the largest
 # finite values: bytes that differ in the sign bit, the first byte or only
