@@ -118,9 +118,10 @@ def eau_empirical(inferred, true_labels, spec: UtilitySpec) -> float:
 
 
 # eau_monte_carlo hands the pipeline blocks of B = MC_BLOCK_ENTRIES // (n * k)
-# trials (at least 1) at a time, so a stacked fit's (n, B * k) probability
-# arrays hold at most this many entries (1 MiB of float64): B = 13 for the
-# simulation's n = 100, k = 100 cells and 655 for its k = 2 cells.
+# trials (at least 1) at a time, so a stacked fit's class-major (k, B, n)
+# probability arrays hold at most this many entries (1 MiB of float64):
+# B = 13 for the simulation's n = 100, k = 100 cells and 655 for its k = 2
+# cells.
 MC_BLOCK_ENTRIES = 1 << 17
 
 

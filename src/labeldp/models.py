@@ -138,36 +138,44 @@ def _design(features: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return design
 
 
-def _softmax(logits: np.ndarray, shared: int = 0) -> np.ndarray:
-    """Softmax over the last axis, computed in place in `logits`. With
-    shared > 0 the last column stands for 1 + shared classes of equal logit:
+def _softmax(logits: np.ndarray, shared: int = 0, axis: int = -1) -> np.ndarray:
+    """Softmax over the class axis, computed in place in `logits`: the last
+    axis of (n, k) rows, or axis 0 of class-major (k, T, n) logits. With
+    shared > 0 the last class stands for 1 + shared classes of equal logit:
     it counts that many times in the normalizer and holds the probability
     of each of them."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= logits.max(axis=axis, keepdims=True)
     probs = np.exp(logits, out=logits)
-    total = probs.sum(axis=-1, keepdims=True)
+    total = probs.sum(axis=axis, keepdims=True)
     if shared:
-        total += shared * probs[..., -1:]
+        total += shared * np.take(probs, [-1], axis=axis)
     probs /= total
     return probs
 
 
-def _softmax_loss(
-    logits: np.ndarray, labels: np.ndarray, with_resid: bool, shared: int = 0
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cross-entropy of T label vectors from their (n, T, k) logits.
+def _true_positions(labels: np.ndarray) -> np.ndarray:
+    """The flat position of each (trial, row)'s true class in a class-major
+    (k, T, n) array, from (T, n) labels: _softmax_loss's targets."""
+    trials, n = labels.shape
+    return labels * (trials * n) + np.arange(trials * n).reshape(trials, n)
 
-    labels is (T, n). Returns the (T,) summed cross-entropy, each true-class
-    probability clamped below at PROB_CLAMP, and (when asked) the residual
-    probs - onehot. One softmax pass, in place in `logits`; per-trial sums
-    run over contiguous vectors, as np.sum does for one fit. `shared` is
-    _softmax's: the extra classes the last column stands for, none of
-    which is a label.
+
+def _softmax_loss(
+    logits: np.ndarray, true: np.ndarray, with_resid: bool, shared: int = 0
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cross-entropy of T label vectors from their class-major (k, T, n)
+    logits.
+
+    true holds the (T, n) flat positions of the true classes in the logits
+    (see _true_positions). Returns the (T,) summed cross-entropy, each
+    true-class probability clamped below at PROB_CLAMP, and (when asked)
+    the residual probs - onehot. One softmax pass over the class axis, in
+    place in `logits`, whose max and sum run over k contiguous (T, n)
+    planes; per-trial sums run over contiguous vectors, as np.sum does for
+    one fit. `shared` is _softmax's: the extra classes the last class row
+    stands for, none of which is a label.
     """
-    n, trials, k = logits.shape
-    probs = _softmax(logits, shared)
-    # Position of each (trial, row)'s true class in the flattened probs.
-    true = (np.arange(n) * trials + np.arange(trials)[:, None]) * k + labels
+    probs = _softmax(logits, shared, axis=0)
     flat = probs.reshape(-1)
     loss = -np.log(np.clip(flat[true], PROB_CLAMP, None)).sum(axis=1)
     if not with_resid:
@@ -213,12 +221,12 @@ def _binary_loss(
 
 
 def _transpose_product(design: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """design.T applied to each trial of a stack over the design's n rows:
-    (T, n) -> (T, d+1) rows, or (n, T, k) -> (d+1, T, k)."""
+    """design.T applied to each trial of a stack over the design's n rows,
+    as stack @ design over its last axis: (T, n) -> (T, d+1), or class-major
+    (k, T, n) -> (k, T, d+1) in one product of its k*T rows."""
     if stack.ndim == 2:
         return stack @ design
-    n, trials, k = stack.shape
-    return (design.T @ stack.reshape(n, trials * k)).reshape(-1, trials, k)
+    return (stack.reshape(-1, stack.shape[-1]) @ design).reshape(*stack.shape[:-1], -1)
 
 
 def _objective(
@@ -233,30 +241,28 @@ def _objective(
     (when asked) the descent direction: params -= lr * direction is one
     gradient step.
 
-    params holds each trial's weights W_t, as (d+1, T, k) for the softmax
-    form or, for two classes, as the (T, d+1) rows w_t of W_t = [-w_t, w_t]
-    (targets are then label signs, else labels). With gram = design @
-    design.T, params instead holds coefficients A_t of W_t = design.T @ A_t,
-    as (n, T, k) or (T, n). Then the logits are gram @ A_t, and the weight
-    gradient design.T @ R_t / n, R_t the residual, is design.T @ (the
-    coefficient direction R_t / n).
+    params holds each trial's weights W_t class-major: as (k, T, d+1), row
+    [c, t] the weight column of class c, for the softmax form, whose targets
+    are the true classes' positions (see _true_positions); or, for two
+    classes, as the (T, d+1) rows w_t of W_t = [-w_t, w_t], whose targets
+    are label signs. With gram = design @ design.T, params instead holds
+    coefficients A_t of W_t = design.T @ A_t, as (k, T, n) or (T, n). Then
+    the logits are gram @ A_t, and the weight gradient design.T @ R_t / n,
+    R_t the residual, is design.T @ (the coefficient direction R_t / n).
 
-    In the softmax form the last column may stand for `shared` more classes
-    than its own, as train_logistic's collapsed fits use it (see
-    _collapse_absent): they count in the normalizer, and the column's
+    In the softmax form the last class row may stand for `shared` more
+    classes than its own, as train_logistic's collapsed fits use it (see
+    _collapse_absent): they count in the normalizer, and the row's
     direction is that of each of them.
     """
     n = design.shape[0]
-    binary = params.ndim == 2
     basis = design if gram is None else gram
-    if binary:
-        logits = params @ basis.T
+    if params.ndim == 2:
+        loss, resid = _binary_loss(params @ basis.T, targets, with_grad)
     else:
-        logits = (basis @ params.reshape(len(params), -1)).reshape(n, *params.shape[1:])
-    if binary:
-        loss, resid = _binary_loss(logits, targets, with_grad)
-    else:
-        loss, resid = _softmax_loss(logits, targets, with_grad, shared)
+        logits = params.reshape(-1, params.shape[-1]) @ basis.T
+        loss, resid = _softmax_loss(logits.reshape(*params.shape[:-1], n), targets,
+                                    with_grad, shared)
     loss /= n
     if not with_grad:
         return loss, None
@@ -345,6 +351,11 @@ class LogisticModel(Model):
         beyond it a block's product may round differently (tested to move
         no probability by more than 1e-13)."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if features.shape[1] != self.mu.size:
+            raise ValueError(
+                f"logistic model was trained on {self.mu.size} feature columns, "
+                f"query has {features.shape[1]}"
+            )
         n = features.shape[0]
         rows = max(1, _SCORE_BLOCK_ENTRIES // (self.mu.size + 1))
         logits = np.empty((n, self.num_classes))
@@ -388,6 +399,11 @@ def train_logistic(
     bit for bit and predict's ties still go to the lowest index. It agrees
     with full-width descent to 1e-12 relative in weights and loss history.
     Where kc >= k, and for k = 2, the arithmetic is that of the full width.
+
+    The k > 2 loop carries its parameters class-major, as (kc, T, d+1) or
+    (kc, T, n), the binary form's (T, d+1) / (T, n) with a class axis in
+    front, so the softmax's max and sum run over kc whole (T, n) planes of
+    logits; the true classes' positions in them are found once per fit.
     """
     if len(train) < 1:
         raise ValueError("training set is empty")
@@ -418,7 +434,7 @@ def train_logistic(
         targets, params = 2.0 * labels - 1.0, np.zeros((trials, size))
     else:
         targets, columns, shared = _collapse_absent(labels, k)
-        params = np.zeros((size, trials, k - shared))
+        targets, params = _true_positions(targets), np.zeros((k - shared, trials, size))
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
@@ -436,9 +452,9 @@ def train_logistic(
     if k == 2:
         fitted = [np.column_stack([-w, w]) for w in weights]
     elif columns is None:
-        fitted = [weights[:, t].copy() for t in range(trials)]
+        fitted = [weights[:, t].T.copy() for t in range(trials)]
     else:
-        fitted = [np.take(weights[:, t], columns[t], axis=1) for t in range(trials)]
+        fitted = [np.take(weights[:, t].T, columns[t], axis=1) for t in range(trials)]
     histories = np.array(history).T.tolist()
     models = [
         LogisticModel(w, mu, sd, k, seed=s, loss_history=h)

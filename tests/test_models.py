@@ -8,12 +8,14 @@ from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 import labeldp.models as models
 from labeldp.models import (
     _LOSS_CAP,
+    PROB_CLAMP,
     LogisticHyper,
     _binary_loss,
     _design,
     _fit_scaler,
     _objective,
     _softmax,
+    _true_positions,
     BayesModel,
     ConstantModel,
     TrainingDivergedError,
@@ -28,11 +30,13 @@ from labeldp.models import (
 
 def _one_trial(weights, onehot):
     """_objective's arguments for one fit given as a (d+1, k) weight matrix
-    and (n, k) one-hot targets."""
+    and (n, k) one-hot targets: the (k, 1, d+1) class-major weights and the
+    true classes' positions."""
     labels = np.argmax(onehot, axis=1)
     if not np.array_equal(onehot, np.eye(onehot.shape[1])[labels]):
         raise ValueError("onehot must hold one 1 per row and 0 elsewhere")
-    return np.asarray(weights, dtype=np.float64)[:, None, :], labels[None, :]
+    weights = np.asarray(weights, dtype=np.float64).T[:, None, :].copy()
+    return weights, _true_positions(labels[None, :])
 
 
 def cross_entropy_loss(weights, design, onehot):
@@ -44,7 +48,7 @@ def cross_entropy_loss(weights, design, onehot):
 
 def cross_entropy_grad(weights, design, onehot):
     weights, labels = _one_trial(weights, onehot)
-    return _objective(weights, design, None, labels, True)[1][:, 0]
+    return _objective(weights, design, None, labels, True)[1][:, 0].T
 
 
 def toy_separable():
@@ -406,7 +410,7 @@ def weight_space_fit(ds, hyper):
     if k == 2:
         targets, params = 2.0 * labels - 1.0, np.zeros((trials, design.shape[1]))
     else:
-        targets, params = labels, np.zeros((design.shape[1], trials, k))
+        targets, params = _true_positions(labels), np.zeros((k, trials, design.shape[1]))
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
@@ -417,7 +421,7 @@ def weight_space_fit(ds, hyper):
     if k == 2:
         weights = [np.column_stack([-w, w]) for w in params]
     else:
-        weights = list(params.transpose(1, 0, 2))
+        weights = list(params.transpose(1, 2, 0))
     return weights, np.array(history).T
 
 
@@ -514,15 +518,16 @@ def coefficient_space_fit(ds, hyper):
     design = _design(ds.features, *_fit_scaler(ds.features))
     lr = hyper.learning_rate or 0.9 * stability_threshold(ds)
     gram = design @ design.T
-    params = np.zeros((len(ds), labels.shape[0], ds.num_classes))
+    targets = _true_positions(labels)
+    params = np.zeros((ds.num_classes, labels.shape[0], len(ds)))
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = _objective(params, design, gram, labels, not last)
+        loss, grad = _objective(params, design, gram, targets, not last)
         history.append(loss)
         if not last:
             params -= lr * grad
-    return [design.T @ a for a in params.transpose(1, 0, 2)], np.array(history).T
+    return [design.T @ a for a in params.transpose(1, 2, 0)], np.array(history).T
 
 
 def labels_with_counts(k, n, counts, rng):
@@ -553,7 +558,7 @@ class TestAbsentClasses:
         original = models._objective
 
         def spy(params, design, gram, targets, with_grad, shared=0):
-            calls.append((gram is not None, params.shape[-1], shared))
+            calls.append((gram is not None, len(params), shared))
             return original(params, design, gram, targets, with_grad, shared)
 
         monkeypatch.setattr(models, "_objective", spy)
@@ -626,6 +631,174 @@ class TestAbsentClasses:
         assert space == coefficients and width <= n + 1 and shared == 100 - width
         trial = " in trial 2" if stacked else ""
         assert str(err.value) == f"non-finite loss{trial} at iteration {iteration}"
+
+
+def softmax_before(logits, shared=0):
+    """_softmax as it was before the softmax form ran class-major, kept
+    verbatim: softmax over the last axis, in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    total = probs.sum(axis=-1, keepdims=True)
+    if shared:
+        total += shared * probs[..., -1:]
+    probs /= total
+    return probs
+
+
+def softmax_loss_before(logits, labels, with_resid, shared=0):
+    """_softmax_loss as it was before the softmax form ran class-major, on
+    (n, T, k) logits and (T, n) labels, kept verbatim."""
+    n, trials, k = logits.shape
+    probs = softmax_before(logits, shared)
+    # Position of each (trial, row)'s true class in the flattened probs.
+    true = (np.arange(n) * trials + np.arange(trials)[:, None]) * k + labels
+    flat = probs.reshape(-1)
+    loss = -np.log(np.clip(flat[true], PROB_CLAMP, None)).sum(axis=1)
+    if not with_resid:
+        return loss, None
+    flat[true] -= 1.0  # probs - onehot, in place
+    return loss, probs
+
+
+def transpose_product_before(design, stack):
+    """_transpose_product as it was before, kept verbatim: (T, n) -> (T, d+1)
+    rows, or (n, T, k) -> (d+1, T, k)."""
+    if stack.ndim == 2:
+        return stack @ design
+    n, trials, k = stack.shape
+    return (design.T @ stack.reshape(n, trials * k)).reshape(-1, trials, k)
+
+
+def objective_before(params, design, gram, targets, with_grad, shared=0):
+    """_objective as it was before, kept verbatim: the softmax form's params
+    are (d+1, T, k), or (n, T, k) coefficients, and its targets labels."""
+    n = design.shape[0]
+    binary = params.ndim == 2
+    basis = design if gram is None else gram
+    if binary:
+        logits = params @ basis.T
+    else:
+        logits = (basis @ params.reshape(len(params), -1)).reshape(n, *params.shape[1:])
+    if binary:
+        loss, resid = _binary_loss(logits, targets, with_grad)
+    else:
+        loss, resid = softmax_loss_before(logits, targets, with_grad, shared)
+    loss /= n
+    if not with_grad:
+        return loss, None
+    grad = transpose_product_before(design, resid) if gram is None else resid
+    grad /= n
+    return loss, grad
+
+
+def descent_before(train, hyper):
+    """train_logistic's descent as it was before the softmax form ran
+    class-major, kept verbatim from the scaler to each trial's weights:
+    (weights per trial, loss history per trial)."""
+    stacked = train.labels.ndim == 2
+    labels = train.labels if stacked else train.labels[None, :]
+    trials, k = labels.shape[0], train.num_classes
+    mu, sd = _fit_scaler(train.features)
+    design = _design(train.features, mu, sd)
+
+    lr = hyper.learning_rate
+    if lr is None:
+        lr = 0.9 * stability_threshold(train)
+
+    n, cols = design.shape
+    gram = design @ design.T if n < 2 * cols else None
+    size = cols if gram is None else n
+    columns, shared = None, 0
+    if k == 2:
+        targets, params = 2.0 * labels - 1.0, np.zeros((trials, size))
+    else:
+        targets, columns, shared = models._collapse_absent(labels, k)
+        params = np.zeros((size, trials, k - shared))
+    history = []
+    for it in range(hyper.iterations + 1):
+        last = it == hyper.iterations
+        loss, grad = objective_before(params, design, gram, targets, not last, shared)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            trial = f" in trial {int(np.argmin(finite))}" if stacked else ""
+            raise TrainingDivergedError(f"non-finite loss{trial} at iteration {it}")
+        history.append(loss)
+        if last:
+            break
+        grad *= lr
+        params -= grad
+    weights = params if gram is None else transpose_product_before(design, params)
+    if k == 2:
+        fitted = [np.column_stack([-w, w]) for w in weights]
+    elif columns is None:
+        fitted = [weights[:, t].copy() for t in range(trials)]
+    else:
+        fitted = [np.take(weights[:, t], columns[t], axis=1) for t in range(trials)]
+    return fitted, np.array(history).T
+
+
+class TestClassMajorDescent:
+    """train_logistic carries the k > 2 parameters class-major, (k, T, d+1)
+    or (k, T, n). Against the (n, T, k) descent it replaced (kept above), in
+    both spaces, stacked or not, narrowed or at full width: weights and loss
+    history within 1e-12 relative, the same argmax, absent-class columns
+    equal bit for bit and C-contiguous weights. For two classes, whose loop
+    did not change, the fit keeps the old bytes."""
+
+    # (k, narrowed) -> distinct classes per trial. The first trial alone
+    # narrows (kc = its count + 1 < k) exactly when the whole stack does.
+    COUNTS = {
+        (3, True): [1, 1, 1], (3, False): [3, 1, 2],
+        (7, True): [5, 2, 4], (7, False): [7, 3, 6],
+        (100, True): [64, 30, 50], (100, False): [100, 64, 99],
+    }
+
+    @staticmethod
+    def problem(k, counts, coefficients, stacked, seed=51):
+        rng = np.random.default_rng([k, max(counts), seed])
+        n = max(40, max(counts))
+        d = n if coefficients else 4
+        features = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0, d) + rng.normal(size=d)
+        labels = labels_with_counts(k, n, counts, rng)
+        return Dataset(features, labels if stacked else labels[0], k)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("coefficients", [False, True], ids=["weights", "coefficients"])
+    @pytest.mark.parametrize("k, narrowed", list(COUNTS))
+    def test_matches_the_replaced_descent(self, monkeypatch, k, narrowed, coefficients, stacked):
+        hyper = LogisticHyper(iterations=35)
+        ds = self.problem(k, self.COUNTS[k, narrowed], coefficients, stacked)
+        calls = TestAbsentClasses.spy_widths(monkeypatch)
+        fitted = train_logistic(ds, hyper, seed=0)
+        [(space, width, _)] = set(calls)
+        assert space == coefficients and (width < k) == narrowed
+        fitted = fitted if stacked else [fitted]
+        weights, histories = descent_before(ds, hyper)
+        design = _design(ds.features, *_fit_scaler(ds.features))
+        labels = np.atleast_2d(ds.labels)
+        for model, y, w, h in zip(fitted, labels, weights, histories, strict=True):
+            assert model.weights.shape == w.shape == (ds.dim + 1, k)
+            assert model.weights.flags.c_contiguous
+            assert_close_relative(model.weights, w)
+            np.testing.assert_allclose(model.loss_history, h, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(model.predict(ds.features),
+                                          np.argmax(design @ w, axis=1))
+            if narrowed:
+                absent = np.setdiff1d(np.arange(k), y)
+                bits = model.weights[:, absent].T.view(np.uint64)
+                assert (bits == bits[:1]).all()
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("coefficients", [False, True], ids=["weights", "coefficients"])
+    def test_two_classes_keep_their_bytes(self, coefficients, stacked):
+        hyper = LogisticHyper(iterations=35)
+        ds = self.problem(2, [2, 2, 1], coefficients, stacked)
+        fitted = train_logistic(ds, hyper, seed=0)
+        fitted = fitted if stacked else [fitted]
+        weights, histories = descent_before(ds, hyper)
+        for model, w, h in zip(fitted, weights, histories, strict=True):
+            assert model.weights.tobytes() == w.tobytes()
+            assert np.array(model.loss_history).tobytes() == h.tobytes()
 
 
 class TestAnalyticModels:
@@ -1068,3 +1241,11 @@ class TestModelContracts:
         assert ConstantModel([0.5, 0.5]).num_features is None
         ds = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
         assert majority_table(ds).num_features == 3
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_logistic_query_of_the_wrong_width_is_rejected(self, k):
+        model = models.LogisticModel(np.zeros((3, k)), np.zeros(2), np.ones(2), k)
+        with pytest.raises(ValueError, match="trained on 2 feature columns, query has 5"):
+            model.predict_proba(np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="trained on 2 feature columns, query has 1"):
+            model.predict(np.zeros(1))
