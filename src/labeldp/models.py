@@ -138,18 +138,11 @@ def _design(features: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return design
 
 
-def _softmax(logits: np.ndarray, shared: int = 0, axis: int = -1) -> np.ndarray:
-    """Softmax over the class axis, computed in place in `logits`: the last
-    axis of (n, k) rows, or axis 0 of class-major (k, T, n) logits. With
-    shared > 0 the last class stands for 1 + shared classes of equal logit:
-    it counts that many times in the normalizer and holds the probability
-    of each of them."""
-    logits -= logits.max(axis=axis, keepdims=True)
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of (n, k) logits, computed in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits, out=logits)
-    total = probs.sum(axis=axis, keepdims=True)
-    if shared:
-        total += shared * np.take(probs, [-1], axis=axis)
-    probs /= total
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
@@ -161,26 +154,36 @@ def _true_positions(labels: np.ndarray) -> np.ndarray:
 
 
 def _softmax_loss(
-    logits: np.ndarray, true: np.ndarray, with_resid: bool, shared: int = 0
+    logits: np.ndarray, true: np.ndarray, scale: float | None, shared: int = 0
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Cross-entropy of T label vectors from their class-major (k, T, n)
-    logits.
+    logits, and (when scale is given) the residual probs - onehot times
+    scale.
 
     true holds the (T, n) flat positions of the true classes in the logits
-    (see _true_positions). Returns the (T,) summed cross-entropy, each
-    true-class probability clamped below at PROB_CLAMP, and (when asked)
-    the residual probs - onehot. One softmax pass over the class axis, in
-    place in `logits`, whose max and sum run over k contiguous (T, n)
-    planes; per-trial sums run over contiguous vectors, as np.sum does for
-    one fit. `shared` is _softmax's: the extra classes the last class row
-    stands for, none of which is a label.
+    (see _true_positions). A row's loss is its log-sum-exp minus its true
+    logit, log(total) - z_true after the shift by the row's max, capped at
+    _LOSS_CAP: -log p_true with p_true clamped below at PROB_CLAMP. Returns
+    the (T,) per-trial sums. One pass over the class axis, in place in
+    `logits`: its max and normalizer run over k contiguous (T, n) planes,
+    and one multiply of those planes by the (T, n) plane scale / total
+    forms the residual, whose true-class entries are then lowered by scale.
+    `shared` counts the extra classes the last class row stands for, none
+    of which is a label: they add shared times its exp to the normalizer.
     """
-    probs = _softmax(logits, shared, axis=0)
-    flat = probs.reshape(-1)
-    loss = -np.log(np.clip(flat[true], PROB_CLAMP, None)).sum(axis=1)
-    if not with_resid:
+    logits -= logits.max(axis=0)
+    flat = logits.reshape(-1)
+    z_true = flat[true]
+    probs = np.exp(logits, out=logits)
+    total = probs.sum(axis=0)
+    if shared:
+        total += shared * probs[-1]
+    loss = np.minimum(np.log(total) - z_true, _LOSS_CAP).sum(axis=1)
+    if scale is None:
         return loss, None
-    flat[true] -= 1.0  # probs - onehot, in place
+    np.divide(scale, total, out=total)
+    probs *= total
+    flat[true] -= scale  # (probs - onehot) * scale, in place
     return loss, probs
 
 
@@ -234,12 +237,13 @@ def _objective(
     design: np.ndarray,
     gram: np.ndarray | None,
     targets: np.ndarray,
-    with_grad: bool,
+    lr: float,
+    with_step: bool,
     shared: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The (T,) mean cross-entropies of T stacked fits over one design, and
-    (when asked) the descent direction: params -= lr * direction is one
-    gradient step.
+    (when asked) the step of learning rate lr: params -= step is one
+    gradient-descent iteration.
 
     params holds each trial's weights W_t class-major: as (k, T, d+1), row
     [c, t] the weight column of class c, for the softmax form, whose targets
@@ -247,28 +251,35 @@ def _objective(
     classes, as the (T, d+1) rows w_t of W_t = [-w_t, w_t], whose targets
     are label signs. With gram = design @ design.T, params instead holds
     coefficients A_t of W_t = design.T @ A_t, as (k, T, n) or (T, n). Then
-    the logits are gram @ A_t, and the weight gradient design.T @ R_t / n,
-    R_t the residual, is design.T @ (the coefficient direction R_t / n).
+    the logits are gram @ A_t, and the weight step lr * design.T @ R_t / n,
+    R_t the residual, is design.T @ (the coefficient step lr * R_t / n).
+
+    The softmax form folds lr / n into its residual (see _softmax_loss), so
+    one multiply of the (k, T, n) probabilities forms the step. The binary
+    form divides its step by n and then multiplies it by lr.
 
     In the softmax form the last class row may stand for `shared` more
     classes than its own, as train_logistic's collapsed fits use it (see
-    _collapse_absent): they count in the normalizer, and the row's
-    direction is that of each of them.
+    _collapse_absent): they count in the normalizer, and the row's step is
+    that of each of them.
     """
     n = design.shape[0]
     basis = design if gram is None else gram
-    if params.ndim == 2:
-        loss, resid = _binary_loss(params @ basis.T, targets, with_grad)
+    binary = params.ndim == 2
+    if binary:
+        loss, resid = _binary_loss(params @ basis.T, targets, with_step)
     else:
         logits = params.reshape(-1, params.shape[-1]) @ basis.T
         loss, resid = _softmax_loss(logits.reshape(*params.shape[:-1], n), targets,
-                                    with_grad, shared)
+                                    lr / n if with_step else None, shared)
     loss /= n
-    if not with_grad:
+    if not with_step:
         return loss, None
-    grad = _transpose_product(design, resid) if gram is None else resid
-    grad /= n
-    return loss, grad
+    step = _transpose_product(design, resid) if gram is None else resid
+    if binary:
+        step /= n
+        step *= lr
+    return loss, step
 
 
 def _collapse_absent(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None, int]:
@@ -404,6 +415,10 @@ def train_logistic(
     (kc, T, n), the binary form's (T, d+1) / (T, n) with a class axis in
     front, so the softmax's max and sum run over kc whole (T, n) planes of
     logits; the true classes' positions in them are found once per fit.
+    Its step is formed by one multiply of the probabilities by the (T, n)
+    plane (lr / n) / total, and its loss from log-sum-exp (see
+    _softmax_loss): within 1e-12 relative in weights and loss history of
+    dividing by the normalizer, then by n, then multiplying by lr.
     """
     if len(train) < 1:
         raise ValueError("training set is empty")
@@ -438,7 +453,7 @@ def train_logistic(
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = _objective(params, design, gram, targets, not last, shared)
+        loss, step = _objective(params, design, gram, targets, lr, not last, shared)
         finite = np.isfinite(loss)
         if not finite.all():
             trial = f" in trial {int(np.argmin(finite))}" if stacked else ""
@@ -446,8 +461,7 @@ def train_logistic(
         history.append(loss)
         if last:
             break
-        grad *= lr
-        params -= grad
+        params -= step
     weights = params if gram is None else _transpose_product(design, params)
     if k == 2:
         fitted = [np.column_stack([-w, w]) for w in weights]

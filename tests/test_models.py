@@ -43,12 +43,12 @@ def cross_entropy_loss(weights, design, onehot):
     """Mean cross-entropy of a (d+1, k) weight matrix on an (n, d+1) design:
     the training objective, which the finite-difference oracles differentiate."""
     weights, labels = _one_trial(weights, onehot)
-    return float(_objective(weights, design, None, labels, False)[0][0])
+    return float(_objective(weights, design, None, labels, 1.0, False)[0][0])
 
 
 def cross_entropy_grad(weights, design, onehot):
     weights, labels = _one_trial(weights, onehot)
-    return _objective(weights, design, None, labels, True)[1][:, 0].T
+    return _objective(weights, design, None, labels, 1.0, True)[1][:, 0].T
 
 
 def toy_separable():
@@ -141,7 +141,8 @@ def antisymmetric(w):
 
 def one_trial_binary(w, design, labels, with_grad):
     """The binary form on a stack of one: (loss, gradient column)."""
-    loss, grad = _objective(w[None, :], design, None, (2.0 * labels - 1.0)[None, :], with_grad)
+    loss, grad = _objective(w[None, :], design, None, (2.0 * labels - 1.0)[None, :], 1.0,
+                            with_grad)
     return loss[0], None if grad is None else grad[0]
 
 
@@ -414,10 +415,10 @@ def weight_space_fit(ds, hyper):
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = _objective(params, design, None, targets, not last)
+        loss, step = _objective(params, design, None, targets, lr, not last)
         history.append(loss)
         if not last:
-            params -= lr * grad
+            params -= step
     if k == 2:
         weights = [np.column_stack([-w, w]) for w in params]
     else:
@@ -492,7 +493,7 @@ class TestCoefficientSpace:
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("n, seed, coefficients, iteration", [
-        pytest.param(5, 0, True, 7, id="coefficients"),
+        pytest.param(5, 0, True, 8, id="coefficients"),
         pytest.param(10, 2, False, 17, id="weights"),
     ])
     def test_divergence_names_trial_and_iteration(
@@ -500,7 +501,9 @@ class TestCoefficientSpace:
     ):
         # The two spaces (and a stack and its single fits) round differently,
         # and overflow turns that into different divergence points, so each
-        # space gets its own data and is not compared with the other.
+        # space gets its own data and is not compared with the other. Near
+        # 1e307 the equal rows 0 and 1 tie two classes' logits to the last
+        # bit, so a step that rounds differently can move the point by one.
         features, labels = conflicting_rows(3, n, seed)
         paths = self.spy_paths(monkeypatch)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
@@ -523,10 +526,10 @@ def coefficient_space_fit(ds, hyper):
     history = []
     for it in range(hyper.iterations + 1):
         last = it == hyper.iterations
-        loss, grad = _objective(params, design, gram, targets, not last)
+        loss, step = _objective(params, design, gram, targets, lr, not last)
         history.append(loss)
         if not last:
-            params -= lr * grad
+            params -= step
     return [design.T @ a for a in params.transpose(1, 2, 0)], np.array(history).T
 
 
@@ -557,9 +560,9 @@ class TestAbsentClasses:
         calls = []
         original = models._objective
 
-        def spy(params, design, gram, targets, with_grad, shared=0):
+        def spy(params, design, gram, targets, lr, with_step, shared=0):
             calls.append((gram is not None, len(params), shared))
-            return original(params, design, gram, targets, with_grad, shared)
+            return original(params, design, gram, targets, lr, with_step, shared)
 
         monkeypatch.setattr(models, "_objective", spy)
         return calls
@@ -615,7 +618,7 @@ class TestAbsentClasses:
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("n, seed, coefficients, iteration", [
-        pytest.param(5, 0, True, 7, id="coefficients"),
+        pytest.param(5, 0, True, 6, id="coefficients"),
         pytest.param(10, 2, False, 12, id="weights"),
     ])
     def test_divergence_names_trial_and_iteration(
@@ -799,6 +802,134 @@ class TestClassMajorDescent:
         for model, w, h in zip(fitted, weights, histories, strict=True):
             assert model.weights.tobytes() == w.tobytes()
             assert np.array(model.loss_history).tobytes() == h.tobytes()
+
+
+def softmax_class_major_before(logits, shared=0, axis=-1):
+    """_softmax as it was before the k > 2 step was folded, kept verbatim."""
+    logits -= logits.max(axis=axis, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    total = probs.sum(axis=axis, keepdims=True)
+    if shared:
+        total += shared * np.take(probs, [-1], axis=axis)
+    probs /= total
+    return probs
+
+
+def softmax_loss_class_major_before(logits, true, with_resid, shared=0):
+    """_softmax_loss as it was before the k > 2 step was folded, on
+    class-major (k, T, n) logits, kept verbatim."""
+    probs = softmax_class_major_before(logits, shared, axis=0)
+    flat = probs.reshape(-1)
+    loss = -np.log(np.clip(flat[true], PROB_CLAMP, None)).sum(axis=1)
+    if not with_resid:
+        return loss, None
+    flat[true] -= 1.0  # probs - onehot, in place
+    return loss, probs
+
+
+def objective_unfolded_before(params, design, gram, targets, with_grad, shared=0):
+    """_objective as it was before the k > 2 step was folded, kept verbatim:
+    it returns the descent direction, which the loop multiplied by lr."""
+    n = design.shape[0]
+    basis = design if gram is None else gram
+    if params.ndim == 2:
+        loss, resid = _binary_loss(params @ basis.T, targets, with_grad)
+    else:
+        logits = params.reshape(-1, params.shape[-1]) @ basis.T
+        loss, resid = softmax_loss_class_major_before(logits.reshape(*params.shape[:-1], n),
+                                                      targets, with_grad, shared)
+    loss /= n
+    if not with_grad:
+        return loss, None
+    grad = models._transpose_product(design, resid) if gram is None else resid
+    grad /= n
+    return loss, grad
+
+
+def unfolded_fit(ds, hyper):
+    """train_logistic running the step as it was before it was folded:
+    probs /= total, the loss as -log(clip(p)), grad /= n in _objective, then
+    grad *= lr and params -= grad in the loop. The rest of the loop did not
+    change, so this is the replaced descent bit for bit."""
+
+    def objective(params, design, gram, targets, lr, with_step, shared=0):
+        loss, grad = objective_unfolded_before(params, design, gram, targets, with_step, shared)
+        if grad is not None:
+            grad *= lr
+        return loss, grad
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_objective", objective)
+        return train_logistic(ds, hyper, seed=0)
+
+
+class TestFoldedStep:
+    """The k > 2 step is one multiply of the probabilities by (lr/n)/total
+    and the loss log-sum-exp minus the true logit. Against the unfolded step
+    (kept above), in both spaces, stacked or not, narrowed or at full width,
+    converging or not: weights and loss history within 1e-12 relative, the
+    same argmax, absent-class columns equal bit for bit and C-contiguous
+    weights."""
+
+    @pytest.mark.parametrize("iterations", [35, 300])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("coefficients", [False, True], ids=["weights", "coefficients"])
+    @pytest.mark.parametrize("k, narrowed", list(TestClassMajorDescent.COUNTS))
+    def test_matches_the_unfolded_step(self, monkeypatch, k, narrowed, coefficients, stacked,
+                                       iterations):
+        hyper = LogisticHyper(iterations=iterations)
+        ds = TestClassMajorDescent.problem(k, TestClassMajorDescent.COUNTS[k, narrowed],
+                                           coefficients, stacked)
+        expected = unfolded_fit(ds, hyper)
+        calls = TestAbsentClasses.spy_widths(monkeypatch)
+        fitted = train_logistic(ds, hyper, seed=0)
+        [(space, width, _)] = set(calls)
+        assert space == coefficients and (width < k) == narrowed
+        fitted, expected = (fitted, expected) if stacked else ([fitted], [expected])
+        for model, y, old in zip(fitted, np.atleast_2d(ds.labels), expected, strict=True):
+            assert model.weights.shape == old.weights.shape == (ds.dim + 1, k)
+            assert model.weights.flags.c_contiguous
+            assert_close_relative(model.weights, old.weights)
+            np.testing.assert_allclose(model.loss_history, old.loss_history, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(model.predict(ds.features), old.predict(ds.features))
+            if narrowed:
+                absent = np.setdiff1d(np.arange(k), y)
+                bits = model.weights[:, absent].T.view(np.uint64)
+                assert (bits == bits[:1]).all()
+
+    @pytest.mark.parametrize("shared", [0, 4])
+    def test_clamped_row_costs_the_cap(self, shared):
+        """A true class 50 below the row's max has p < PROB_CLAMP; its
+        log-sum-exp loss is _LOSS_CAP exactly, as -log(clip(p)) was."""
+        logits = np.array([50.0, 0.0, 0.0]).reshape(3, 1, 1)
+        true = _true_positions(np.array([[1]]))
+        assert softmax_class_major_before(logits.copy(), shared, axis=0)[1, 0, 0] < PROB_CLAMP
+        assert softmax_loss_class_major_before(logits.copy(), true, False, shared)[0] == _LOSS_CAP
+        for scale in (None, 0.5):
+            assert models._softmax_loss(logits.copy(), true, scale, shared)[0] == _LOSS_CAP
+
+    @pytest.mark.parametrize("coefficients", [False, True], ids=["weights", "coefficients"])
+    def test_loss_only_pass_matches_a_full_pass(self, coefficients):
+        """The final pass stops after the loss; its history entry is the one
+        a full pass at the same parameters gives, with clamped rows too."""
+        ds = TestClassMajorDescent.problem(7, [7, 2, 4], coefficients, stacked=True)
+        design = _design(ds.features, *_fit_scaler(ds.features))
+        gram = design @ design.T if coefficients else None
+        basis = design if gram is None else gram
+        targets = _true_positions(ds.labels)
+        params = np.random.default_rng(62).normal(scale=30.0, size=(7, 3, basis.shape[1]))
+        logits = params.reshape(21, -1) @ basis.T
+        probs = softmax_class_major_before(logits.reshape(7, 3, -1), axis=0)
+        assert (probs.reshape(-1)[targets] < PROB_CLAMP).any()
+        loss_only, _ = _objective(params, design, gram, targets, 0.5, False)
+        full, _ = _objective(params, design, gram, targets, 0.5, True)
+        assert loss_only.tobytes() == full.tobytes()
+        hyper = LogisticHyper(iterations=6)
+        fitted = train_logistic(ds, hyper, seed=0)
+        longer = train_logistic(ds, LogisticHyper(iterations=7), seed=0)
+        for model, more in zip(fitted, longer, strict=True):
+            assert np.array(model.loss_history).tobytes() == (
+                np.array(more.loss_history[:7]).tobytes())
 
 
 class TestAnalyticModels:
