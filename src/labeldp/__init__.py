@@ -30,7 +30,6 @@ from .mechanisms import (
 )
 from .metrics import (
     CalibrationResult,
-    MetricsReport,
     UtilitySpec,
     advantage_bound,
     bound_factor,

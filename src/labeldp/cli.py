@@ -123,6 +123,12 @@ def _echo(resolved: dict) -> None:
     print("resolved-config " + json.dumps(experiments._jsonable(resolved), sort_keys=True))
 
 
+def _options_given(args) -> dict:
+    """A command's parsed options, less the subcommand, its handler and the
+    stdout-only --full-precision: the configuration privatize and attack echo."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "full_precision")}
+
+
 def _term(args, name: str):
     value = getattr(args, name)
     if value is None:
@@ -170,14 +176,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_privatize(args) -> int:
-    _echo(
-        {
-            "input": args.input, "label_column": args.label_column,
-            "mechanism": args.mechanism, "epsilon": args.epsilon,
-            "top_k": args.top_k, "iterations": args.iterations,
-            "seed": args.seed, "output": args.output,
-        }
-    )
+    _echo(_options_given(args))
     dataset = load_csv(args.input, args.label_column)
     report = mechanisms.release(
         args.mechanism, dataset, args.epsilon,
@@ -185,28 +184,17 @@ def cmd_privatize(args) -> int:
     )
     labels, note = report.labels, report.params.note
     _write_rows(args.output, "row_index,private_label", labels)
-    with _atomic_write(args.output + ".manifest.json") as fh:
-        json.dump(
-            {
-                "mechanism": args.mechanism, "epsilon": args.epsilon,
-                "seed": args.seed, "accounting_rule": note,
-                "input": args.input, "label_column": args.label_column,
-            },
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
+    experiments.write_manifest(args.output, {
+        "mechanism": args.mechanism, "epsilon": args.epsilon,
+        "seed": args.seed, "accounting_rule": note,
+        "input": args.input, "label_column": args.label_column,
+    })
     print(f"wrote {len(labels)} privatized labels to {args.output}")
     return 0
 
 
 def cmd_attack(args) -> int:
-    _echo(
-        {
-            "model": args.model, "input": args.input, "label_column": args.label_column,
-            "attack": args.attack, "utility": args.utility, "marginal": args.marginal,
-            "output": args.output,
-        }
-    )
+    _echo(_options_given(args))
     model = load_model(args.model)
     k = model.num_classes
     if args.label_column is not None:

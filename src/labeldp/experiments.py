@@ -30,7 +30,6 @@ from .data import (
 )
 from .mechanisms import MECHANISMS, randomized_response, release
 from .metrics import (
-    MetricsReport,
     UtilitySpec,
     advantage_bound,
     eau_empirical,
@@ -61,6 +60,12 @@ CTR_COLUMNS = [
     "mechanism", "epsilon", "test_log_loss",
     "eau", "eau_stderr", "leau", "advantage", "theoretical_bound", "utility_bound",
 ]
+
+
+def _attack_columns(eau: float, eau_stderr: float, leau: float, bound: float) -> dict:
+    """The attack columns shared by simulate and ctr rows, in column order."""
+    return {"eau": eau, "eau_stderr": eau_stderr, "leau": leau,
+            "advantage": eau - leau, "theoretical_bound": bound}
 
 
 def _check_mechanisms(names) -> None:
@@ -182,7 +187,7 @@ def mechanism_pipeline(name: str, num_classes: int, epsilon: float, hyper: Logis
 
 
 @_single_blas_thread()
-def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
+def run_simulation(config: SimulationConfig) -> list[dict]:
     """For every (m, sigma, epsilon) cell: fix the features, compute the
     exact L-EAU, Monte-Carlo the SPA EAU over the mechanism pipeline, and
     pair the advantage with its distribution-dependent bound (the expected
@@ -194,7 +199,7 @@ def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
     the call; the caller's count is restored when the call returns or
     raises. Results do not depend on the thread count."""
     spec = UtilitySpec.zero_one()
-    reports = []
+    rows = []
     for mi, m in enumerate(config.class_counts):
         for si, sigma in enumerate(config.sigmas):
             mixture = MixtureModel(m, config.dim, float(sigma))
@@ -223,16 +228,12 @@ def run_simulation(config: SimulationConfig) -> list[MetricsReport]:
                         derive_seed(config.seed, "sim-mc", mi, si, rep, ei),
                     )
                     bound = advantage_bound(float(eps), 0.0, 1.0)
-                    reports.append(
-                        MetricsReport(
-                            eau, stderr, leau, bound,
-                            cell={
-                                "m": m, "sigma": float(sigma), "epsilon": float(eps),
-                                "x_rep": rep, "trials": config.trials,
-                            },
-                        )
-                    )
-    return reports
+                    rows.append({
+                        "m": m, "sigma": float(sigma), "epsilon": float(eps),
+                        "x_rep": rep, "trials": config.trials,
+                        **_attack_columns(eau, stderr, leau, bound),
+                    })
+    return rows
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,7 @@ class CtrConfig:
 
 
 @_single_blas_thread()
-def run_ctr(config: CtrConfig) -> list[MetricsReport]:
+def run_ctr(config: CtrConfig) -> list[dict]:
     """Per (mechanism, epsilon): train privately, record test log loss and
     the weighted-SPA training EAU, and compare the advantage against the
     universal bound with B = max_y 1/(2 p_y). The first row is the
@@ -401,22 +402,15 @@ def run_ctr(config: CtrConfig) -> list[MetricsReport]:
     else:
         leau = leau_estimate(candidates, test, spec)
 
-    reports = []
+    rows = []
     for mech, eps, model in entries:
         eau = eau_empirical(spa(model, train.features, spec), train.labels, spec)
-        bound = universal_bound(eps, 0.0, b)
-        reports.append(
-            MetricsReport(
-                eau, 0.0, leau, bound,
-                cell={
-                    "mechanism": mech,
-                    "epsilon": eps,
-                    "test_log_loss": log_loss(model, test),
-                    "utility_bound": b,
-                },
-            )
-        )
-    return reports
+        rows.append({
+            "mechanism": mech, "epsilon": eps, "test_log_loss": log_loss(model, test),
+            **_attack_columns(eau, 0.0, leau, universal_bound(eps, 0.0, b)),
+            "utility_bound": b,
+        })
+    return rows
 
 
 def _cell_value(value):
@@ -428,7 +422,7 @@ def _cell_value(value):
 
 
 def write_results(rows, path: str, fmt: str, columns: list, manifest: dict) -> None:
-    """Serialize result rows with a fixed column order plus a sidecar
+    """Serialize dict rows in the order of `columns`, plus a sidecar
     manifest echoing the full configuration (including seeds).
 
     Formats: "csv" (header row always written, floats at full precision) and
@@ -437,21 +431,23 @@ def write_results(rows, path: str, fmt: str, columns: list, manifest: dict) -> N
     """
     if fmt not in ("csv", "structured-records"):
         raise ValueError(f"unknown format {fmt!r}")
-    dict_rows = [row.to_row() if isinstance(row, MetricsReport) else dict(row) for row in rows]
     with _atomic_write(path) as fh:
         if fmt == "csv":
             fh.write(",".join(columns) + "\n")
-            for row in dict_rows:
+            for row in rows:
                 fh.write(",".join(_cell_value(row[c]) for c in columns) + "\n")
         else:
-            for row in dict_rows:
+            for row in rows:
                 record = {c: row[c] for c in columns}
                 fh.write(json.dumps(_jsonable(record)) + "\n")
+    write_manifest(path, {"columns": columns, "format": fmt, "config": _jsonable(manifest)})
+
+
+def write_manifest(path: str, manifest: dict) -> None:
+    """Write the sidecar `path`.manifest.json: manifest as JSON with sorted
+    keys, indented by 2, plus a final newline."""
     with _atomic_write(path + ".manifest.json") as fh:
-        json.dump(
-            {"columns": columns, "format": fmt, "config": _jsonable(manifest)},
-            fh, sort_keys=True, indent=2,
-        )
+        json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -469,34 +465,39 @@ def config_manifest(config) -> dict:
     return {"type": type(config).__name__, **_jsonable(dataclasses.asdict(config))}
 
 
-def check_simulation(reports) -> list[str]:
-    """Invariant checks for simulation cells; returns violation messages."""
+def _cell(row: dict, keys: tuple) -> dict:
+    """The keys that name a row's cell in a violation line, with their values."""
+    return {key: row[key] for key in keys}
+
+
+def check_simulation(rows) -> list[str]:
+    """Invariant checks for simulation rows; returns violation messages."""
     violations = []
-    groups: dict[tuple, list[MetricsReport]] = {}
-    for rep in reports:
-        cell = rep.cell
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        cell = _cell(row, ("m", "sigma", "epsilon", "x_rep", "trials"))
         # Every comparison below is false for NaN, so non-finite values
         # are violations of their own.
         for name in ("eau", "eau_stderr", "leau", "advantage"):
-            if not math.isfinite(getattr(rep, name)):
-                violations.append(f"cell {cell}: {name} is {getattr(rep, name)}")
-        if rep.advantage > rep.theoretical_bound + 3.0 * rep.eau_stderr:
+            if not math.isfinite(row[name]):
+                violations.append(f"cell {cell}: {name} is {row[name]}")
+        if row["advantage"] > row["theoretical_bound"] + 3.0 * row["eau_stderr"]:
             violations.append(
-                f"cell {cell}: advantage {rep.advantage:.6f} exceeds bound "
-                f"{rep.theoretical_bound:.6f} + 3*stderr"
+                f"cell {cell}: advantage {row['advantage']:.6f} exceeds bound "
+                f"{row['theoretical_bound']:.6f} + 3*stderr"
             )
-        groups.setdefault((cell["m"], cell["sigma"], cell["x_rep"]), []).append(rep)
+        groups.setdefault((row["m"], row["sigma"], row["x_rep"]), []).append(row)
     for key, cells in groups.items():
-        leaus = {rep.leau for rep in cells}
+        leaus = {row["leau"] for row in cells}
         if len(leaus) != 1:
             violations.append(f"group {key}: L-EAU varies across epsilon: {sorted(leaus)}")
-        ordered = sorted(cells, key=lambda rep: rep.cell["epsilon"])
+        ordered = sorted(cells, key=lambda row: row["epsilon"])
         for lo, hi in zip(ordered, ordered[1:]):
-            slack = 3.0 * math.hypot(lo.eau_stderr, hi.eau_stderr)
-            if hi.eau < lo.eau - slack:
+            slack = 3.0 * math.hypot(lo["eau_stderr"], hi["eau_stderr"])
+            if hi["eau"] < lo["eau"] - slack:
                 violations.append(
-                    f"group {key}: EAU drops from {lo.eau:.4f} (eps={lo.cell['epsilon']}) "
-                    f"to {hi.eau:.4f} (eps={hi.cell['epsilon']}) beyond 3*stderr"
+                    f"group {key}: EAU drops from {lo['eau']:.4f} (eps={lo['epsilon']}) "
+                    f"to {hi['eau']:.4f} (eps={hi['epsilon']}) beyond 3*stderr"
                 )
     return violations
 
@@ -510,10 +511,11 @@ def check_thm1(rows) -> list[str]:
     ]
 
 
-def check_ctr(reports) -> list[str]:
+def check_ctr(rows) -> list[str]:
+    keys = ("mechanism", "epsilon", "test_log_loss", "utility_bound")
     return [
-        f"cell {rep.cell}: advantage {rep.advantage:.6f} exceeds the universal "
-        f"bound {rep.theoretical_bound:.6f}"
-        for rep in reports
-        if rep.advantage > rep.theoretical_bound
+        f"cell {_cell(row, keys)}: advantage {row['advantage']:.6f} exceeds the universal "
+        f"bound {row['theoretical_bound']:.6f}"
+        for row in rows
+        if row["advantage"] > row["theoretical_bound"]
     ]

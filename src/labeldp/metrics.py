@@ -9,7 +9,7 @@ at eps = delta = 0 and tends to 1 as eps grows. Each bound is a function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -279,31 +279,3 @@ def calibrate_epsilon(target_advantage: float, delta: float, utility_bound: floa
             math.nan, False, "no epsilon >= 0 meets the target at this delta"
         )
     return CalibrationResult(math.log(arg), True)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """One experimental cell: estimates, their difference, and the bound."""
-
-    eau: float
-    eau_stderr: float
-    leau: float
-    theoretical_bound: float
-    cell: dict = field(default_factory=dict)
-    advantage: float = field(init=False)
-
-    def __post_init__(self):
-        if self.eau_stderr < 0:
-            raise ValueError("stderr must be >= 0")
-        object.__setattr__(self, "advantage", self.eau - self.leau)
-
-    def to_row(self) -> dict:
-        row = dict(self.cell)
-        row.update(
-            eau=self.eau,
-            eau_stderr=self.eau_stderr,
-            leau=self.leau,
-            advantage=self.advantage,
-            theoretical_bound=self.theoretical_bound,
-        )
-        return row

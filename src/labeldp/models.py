@@ -395,8 +395,9 @@ def train_logistic(
 
     With fewer rows n than twice the design's d+1 columns, the loop runs in
     coefficient space instead (see _objective): one (n, n) product per
-    iteration, with W = design.T @ A formed once at the end. It agrees with
-    descent on the weights to 1e-12 relative in weights and loss history.
+    iteration, with W = design.T @ A formed once at the end. The tests check
+    it against descent on the weights: within 1e-12 relative in weights and
+    loss history at 35 iterations.
 
     For k > 2, the classes absent from a trial's labels share one column
     (see _collapse_absent). This is exact: two classes absent from trial t
@@ -407,18 +408,24 @@ def train_logistic(
     columns, j_t the number of distinct classes of trial t, with the last
     one counted k - kc + 1 times in the softmax normalizer, and every absent
     class of a model gets that column's weights, so their columns are equal
-    bit for bit and predict's ties still go to the lowest index. It agrees
-    with full-width descent to 1e-12 relative in weights and loss history.
-    Where kc >= k, and for k = 2, the arithmetic is that of the full width.
+    bit for bit and predict's ties still go to the lowest index. The tests
+    check it against full-width descent within 1e-12 relative in weights and
+    loss history at 35 iterations. A converged 300-iteration fit can leave
+    that bound in loss history: 1.32e-12 was measured (k = 20, n = 96,
+    d = 23, loss 1.8e-3), with weights within 9e-15. Where kc >= k, and for
+    k = 2, the arithmetic is that of the full width.
 
     The k > 2 loop carries its parameters class-major, as (kc, T, d+1) or
     (kc, T, n), the binary form's (T, d+1) / (T, n) with a class axis in
     front, so the softmax's max and sum run over kc whole (T, n) planes of
     logits; the true classes' positions in them are found once per fit.
-    Its step is formed by one multiply of the probabilities by the (T, n)
-    plane (lr / n) / total, and its loss from log-sum-exp (see
-    _softmax_loss): within 1e-12 relative in weights and loss history of
-    dividing by the normalizer, then by n, then multiplying by lr.
+    The tests check it against the row layout (n, T, k) within 1e-12
+    relative in weights and loss history at 35 iterations; a converged
+    300-iteration fit measured 3.8e-12 in loss history. Its step is formed
+    by one multiply of the probabilities by the (T, n) plane
+    (lr / n) / total, and its loss from log-sum-exp (see _softmax_loss):
+    within 1e-12 relative in weights and loss history, at 35 and 300
+    iterations, of dividing by the normalizer and n, then multiplying by lr.
     """
     if len(train) < 1:
         raise ValueError("training set is empty")

@@ -105,11 +105,11 @@ def test_criterion_3_simulation_reduced_preset():
 
     violations = check_simulation(reports)  # covers (a), (d), and L-EAU constancy
     ok_a_d = not violations
-    ok_b = all(r.leau >= 0.5 for r in reports if r.cell["m"] == 2)
+    ok_b = all(r["leau"] >= 0.5 for r in reports if r["m"] == 2)
     ok_c = all(
-        r.eau >= 0.95
+        r["eau"] >= 0.95
         for r in reports
-        if r.cell["m"] == 100 and r.cell["epsilon"] == 10.0
+        if r["m"] == 100 and r["epsilon"] == 10.0
     )
     ok_time = elapsed < 60.0
     ok = ok_a_d and ok_b and ok_c and ok_time
@@ -141,12 +141,12 @@ def test_criterion_5_ctr_study():
     config = CtrConfig(seed=5)  # p1=0.03, n=1e5, eps in {inf, 8, 4, 2, 1, 0.1}
     reports = run_ctr(config)
 
-    finite = [r for r in reports if math.isfinite(r.cell["epsilon"])]
-    ok_a = all(r.advantage <= r.theoretical_bound for r in finite)
+    finite = [r for r in reports if math.isfinite(r["epsilon"])]
+    ok_a = all(r["advantage"] <= r["theoretical_bound"] for r in finite)
     ok_d = all(
-        r.advantage <= r.theoretical_bound
+        r["advantage"] <= r["theoretical_bound"]
         for r in finite
-        if r.cell["epsilon"] == 0.1 and r.cell["mechanism"] == "rr"
+        if r["epsilon"] == 0.1 and r["mechanism"] == "rr"
     )
 
     from labeldp.data import gen_skewed_binary, split

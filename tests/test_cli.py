@@ -205,6 +205,32 @@ class TestPrivatizeAndAttack:
         assert header == "row_index,inferred_label,true_label"
         assert "empirical_eau" in out
 
+    def test_resolved_config_lines_pinned(self, tmp_path, capsys, monkeypatch):
+        """privatize and attack echo every parsed option but --full-precision,
+        sorted by key, as their hand-listed echoes did."""
+        monkeypatch.chdir(tmp_path)
+        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 30, seed=0)
+        write_csv(ds, "data.csv")
+        save_model(train_logistic(ds, LogisticHyper(iterations=3), seed=0), "m.txt")
+        code, out, err = run_cli(capsys, "privatize", "--input", "data.csv", "--epsilon", "1.5",
+                                 "--seed", "3", "--output", "out.csv")
+        assert code == 0, err
+        assert out.splitlines()[0] == (
+            'resolved-config {"epsilon": 1.5, "input": "data.csv", "iterations": 150, '
+            '"label_column": "label", "mechanism": "rr", "output": "out.csv", "seed": 3, '
+            '"top_k": 2}'
+        )
+        code, out, err = run_cli(capsys, "attack", "--model", "m.txt", "--input", "data.csv",
+                                 "--label-column", "label", "--utility", "weighted",
+                                 "--marginal", "0.2,0.3,0.5", "--output", "o.csv",
+                                 "--full-precision")
+        assert code == 0, err
+        assert out.splitlines()[0] == (
+            'resolved-config {"attack": "spa", "input": "data.csv", "label_column": "label", '
+            '"marginal": "0.2,0.3,0.5", "model": "m.txt", "output": "o.csv", '
+            '"utility": "weighted"}'
+        )
+
     def test_attack_without_labels(self, tmp_path, capsys):
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=1)
         feat_csv = tmp_path / "feat.csv"

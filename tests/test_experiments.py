@@ -61,44 +61,44 @@ STACKED_CTR = CtrConfig(
 
 
 @pytest.fixture(scope="module")
-def sim_reports():
+def sim_rows():
     return run_simulation(SMALL_SIM)
 
 
 @pytest.fixture(scope="module")
-def ctr_reports():
+def ctr_rows():
     return run_ctr(SMALL_CTR)
 
 
 class TestSimulation:
-    def test_one_report_per_cell(self, sim_reports):
-        assert len(sim_reports) == 2 * 1 * 3
+    def test_one_report_per_cell(self, sim_rows):
+        assert len(sim_rows) == 2 * 1 * 3
 
-    def test_invariants_hold(self, sim_reports):
-        assert check_simulation(sim_reports) == []
+    def test_invariants_hold(self, sim_rows):
+        assert check_simulation(sim_rows) == []
 
-    def test_leau_constant_across_epsilon(self, sim_reports):
+    def test_leau_constant_across_epsilon(self, sim_rows):
         by_group = {}
-        for rep in sim_reports:
-            by_group.setdefault((rep.cell["m"], rep.cell["sigma"]), set()).add(rep.leau)
+        for rep in sim_rows:
+            by_group.setdefault((rep["m"], rep["sigma"]), set()).add(rep["leau"])
         assert all(len(leaus) == 1 for leaus in by_group.values())
 
-    def test_binary_leau_at_least_half(self, sim_reports):
-        assert all(r.leau >= 0.5 for r in sim_reports if r.cell["m"] == 2)
+    def test_binary_leau_at_least_half(self, sim_rows):
+        assert all(r["leau"] >= 0.5 for r in sim_rows if r["m"] == 2)
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_fewer_than_two_trials_rejected_by_the_config(self, trials):
         with pytest.raises(ValueError, match=f"trials must be >= 2 .*got {trials}"):
             SimulationConfig(trials=trials)
 
-    def test_advantage_below_bound(self, sim_reports):
-        for rep in sim_reports:
-            assert rep.advantage <= rep.theoretical_bound + 3 * rep.eau_stderr
+    def test_advantage_below_bound(self, sim_rows):
+        for rep in sim_rows:
+            assert rep["advantage"] <= rep["theoretical_bound"] + 3 * rep["eau_stderr"]
 
-    def test_reproducible(self, sim_reports):
+    def test_reproducible(self, sim_rows):
         again = run_simulation(SMALL_SIM)
-        for a, b in zip(sim_reports, again):
-            assert a.to_row() == b.to_row()
+        for a, b in zip(sim_rows, again):
+            assert a == b
 
     @pytest.mark.parametrize("epsilons, shown", [
         ((math.nan,), "nan"), ((-1.0,), "-1.0"), ((1.0, math.nan), "nan"),
@@ -139,9 +139,9 @@ class TestSimulation:
             epsilons=(1.0,), feature_redraws=3, iterations=10, seed=0,
         )
         reports = run_simulation(cfg)
-        assert [r.cell["x_rep"] for r in reports] == [0, 1, 2]
+        assert [r["x_rep"] for r in reports] == [0, 1, 2]
         # Different feature draws give different exact L-EAU values.
-        assert len({r.leau for r in reports}) == 3
+        assert len({r["leau"] for r in reports}) == 3
 
 
 class TestBlasThreadScope:
@@ -219,26 +219,26 @@ class TestThm1:
 
 
 class TestCtr:
-    def test_baseline_row_present(self, ctr_reports):
-        assert ctr_reports[0].cell["mechanism"] == "constant-baseline"
+    def test_baseline_row_present(self, ctr_rows):
+        assert ctr_rows[0]["mechanism"] == "constant-baseline"
 
-    def test_rows_per_mechanism_epsilon(self, ctr_reports):
-        assert len(ctr_reports) == 1 + len(SMALL_CTR.epsilons)
+    def test_rows_per_mechanism_epsilon(self, ctr_rows):
+        assert len(ctr_rows) == 1 + len(SMALL_CTR.epsilons)
 
-    def test_advantage_below_universal_bound(self, ctr_reports):
-        assert check_ctr(ctr_reports) == []
+    def test_advantage_below_universal_bound(self, ctr_rows):
+        assert check_ctr(ctr_rows) == []
 
-    def test_log_loss_recorded_and_finite(self, ctr_reports):
-        for rep in ctr_reports:
-            assert math.isfinite(rep.cell["test_log_loss"])
+    def test_log_loss_recorded_and_finite(self, ctr_rows):
+        for rep in ctr_rows:
+            assert math.isfinite(rep["test_log_loss"])
 
-    def test_infinite_epsilon_bound_is_b(self, ctr_reports):
-        for rep in ctr_reports:
-            if math.isinf(rep.cell["epsilon"]):
-                assert rep.theoretical_bound == rep.cell["utility_bound"]
+    def test_infinite_epsilon_bound_is_b(self, ctr_rows):
+        for rep in ctr_rows:
+            if math.isinf(rep["epsilon"]):
+                assert rep["theoretical_bound"] == rep["utility_bound"]
 
-    def test_leau_shared_across_rows(self, ctr_reports):
-        assert len({rep.leau for rep in ctr_reports}) == 1
+    def test_leau_shared_across_rows(self, ctr_rows):
+        assert len({rep["leau"] for rep in ctr_rows}) == 1
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
@@ -274,7 +274,7 @@ class TestCtr:
     def test_integer_and_numpy_epsilons_run_as_their_floats(self):
         def rows(epsilons):
             config = dataclasses.replace(SMALL_CTR, epsilons=epsilons)
-            return [r.to_row() for r in run_ctr(config)]
+            return run_ctr(config)
 
         assert rows((2, np.float64(1))) == rows((2.0, 1.0))
 
@@ -287,7 +287,42 @@ class TestCtr:
         cfg = CtrConfig(csv_path=str(path), epsilons=(1.0,), iterations=30, seed=0)
         reports = run_ctr(cfg)
         assert len(reports) == 2
-        assert all(math.isfinite(r.leau) for r in reports)
+        assert all(math.isfinite(r["leau"]) for r in reports)
+
+
+@pytest.fixture(scope="module")
+def thm1_rows():
+    return run_thm1_demo(Thm1Config(n_values=(10, 20), trials=5, seed=1))
+
+
+class TestRows:
+    """Every harness returns plain dict rows keyed by its columns."""
+
+    @pytest.mark.parametrize("rows, columns", [
+        ("sim_rows", SIMULATION_COLUMNS), ("thm1_rows", THM1_COLUMNS), ("ctr_rows", CTR_COLUMNS),
+    ], ids=["simulate", "thm1", "ctr"])
+    def test_keys_are_the_columns_in_order(self, request, rows, columns):
+        rows = request.getfixturevalue(rows)
+        assert rows and all(list(row) == columns for row in rows)
+
+    @pytest.mark.parametrize("rows", ["sim_rows", "ctr_rows"], ids=["simulate", "ctr"])
+    def test_advantage_is_the_exact_difference(self, request, rows):
+        for row in request.getfixturevalue(rows):
+            assert row["advantage"] == row["eau"] - row["leau"]
+
+
+class TestAdvantage:
+    @staticmethod
+    def advantage(eau, leau):
+        return experiments._attack_columns(eau, 0.0, leau, 1.0)["advantage"]
+
+    def test_values(self):
+        assert self.advantage(0.9, 0.9) == 0.0
+        assert self.advantage(0.5, 0.676) == pytest.approx(-0.176)
+        assert self.advantage(1.0, 0.0) == 1.0
+
+    def test_report_advantage_is_exact_difference(self):
+        assert self.advantage(0.7, 0.9) == 0.7 - 0.9
 
 
 # Two epsilons of RR on a small synthetic source: two release calls.
@@ -417,7 +452,7 @@ class TestCtrStackedFit:
     def test_stack_rows_and_reports_in_config_order(self, stacked_ctr):
         reports, seen = stacked_ctr
         cells = [(m, e) for m in STACKED_CTR.mechanisms for e in STACKED_CTR.epsilons]
-        assert [(r.cell["mechanism"], r.cell["epsilon"]) for r in reports] == [
+        assert [(r["mechanism"], r["epsilon"]) for r in reports] == [
             ("constant-baseline", math.inf), *cells
         ]
         # Cells in config order: rr inf, rr 1, lp2st inf, lp2st 1, alibi inf,
@@ -495,22 +530,27 @@ class TestFitReleasedDeduplicates:
             assert worst <= 1e-12 * np.max(np.abs(alone.weights))
 
 
+def sim_row(m=2, sigma=1.0, epsilon=1.0, x_rep=0, trials=10, *, eau, eau_stderr=0.0,
+            leau, theoretical_bound=1.0):
+    """A simulate row, keyed by SIMULATION_COLUMNS, with advantage = eau - leau."""
+    return {"m": m, "sigma": sigma, "epsilon": epsilon, "x_rep": x_rep, "trials": trials,
+            "eau": eau, "eau_stderr": eau_stderr, "leau": leau, "advantage": eau - leau,
+            "theoretical_bound": theoretical_bound}
+
+
 class TestCheckFunctions:
     def test_check_ctr_flags_bound_violation(self):
-        from labeldp.metrics import MetricsReport
-
-        bad = MetricsReport(eau=0.9, eau_stderr=0.0, leau=0.1, theoretical_bound=0.5,
-                            cell={"mechanism": "rr", "epsilon": 1.0})
-        assert check_ctr([bad]) != []
+        bad = {"mechanism": "rr", "epsilon": 1.0, "test_log_loss": 0.3, "eau": 0.9,
+               "eau_stderr": 0.0, "leau": 0.1, "advantage": 0.9 - 0.1,
+               "theoretical_bound": 0.5, "utility_bound": 2.0}
+        assert check_ctr([bad]) == [
+            "cell {'mechanism': 'rr', 'epsilon': 1.0, 'test_log_loss': 0.3, 'utility_bound': "
+            "2.0}: advantage 0.800000 exceeds the universal bound 0.500000"
+        ]
 
     def test_check_simulation_flags_non_monotone_eau(self):
-        from labeldp.metrics import MetricsReport
-
-        cell = {"m": 2, "sigma": 1.0, "x_rep": 0}
-        lo = MetricsReport(eau=0.9, eau_stderr=0.0, leau=0.5, theoretical_bound=1.0,
-                           cell={**cell, "epsilon": 0.5})
-        hi = MetricsReport(eau=0.2, eau_stderr=0.0, leau=0.5, theoretical_bound=1.0,
-                           cell={**cell, "epsilon": 2.0})
+        lo = sim_row(epsilon=0.5, eau=0.9, leau=0.5)
+        hi = sim_row(epsilon=2.0, eau=0.2, leau=0.5)
         assert any("drops" in v for v in check_simulation([lo, hi]))
 
     @pytest.mark.parametrize("field, values", [
@@ -520,11 +560,9 @@ class TestCheckFunctions:
         ("advantage", dict(eau=math.inf, leau=math.inf)),
     ])
     def test_check_simulation_flags_non_finite_values(self, field, values):
-        from labeldp.metrics import MetricsReport
-
-        cell = {"m": 2, "sigma": 1.0, "x_rep": 0, "epsilon": 1.0}
-        report = MetricsReport(**{"eau_stderr": 0.01, **values}, theoretical_bound=1.0, cell=cell)
-        assert f"cell {cell}: {field} is {getattr(report, field)}" in check_simulation([report])
+        row = sim_row(**{"eau_stderr": 0.01, **values})
+        cell = {"m": 2, "sigma": 1.0, "epsilon": 1.0, "x_rep": 0, "trials": 10}
+        assert f"cell {cell}: {field} is {row[field]}" in check_simulation([row])
 
     def test_check_thm1_flags_bound_violation(self):
         row = {"n": 10, "empirical_eau": 0.2, "hoeffding_lower_bound": 0.4}
@@ -537,10 +575,10 @@ class TestWriteResults:
         write_results([], str(path), "csv", columns=SIMULATION_COLUMNS, manifest={})
         assert path.read_text() == ",".join(SIMULATION_COLUMNS) + "\n"
 
-    def test_rerun_is_byte_identical(self, tmp_path, sim_reports):
+    def test_rerun_is_byte_identical(self, tmp_path, sim_rows):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         manifest = config_manifest(SMALL_SIM)
-        write_results(sim_reports, str(p1), "csv", SIMULATION_COLUMNS, manifest)
+        write_results(sim_rows, str(p1), "csv", SIMULATION_COLUMNS, manifest)
         write_results(run_simulation(SMALL_SIM), str(p2), "csv", SIMULATION_COLUMNS, manifest)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.csv.manifest.json").read_bytes() == (
@@ -556,11 +594,11 @@ class TestWriteResults:
         assert manifest["config"]["seed"] == 42
         assert manifest["columns"] == THM1_COLUMNS
 
-    def test_structured_records_round_trip(self, tmp_path, ctr_reports):
+    def test_structured_records_round_trip(self, tmp_path, ctr_rows):
         path = tmp_path / "r.jsonl"
-        write_results(ctr_reports, str(path), "structured-records", CTR_COLUMNS, {})
+        write_results(ctr_rows, str(path), "structured-records", CTR_COLUMNS, {})
         lines = path.read_text().strip().split("\n")
-        assert len(lines) == len(ctr_reports)
+        assert len(lines) == len(ctr_rows)
         first = json.loads(lines[0])
         assert list(first.keys()) == CTR_COLUMNS
 

@@ -10,7 +10,6 @@ from labeldp.attacks import marginal_guess
 from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import randomized_response
 from labeldp.metrics import (
-    MetricsReport,
     UtilitySpec,
     advantage_bound,
     best_response,
@@ -212,21 +211,6 @@ class TestLeau:
         ds, _ = gen_mixture(MixtureModel(2, 3, 1.0), 10, seed=0)
         with pytest.raises(ValueError):
             leau_estimate([], ds, UtilitySpec.zero_one())
-
-
-class TestAdvantage:
-    @staticmethod
-    def advantage(eau, leau):
-        return MetricsReport(eau=eau, eau_stderr=0.0, leau=leau, theoretical_bound=1.0).advantage
-
-    def test_values(self):
-        assert self.advantage(0.9, 0.9) == 0.0
-        assert self.advantage(0.5, 0.676) == pytest.approx(-0.176)
-        assert self.advantage(1.0, 0.0) == 1.0
-
-    def test_report_advantage_is_exact_difference(self):
-        rep = MetricsReport(eau=0.7, eau_stderr=0.01, leau=0.9, theoretical_bound=0.5)
-        assert rep.advantage == 0.7 - 0.9
 
 
 class TestBounds:
