@@ -38,7 +38,7 @@ def _fmt(value, full_precision: bool):
 
 
 def _record(record: dict, full_precision: bool) -> str:
-    return json.dumps({k: _fmt(v, full_precision) for k, v in record.items()})
+    return experiments._json_text({k: _fmt(v, full_precision) for k, v in record.items()})
 
 
 def _marginal(text: str) -> np.ndarray:
@@ -120,7 +120,7 @@ def _write_rows(path: str, header: str, *columns: np.ndarray) -> None:
 
 
 def _echo(resolved: dict) -> None:
-    print("resolved-config " + json.dumps(experiments._jsonable(resolved), sort_keys=True))
+    print("resolved-config " + experiments._json_text(resolved, sort_keys=True))
 
 
 def _options_given(args) -> dict:

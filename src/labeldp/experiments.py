@@ -438,17 +438,20 @@ def write_results(rows, path: str, fmt: str, columns: list, manifest: dict) -> N
                 fh.write(",".join(_cell_value(row[c]) for c in columns) + "\n")
         else:
             for row in rows:
-                record = {c: row[c] for c in columns}
-                fh.write(json.dumps(_jsonable(record)) + "\n")
-    write_manifest(path, {"columns": columns, "format": fmt, "config": _jsonable(manifest)})
+                fh.write(_json_text({c: row[c] for c in columns}) + "\n")
+    write_manifest(path, {"columns": columns, "format": fmt, "config": manifest})
 
 
 def write_manifest(path: str, manifest: dict) -> None:
     """Write the sidecar `path`.manifest.json: manifest as JSON with sorted
     keys, indented by 2, plus a final newline."""
     with _atomic_write(path + ".manifest.json") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _json_text(value, sort_keys: bool = False, indent: int | None = None) -> str:
+    """The one JSON spelling of every record, echo line and manifest."""
+    return json.dumps(_jsonable(value), sort_keys=sort_keys, indent=indent)
 
 
 def _jsonable(value):
@@ -465,9 +468,14 @@ def config_manifest(config) -> dict:
     return {"type": type(config).__name__, **_jsonable(dataclasses.asdict(config))}
 
 
-def _cell(row: dict, keys: tuple) -> dict:
-    """The keys that name a row's cell in a violation line, with their values."""
-    return {key: row[key] for key in keys}
+def _non_finite(row: dict, cell: dict) -> list[str]:
+    """A line per non-finite attack column: every comparison the checks
+    make is false for NaN, so non-finite values are violations of their own."""
+    return [
+        f"cell {cell}: {name} is {row[name]}"
+        for name in ("eau", "eau_stderr", "leau", "advantage")
+        if not math.isfinite(row[name])
+    ]
 
 
 def check_simulation(rows) -> list[str]:
@@ -475,12 +483,8 @@ def check_simulation(rows) -> list[str]:
     violations = []
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        cell = _cell(row, ("m", "sigma", "epsilon", "x_rep", "trials"))
-        # Every comparison below is false for NaN, so non-finite values
-        # are violations of their own.
-        for name in ("eau", "eau_stderr", "leau", "advantage"):
-            if not math.isfinite(row[name]):
-                violations.append(f"cell {cell}: {name} is {row[name]}")
+        cell = {key: row[key] for key in ("m", "sigma", "epsilon", "x_rep", "trials")}
+        violations += _non_finite(row, cell)
         if row["advantage"] > row["theoretical_bound"] + 3.0 * row["eau_stderr"]:
             violations.append(
                 f"cell {cell}: advantage {row['advantage']:.6f} exceeds bound "
@@ -512,10 +516,11 @@ def check_thm1(rows) -> list[str]:
 
 
 def check_ctr(rows) -> list[str]:
-    keys = ("mechanism", "epsilon", "test_log_loss", "utility_bound")
-    return [
-        f"cell {_cell(row, keys)}: advantage {row['advantage']:.6f} exceeds the universal "
-        f"bound {row['theoretical_bound']:.6f}"
-        for row in rows
-        if row["advantage"] > row["theoretical_bound"]
-    ]
+    violations = []
+    for row in rows:
+        cell = {key: row[key] for key in ("mechanism", "epsilon", "test_log_loss", "utility_bound")}
+        violations += _non_finite(row, cell)
+        if row["advantage"] > row["theoretical_bound"]:
+            violations.append(f"cell {cell}: advantage {row['advantage']:.6f} exceeds the "
+                              f"universal bound {row['theoretical_bound']:.6f}")
+    return violations

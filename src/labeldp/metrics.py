@@ -19,9 +19,6 @@ from .mechanisms import keep_probability
 from .models import Model
 from .rng import derive_seed
 
-ZERO_ONE = "zero-one"
-WEIGHTED = "weighted-zero-one"
-
 
 def probability_vector(marginal) -> np.ndarray:
     """marginal as a float64 vector; raises ValueError unless it is finite,
@@ -34,42 +31,33 @@ def probability_vector(marginal) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Attack utility u(yhat, y) = 1{yhat == y} * w_y in [0, B].
+    """Attack utility u(yhat, y) = 1{yhat == y} * w_y in [0, B], B = max_y w_y.
+    weights is None for zero-one (w_y = 1, B = 1); weighted(p) gives
+    w_y = 1 / (2 p_y)."""
 
-    Kinds:
-      zero-one           w_y = 1,              B = 1
-      weighted-zero-one  w_y = 1 / (2 p_y),    B = max_y w_y
-    """
-
-    kind: str
-    marginal: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == WEIGHTED:
-            p = probability_vector(self.marginal)
-            if np.any(p == 0):
-                raise ValueError("weighted utility needs strictly positive marginals")
-            object.__setattr__(self, "marginal", p)
-        elif self.kind != ZERO_ONE:
-            raise ValueError(f"unknown utility kind {self.kind!r}")
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=np.float64)
+            if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError(f"weights must be a finite, strictly positive vector, got {w}")
+            object.__setattr__(self, "weights", w)
 
     @staticmethod
     def zero_one() -> "UtilitySpec":
-        return UtilitySpec(ZERO_ONE)
+        return UtilitySpec()
 
     @staticmethod
     def weighted(marginal) -> "UtilitySpec":
-        return UtilitySpec(WEIGHTED, marginal=np.asarray(marginal, dtype=np.float64))
-
-    @property
-    def weights(self) -> np.ndarray | None:
-        """The per-class weights w_y, or None for zero-one (all weights 1)."""
-        return None if self.kind == ZERO_ONE else 1.0 / (2.0 * self.marginal)
+        p = probability_vector(marginal)
+        if np.any(p == 0):
+            raise ValueError("weighted utility needs strictly positive marginals")
+        return UtilitySpec(1.0 / (2.0 * p))
 
     @property
     def bound(self) -> float:
-        weights = self.weights
-        return 1.0 if weights is None else float(np.max(weights))
+        return 1.0 if self.weights is None else float(np.max(self.weights))
 
 
 def utility(spec: UtilitySpec, inferred, true) -> np.ndarray:
@@ -79,8 +67,7 @@ def utility(spec: UtilitySpec, inferred, true) -> np.ndarray:
     if inferred.shape != true.shape:
         raise ValueError(f"shape mismatch: {inferred.shape} vs {true.shape}")
     hits = (inferred == true).astype(np.float64)
-    weights = spec.weights
-    return hits if weights is None else hits * weights[true]
+    return hits if spec.weights is None else hits * spec.weights[true]
 
 
 def expected_utilities(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:
@@ -88,8 +75,7 @@ def expected_utilities(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:
     P(yhat | row) * w_yhat. For zero-one this is probs itself, not a copy,
     so callers must not write into the result."""
     probs = np.asarray(probs, dtype=np.float64)
-    weights = spec.weights
-    return probs if weights is None else probs * weights
+    return probs if spec.weights is None else probs * spec.weights
 
 
 def best_response(probs: np.ndarray, spec: UtilitySpec) -> np.ndarray:

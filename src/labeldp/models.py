@@ -223,13 +223,11 @@ def _binary_loss(
     return loss, buf
 
 
-def _transpose_product(design: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """design.T applied to each trial of a stack over the design's n rows,
-    as stack @ design over its last axis: (T, n) -> (T, d+1), or class-major
-    (k, T, n) -> (k, T, d+1) in one product of its k*T rows."""
-    if stack.ndim == 2:
-        return stack @ design
-    return (stack.reshape(-1, stack.shape[-1]) @ design).reshape(*stack.shape[:-1], -1)
+def _transpose_product(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """stack @ x over the stack's last axis, in one product of all its rows:
+    (T, n) -> (T, m) or class-major (k, T, n) -> (k, T, m). x is the design
+    for the step and the transposed design or Gram matrix for the logits."""
+    return (stack.reshape(-1, stack.shape[-1]) @ x).reshape(*stack.shape[:-1], -1)
 
 
 def _objective(
@@ -264,14 +262,12 @@ def _objective(
     that of each of them.
     """
     n = design.shape[0]
-    basis = design if gram is None else gram
     binary = params.ndim == 2
+    logits = _transpose_product((design if gram is None else gram).T, params)
     if binary:
-        loss, resid = _binary_loss(params @ basis.T, targets, with_step)
+        loss, resid = _binary_loss(logits, targets, with_step)
     else:
-        logits = params.reshape(-1, params.shape[-1]) @ basis.T
-        loss, resid = _softmax_loss(logits.reshape(*params.shape[:-1], n), targets,
-                                    lr / n if with_step else None, shared)
+        loss, resid = _softmax_loss(logits, targets, lr / n if with_step else None, shared)
     loss /= n
     if not with_step:
         return loss, None
@@ -282,7 +278,7 @@ def _objective(
     return loss, step
 
 
-def _collapse_absent(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None, int]:
+def _collapse_absent(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """A (T, n) stack over k classes as a narrower problem in which every
     class absent from a trial shares one column: (targets, columns, shared).
 
@@ -292,14 +288,14 @@ def _collapse_absent(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     absent class each and the last column the other shared + 1 = k - kc + 1.
     columns[t, c] is the column that class c of trial t takes its weights
     from: its rank if present, the last column if absent. Where kc >= k
-    nothing narrows, and (labels, None, 0) comes back.
+    nothing narrows, and (labels, identity columns, 0) comes back.
     """
     trials = labels.shape[0]
     seen = np.zeros((trials, k), dtype=bool)
     seen[np.arange(trials)[:, None], labels] = True
     width = int(seen.sum(axis=1).max()) + 1
     if width >= k:
-        return labels, None, 0
+        return labels, np.broadcast_to(np.arange(k), (trials, k)), 0
     rank = np.cumsum(seen, axis=1)
     rank -= 1
     targets = np.take_along_axis(rank, labels, axis=1)
@@ -451,7 +447,7 @@ def train_logistic(
     size = cols if gram is None else n
     # Descent from zero keeps W[:, 0] == -W[:, 1] for two classes, so the
     # binary form tracks the single column w = W[:, 1] of each trial.
-    columns, shared = None, 0
+    shared = 0
     if k == 2:
         targets, params = 2.0 * labels - 1.0, np.zeros((trials, size))
     else:
@@ -472,8 +468,6 @@ def train_logistic(
     weights = params if gram is None else _transpose_product(design, params)
     if k == 2:
         fitted = [np.column_stack([-w, w]) for w in weights]
-    elif columns is None:
-        fitted = [weights[:, t].T.copy() for t in range(trials)]
     else:
         fitted = [np.take(weights[:, t].T, columns[t], axis=1) for t in range(trials)]
     histories = np.array(history).T.tolist()

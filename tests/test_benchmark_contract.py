@@ -41,6 +41,19 @@ def test_own_layers_name_public_functions(tracer):
     assert not missing, f"layers naming no public function of their module: {missing}"
 
 
+def test_hooked_calls_bind_their_arguments_by_name():
+    """The tracer's hooks read train_logistic's `train` and `hyper` and
+    write_results' `path` from the bound arguments, and the csv-io set-up
+    calls train_logistic(dataset, hyper, seed) positionally; a renamed or
+    reordered parameter would show only as a crashed set-up or traced run."""
+    fit = inspect.signature(train_logistic).bind("dataset", "hyper", "seed").arguments
+    assert (fit["train"], fit["hyper"]) == ("dataset", "hyper")
+    write = inspect.signature(experiments.write_results).bind(
+        "rows", "out.csv", "csv", columns="columns", manifest="manifest"
+    ).arguments
+    assert write["path"] == "out.csv"
+
+
 def test_traced_model_classes_define_predict_proba(tracer):
     models = importlib.import_module("labeldp.models")
     for cls_name in tracer.METHODS:

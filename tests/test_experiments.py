@@ -548,6 +548,13 @@ class TestCheckFunctions:
             "2.0}: advantage 0.800000 exceeds the universal bound 0.500000"
         ]
 
+    def test_check_ctr_flags_non_finite_values(self):
+        row = {"mechanism": "rr", "epsilon": 1.0, "test_log_loss": 0.3, "eau": math.nan,
+               "eau_stderr": 0.0, "leau": 0.1, "advantage": math.nan,
+               "theoretical_bound": 0.5, "utility_bound": 2.0}
+        cell = "{'mechanism': 'rr', 'epsilon': 1.0, 'test_log_loss': 0.3, 'utility_bound': 2.0}"
+        assert check_ctr([row]) == [f"cell {cell}: eau is nan", f"cell {cell}: advantage is nan"]
+
     def test_check_simulation_flags_non_monotone_eau(self):
         lo = sim_row(epsilon=0.5, eau=0.9, leau=0.5)
         hi = sim_row(epsilon=2.0, eau=0.2, leau=0.5)

@@ -47,8 +47,21 @@ class TestUtility:
         assert spec.bound == pytest.approx(1.0 / 0.06)
 
     def test_weighted_zero_marginal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weighted utility needs strictly positive marginals"):
             UtilitySpec.weighted([1.0, 0.0])
+
+    def test_weighted_weights_bit_for_bit(self):
+        p = np.array([0.97, 0.03])
+        assert UtilitySpec.weighted([0.97, 0.03]).weights.tobytes() == (1.0 / (2.0 * p)).tobytes()
+
+    @pytest.mark.parametrize("weights", [
+        pytest.param([1.0, -0.5], id="negative"),
+        pytest.param([1.0, math.nan], id="nan"),
+        pytest.param([[1.0, 2.0]], id="2-d"),
+    ])
+    def test_direct_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights must be a finite, strictly positive vector"):
+            UtilitySpec(np.array(weights))
 
     @pytest.mark.parametrize("marginal", [[0.5, math.nan], [math.nan, math.nan], [math.inf, 0.5]])
     def test_weighted_non_finite_marginal_rejected(self, marginal):
@@ -393,58 +406,67 @@ class TestTwoClassBestResponse:
         assert best_response(probs, spec).tobytes() == expected.tobytes()
 
 
-def _oracle_matrix(spec, k):
-    """The dense utility matrix U[yhat, y] = 1{yhat == y} w_y, built here as
-    the reference the per-class weight form must match bit for bit."""
+def _oracle_matrix(marginal, k):
+    """The dense utility matrix U[yhat, y] = 1{yhat == y} w_y, built here from
+    the case's marginal (None for zero-one) as the reference the per-class
+    weight form must match bit for bit."""
     hit = np.arange(k)[:, None] == np.arange(k)[None, :]
-    if spec.kind == metrics.ZERO_ONE:
+    if marginal is None:
         return hit.astype(np.float64)
-    return hit / (2.0 * spec.marginal)[None, :]
+    return hit / (2.0 * marginal)[None, :]
 
 
 def _parity_specs():
+    """(k, marginal, spec) cases; the marginal is None for zero-one."""
     cases = []
     for k in (2, 3, 100):
-        cases.append((k, UtilitySpec.zero_one()))
-        cases.append((k, UtilitySpec.weighted(np.random.default_rng(k).dirichlet(np.ones(k)))))
-    cases.append((2, UtilitySpec.weighted([0.97, 0.03])))
-    return cases
+        cases.append((k, None))
+        cases.append((k, np.random.default_rng(k).dirichlet(np.ones(k))))
+    cases.append((2, np.array([0.97, 0.03])))
+    return [
+        pytest.param(
+            k, marginal,
+            UtilitySpec.zero_one() if marginal is None else UtilitySpec.weighted(marginal),
+            id=f"{k}-spec{i}",
+        )
+        for i, (k, marginal) in enumerate(cases)
+    ]
 
 
 class TestWeightFormParity:
     """The per-class weight form against the dense (k, k) oracle, by tobytes()."""
 
     @staticmethod
-    def rows(k, spec):
+    def rows(k, marginal):
         rng = np.random.default_rng(100 + k)
         ties = [np.full(k, 1.0 / k), np.zeros(k), np.zeros(k)]
         ties[1][[0, k - 1]] = 0.5  # an exact tie between the first and last class
         ties[2][-2:] = 0.5
         rows = [rng.dirichlet(np.ones(k), size=50), np.array(ties)]
-        if spec.kind == metrics.WEIGHTED:
+        if marginal is not None:
             # Rows proportional to 1 / w tie every weighted score up to rounding.
-            rows.append(spec.marginal[None, :])
+            rows.append(marginal[None, :])
         return np.vstack(rows)
 
-    @pytest.mark.parametrize("k, spec", _parity_specs())
-    def test_scores_and_best_response(self, k, spec):
-        probs = self.rows(k, spec)
-        expected = probs @ _oracle_matrix(spec, k).T
+    @pytest.mark.parametrize("k, marginal, spec", _parity_specs())
+    def test_scores_and_best_response(self, k, marginal, spec):
+        probs = self.rows(k, marginal)
+        expected = probs @ _oracle_matrix(marginal, k).T
         assert expected_utilities(probs, spec).tobytes() == expected.tobytes()
         best = np.argmax(expected, axis=1).astype(np.int64)
         assert best_response(probs, spec).tobytes() == best.tobytes()
 
-    @pytest.mark.parametrize("k, spec", _parity_specs())
-    def test_utility(self, k, spec):
+    @pytest.mark.parametrize("k, marginal, spec", _parity_specs())
+    def test_utility(self, k, marginal, spec):
         rng = np.random.default_rng(200 + k)
         inferred = rng.integers(0, k, 500)
         true = np.where(rng.random(500) < 0.5, inferred, rng.integers(0, k, 500))
-        expected = _oracle_matrix(spec, k)[inferred, true]
+        expected = _oracle_matrix(marginal, k)[inferred, true]
         assert utility(spec, inferred, true).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("k, spec", _parity_specs())
-    def test_marginal_guess(self, k, spec):
-        U = _oracle_matrix(spec, k)
-        for p in self.rows(k, spec):
+    @pytest.mark.parametrize("k, marginal, spec", _parity_specs())
+    def test_marginal_guess(self, k, marginal, spec):
+        U = _oracle_matrix(marginal, k)
+        for p in self.rows(k, marginal):
             label = np.full(3, np.argmax(U @ p), dtype=np.int64)
             assert marginal_guess(p, 3, spec).tobytes() == label.tobytes()
