@@ -9,6 +9,7 @@ at eps = delta = 0 and tends to 1 as eps grows. Each bound is a function of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,11 @@ def probability_vector(marginal) -> np.ndarray:
     if p.ndim != 1 or _first_non_distribution(p[None, :]) is not None:
         raise ValueError(f"marginal must be a probability vector, got {p}")
     return p
+
+
+# A marginal's weight 1 / (2p) is finite exactly when p is above this, the
+# largest p whose weight overflows (about 2.78e-309).
+_MIN_WEIGHTED_MARGINAL = 0.5 / sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,11 @@ class UtilitySpec:
     @staticmethod
     def weighted(marginal) -> "UtilitySpec":
         p = probability_vector(marginal)
-        if np.any(p == 0):
-            raise ValueError("weighted utility needs strictly positive marginals")
+        if not np.all(p > _MIN_WEIGHTED_MARGINAL):
+            raise ValueError(
+                "weighted utility needs strictly positive marginals, each above "
+                f"{_MIN_WEIGHTED_MARGINAL:.4g} so that its weight 1/(2p) is finite, got {p}"
+            )
         return UtilitySpec(1.0 / (2.0 * p))
 
     @property

@@ -289,6 +289,15 @@ def _collapse_absent(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     columns[t, c] is the column that class c of trial t takes its weights
     from: its rank if present, the last column if absent. Where kc >= k
     nothing narrows, and (labels, identity columns, 0) comes back.
+
+    This is exact: two classes absent from trial t have equal weight columns
+    at W = 0; equal columns give equal logits and probabilities, and with
+    no one-hot entry both gradient columns are design.T @ p_c / n, so the
+    columns stay equal at every step, in weight and in coefficient space.
+    The last column counts k - kc + 1 times in the softmax normalizer
+    (_objective's `shared`), and every absent class of a model takes its
+    weights, so their columns are equal bit for bit and predict's ties
+    still go to the lowest index.
     """
     trials = labels.shape[0]
     seen = np.zeros((trials, k), dtype=bool)
@@ -376,52 +385,31 @@ class LogisticModel(Model):
 def train_logistic(
     train: Dataset, hyper: LogisticHyper, seed: int | Sequence[int] = 0
 ) -> LogisticModel | list[LogisticModel]:
-    """Fit multinomial logistic regression by full-batch gradient descent.
+    """Fit multinomial logistic regression by full-batch gradient descent
+    from zero weights, on features standardized by _fit_scaler, at
+    hyper.learning_rate or else 0.9 x stability_threshold(train).
 
-    Weights start at zero, so the run is deterministic; the seed is recorded
-    for provenance only. Raises TrainingDivergedError naming the iteration
-    if the loss becomes non-finite.
+    Weights start at zero, so a fit is deterministic; `seed` is recorded on
+    the model for provenance only.
 
-    A Dataset whose labels are a (T, n) stack over its one feature matrix is
-    fit in one run of the loop: the scaler, the design and the step size are
-    computed once, and each iteration takes one product with the design each
-    way for all T. The result is a list of T models, trial t's being the fit
-    of labels[t] alone (weights within 1e-12; bit for bit when T = 1), and
-    `seed` may then be one seed per trial. A divergence names the trial too.
+    A Dataset whose labels are a (T, n) stack over its one feature matrix
+    gives a list of T models, trial t's being the fit of labels[t] alone
+    (weights within 1e-12; bit for bit when T = 1), and `seed` may then be
+    one seed per trial.
 
-    With fewer rows n than twice the design's d+1 columns, the loop runs in
-    coefficient space instead (see _objective): one (n, n) product per
-    iteration, with W = design.T @ A formed once at the end. The tests check
-    it against descent on the weights: within 1e-12 relative in weights and
-    loss history at 35 iterations.
+    The shape of the data alone, with no option, picks how the descent
+    runs: two classes track one column w of W = [-w, w]; with fewer rows n
+    than twice the design's d+1 columns, the coefficients A of
+    W = design.T @ A are descended on (see _objective); for k > 2 the
+    classes absent from a trial share one column (see _collapse_absent).
+    On every path the tests hold the fit to textbook descent on the full
+    (d+1, k) weight matrix: weights within 1e-12 relative to its largest
+    weight, every loss-history entry within 1e-13 of the first loss, and
+    the same argmax on every training row.
 
-    For k > 2, the classes absent from a trial's labels share one column
-    (see _collapse_absent). This is exact: two classes absent from trial t
-    have equal weight columns at W = 0; equal columns give equal logits and
-    probabilities, and with no one-hot entry both gradient columns are
-    design.T @ p_c / n, so the columns stay equal at every step, in weight
-    and in coefficient space. The loop then runs on kc = max_t j_t + 1
-    columns, j_t the number of distinct classes of trial t, with the last
-    one counted k - kc + 1 times in the softmax normalizer, and every absent
-    class of a model gets that column's weights, so their columns are equal
-    bit for bit and predict's ties still go to the lowest index. The tests
-    check it against full-width descent within 1e-12 relative in weights and
-    loss history at 35 iterations. A converged 300-iteration fit can leave
-    that bound in loss history: 1.32e-12 was measured (k = 20, n = 96,
-    d = 23, loss 1.8e-3), with weights within 9e-15. Where kc >= k, and for
-    k = 2, the arithmetic is that of the full width.
-
-    The k > 2 loop carries its parameters class-major, as (kc, T, d+1) or
-    (kc, T, n), the binary form's (T, d+1) / (T, n) with a class axis in
-    front, so the softmax's max and sum run over kc whole (T, n) planes of
-    logits; the true classes' positions in them are found once per fit.
-    The tests check it against the row layout (n, T, k) within 1e-12
-    relative in weights and loss history at 35 iterations; a converged
-    300-iteration fit measured 3.8e-12 in loss history. Its step is formed
-    by one multiply of the probabilities by the (T, n) plane
-    (lr / n) / total, and its loss from log-sum-exp (see _softmax_loss):
-    within 1e-12 relative in weights and loss history, at 35 and 300
-    iterations, of dividing by the normalizer and n, then multiplying by lr.
+    Raises TrainingDivergedError("non-finite loss in trial t at iteration
+    i", without the trial for a single label vector) when a loss turns
+    non-finite.
     """
     if len(train) < 1:
         raise ValueError("training set is empty")

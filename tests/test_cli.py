@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,16 @@ class TestPrivatizeAndAttack:
     ):
         err = self.attack_error(tmp_path, capsys, "--attack", attack, "--marginal", marginal)
         assert err == [f"error: marginal must be a probability vector, got {shown}"]
+
+    def test_weighted_marginal_whose_weight_overflows_names_the_marginal(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.attack_error(tmp_path, capsys, "--utility", "weighted",
+                                    "--marginal", "1,5e-324")
+        assert [str(w.message) for w in caught] == []
+        assert err == ["error: weighted utility needs strictly positive marginals, each above "
+                       "2.781e-309 so that its weight 1/(2p) is finite, "
+                       "got [1.e+000 5.e-324]"]
 
     def test_marginal_that_is_not_numbers_names_the_flag(self, tmp_path, capsys):
         err = self.attack_error(tmp_path, capsys, "--marginal", "a,b")

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -49,6 +50,17 @@ class TestUtility:
     def test_weighted_zero_marginal_rejected(self):
         with pytest.raises(ValueError, match="weighted utility needs strictly positive marginals"):
             UtilitySpec.weighted([1.0, 0.0])
+
+    def test_weighted_marginal_at_the_overflow_edge(self):
+        """1 / (2p) overflows exactly for p <= 0.5 / max float: that p is
+        rejected, naming the marginal, with no overflow warning (warnings
+        are errors in this suite), and the next float up is kept."""
+        edge = 0.5 / sys.float_info.max
+        with pytest.raises(ValueError, match=re.escape("finite, got [1.00000000e+000 2.78134232e-309]")):
+            UtilitySpec.weighted([1.0, edge])
+        above = np.nextafter(edge, 1.0)
+        weights = UtilitySpec.weighted([1.0, above]).weights
+        assert np.isfinite(weights).all() and weights[1] == 1.0 / (2.0 * above)
 
     def test_weighted_weights_bit_for_bit(self):
         p = np.array([0.97, 0.03])
