@@ -9,7 +9,6 @@ output rows are byte-reproducible for a fixed (config, seed).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -124,30 +123,20 @@ def _fit_released(released: list, hyper: LogisticHyper, seeds) -> list:
     Sets that share one feature array (the same object: a mechanism that
     keeps its input rows releases them as they are) are fit as one stacked
     train_logistic call, in the order of their first member; any other set
-    is a group of one. Within a group each distinct label vector is fit once:
-    the stack holds the first member with each vector, in first-occurrence
-    order, and a later member whose vector is np.array_equal to a kept one
-    gets a model that shares that fit's weights, mu and sd and keeps its own
-    seed. A fit depends only on the features, the labels and `hyper`; the
-    seed is provenance. A vector is compared only with the kept vectors of
-    the same digest, so a block of hundreds of distinct vectors (simulate's
-    Monte-Carlo blocks) is not compared pair by pair.
+    is a group of one. Within a group each distinct label vector is fit once,
+    in first-occurrence order: a later member whose labels have the same
+    bytes (labels are int64, so equal bytes are equal values) gets a model
+    that shares that fit's weights, mu and sd and keeps its own seed.
     """
     groups: dict[int, list[int]] = {}
     for i, train in enumerate(released):
         groups.setdefault(id(train.features), []).append(i)
     models: list = [None] * len(released)
     for members in groups.values():
-        kept: list[int] = []
-        owner: dict[int, int] = {}
-        buckets: dict[bytes, list[int]] = {}
-        for i in members:
-            labels = np.ascontiguousarray(released[i].labels)
-            bucket = buckets.setdefault(hashlib.blake2b(labels, digest_size=16).digest(), [])
-            owner[i] = next((j for j in bucket if np.array_equal(released[j].labels, labels)), i)
-            if owner[i] == i:
-                bucket.append(i)
-                kept.append(i)
+        first_with: dict[bytes, int] = {}
+        owner = {i: first_with.setdefault(released[i].labels.tobytes(), i) for i in members}
+        del first_with  # free the key copies before the fit
+        kept = [i for i in members if owner[i] == i]
         first = released[members[0]]
         stack = np.stack([released[i].labels for i in kept])
         fitted = train_logistic(

@@ -240,7 +240,9 @@ def aggregate_votes(histogram: np.ndarray, epsilon_per_query: float, rng) -> int
         hist = hist + rng.laplace(0.0, 2.0 / epsilon_per_query, size=hist.shape)
     hist = np.clip(hist, 0.0, None)
     total = hist.sum()
-    probs = hist / total if total > 0 else np.full(hist.shape, 1.0 / hist.size)
+    # An infinite total (noise of scale 2/eps beyond the float range) says
+    # as little about the votes as a zero one: both sample uniformly.
+    probs = hist / total if 0 < total < math.inf else np.full(hist.shape, 1.0 / hist.size)
     u = rng.random()
     return int(min(np.searchsorted(np.cumsum(probs), u, side="right"), hist.size - 1))
 

@@ -201,9 +201,10 @@ def bound_factor(epsilon: float, delta: float) -> float:
     """The privacy factor 1 - (2 / (1 + e^eps)) (1 - delta). It is also the
     bound on the train-test utility gap of a private learner with u in [0, 1]."""
     _check_privacy(epsilon, delta)
-    if math.isinf(epsilon):
-        return 1.0
-    return 1.0 - (2.0 / (1.0 + math.exp(epsilon))) * (1.0 - delta)
+    # e^709 is finite and already makes the factor exactly 1.0, so clipping
+    # epsilon there changes no result and keeps larger or infinite budgets
+    # from overflowing.
+    return 1.0 - (2.0 / (1.0 + math.exp(min(epsilon, 709.0)))) * (1.0 - delta)
 
 
 def advantage_bound(epsilon: float, delta: float, exp_sup_utility: float) -> float:

@@ -35,6 +35,8 @@ def _tag_words(tag) -> list[int]:
 
 
 def seed_sequence(seed: int, *tags) -> np.random.SeedSequence:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     words = _tag_words(seed)
     for tag in tags:
         words.extend(_tag_words(tag))

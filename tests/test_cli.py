@@ -13,7 +13,7 @@ import pytest
 import labeldp.cli as cli
 import labeldp.data as data
 import labeldp.models as models
-from labeldp.cli import main
+from labeldp.cli import CHECK_EXIT, main
 from labeldp.data import Dataset, MixtureModel, gen_mixture, write_csv
 from labeldp.models import LogisticHyper, save_model, train_logistic
 
@@ -90,6 +90,11 @@ class TestBoundCommand:
         code, out, err = run_cli(capsys, "bound", "--kind", kind, "--epsilon", "1")
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {kind} bound needs {term}"]
+
+    def test_epsilon_beyond_the_exp_range(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--epsilon", "1000", "--B", "1")
+        assert code == 0
+        assert '"value": 1.0' in out
 
     def test_draft_variant_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1191,6 +1196,62 @@ class TestAtomicWrites:
                 f"error: cannot write {target}: No space left on device"
             ]
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "data.csv"
+    write_csv(gen_mixture(MixtureModel(2, 3, 1.0), 30, seed=0)[0], str(path))
+    return str(path)
+
+
+BOUND_TERMS = {"universal": ["--B", "1"], "advantage": ["--exp-sup", "1"],
+               "weak-threat": ["--exp-sup", "1"], "reconstruction": ["--domain-size", "10"],
+               "hoeffding": ["--n", "100"]}
+EXTREME_COMMANDS = (
+    [f"bound:{kind}" for kind in ("generalization", *BOUND_TERMS)]
+    + ["thm1"] + [f"privatize:{m}" for m in ("rr", "alibi", "lp2st")]
+    + [f"simulate:{m}" for m in ("rr", "lp2st", "alibi", "pate")] + ["ctr"]
+)
+
+
+def tiny_run(command, epsilon, csv, out):
+    """argv for a run of `command` small enough to take milliseconds."""
+    kind, _, variant = command.partition(":")
+    if kind == "bound":
+        return ["bound", "--kind", variant, "--epsilon", epsilon,
+                *BOUND_TERMS.get(variant, [])]
+    output = ["--output", str(out)]
+    if kind == "thm1":
+        return ["thm1", "--epsilon", epsilon, "--n-values", "10", "--trials", "3", *output]
+    if kind == "privatize":
+        return ["privatize", "--input", csv, "--mechanism", variant, "--epsilon", epsilon,
+                "--iterations", "3", *output]
+    if kind == "simulate":
+        return ["simulate", "--class-counts", "2", "--dim", "2", "--sigmas", "1", "--n", "10",
+                "--trials", "2", "--iterations", "3", "--epsilons", epsilon,
+                "--mechanism", variant, *output]
+    return ["ctr", "--n", "400", "--positive-rate", "0.2", "--dim", "2", "--iterations", "3",
+            "--epsilons", epsilon, "--mechanisms", "rr,lp2st,alibi,pate", *output]
+
+
+class TestExtremeInput:
+    @pytest.mark.parametrize("epsilon", ["1e-320", "709.79", "1000", "1e308", "inf"])
+    @pytest.mark.parametrize("command", EXTREME_COMMANDS)
+    def test_extreme_epsilon_ends_cleanly(self, tmp_path, capsys, small_csv, command, epsilon):
+        """Every command that takes a budget runs at the ends of the float
+        range, including where e^eps overflows, without a traceback or a
+        numpy warning (filterwarnings = error)."""
+        argv = tiny_run(command, epsilon, small_csv, tmp_path / "out.csv")
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, CHECK_EXIT) and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("command", ["simulate:rr", "thm1", "ctr", "privatize:rr"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, small_csv, command):
+        argv = tiny_run(command, "1", small_csv, tmp_path / "out.csv")
+        code, _, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 1
+        assert err.splitlines() == ["error: seed must be >= 0, got -1"]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -529,6 +529,27 @@ class TestFitReleasedDeduplicates:
             worst = np.max(np.abs(model.weights - alone.weights))
             assert worst <= 1e-12 * np.max(np.abs(alone.weights))
 
+    def test_strided_labels_share_the_fit_of_equal_values(self, monkeypatch):
+        """A repeat held as a strided view (not C-contiguous) is found by its
+        values: it is not stacked and its model keeps its own seed."""
+        ds, _ = gen_mixture(MixtureModel(3, 4, 1.0), 40, seed=6)
+        rng = np.random.default_rng(6)
+        a, b = (rng.integers(0, 3, 40) for _ in range(2))
+        released = [ds.with_labels(v) for v in (a, b, np.repeat(a, 2)[::2])]
+        assert not released[2].labels.flags.c_contiguous
+        stacks = []
+
+        def recording(train, hyper, seed=0):
+            stacks.append(train)
+            return train_logistic(train, hyper, seed)
+
+        monkeypatch.setattr(experiments, "train_logistic", recording)
+        models = experiments._fit_released(released, self.HYPER, [7, 8, 9])
+        [stack] = stacks
+        np.testing.assert_array_equal(stack.labels, np.stack([a, b]))
+        assert [m.seed for m in models] == [7, 8, 9]
+        assert models[2].weights.tobytes() == models[0].weights.tobytes()
+
 
 def sim_row(m=2, sigma=1.0, epsilon=1.0, x_rep=0, trials=10, *, eau, eau_stderr=0.0,
             leau, theoretical_bound=1.0):

@@ -260,6 +260,11 @@ class TestBounds:
             0.4674959856874097, abs=1e-12
         )
 
+    @pytest.mark.parametrize("epsilon", [709.79, 1000.0, 1e308])
+    def test_factor_is_one_where_exp_overflows(self, epsilon):
+        for delta in (0.0, 0.5, 1.0):
+            assert bound_factor(epsilon, delta) == 1.0
+
     def test_weak_threat_bound(self):
         assert advantage_bound(0.0, 0.0, 1.0) == 0.0
         assert advantage_bound(math.log(3), 0.0, 1.0) == pytest.approx(0.5)
