@@ -3,7 +3,6 @@ that relate the two through attack advantage."""
 
 from .attacks import marginal_guess, spa
 from .data import (
-    Conditional,
     CsvFormatError,
     Dataset,
     MixtureModel,

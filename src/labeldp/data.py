@@ -1,8 +1,9 @@
 """Dataset containers, synthetic generators, CSV ingestion, and splits.
 
-Generators return the dataset together with a conditional-label evaluator
-giving the exact P(y | x) of the generative process, which downstream code
-uses for Bayes predictions and exact label-independent attack utility.
+Generators return the dataset together with its source's posterior, the
+function from an (n, d) feature matrix to the (n, k) matrix of exact
+P(y | x). The metrics take that matrix for the exact label-independent
+attack utility and the Monte-Carlo label draws.
 """
 
 from __future__ import annotations
@@ -126,22 +127,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Conditional:
-    """Exact conditional label distribution P(y | x) of a generative process.
-
-    Calling the object on an (n, d) feature matrix returns an (n, k) matrix
-    whose rows are probability vectors.
-    """
-
-    num_classes: int
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        out = self.fn(np.atleast_2d(np.asarray(features, dtype=np.float64)))
-        return np.asarray(out, dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class MixtureModel:
     """Uniform mixture of isotropic Gaussians with basis-vector means.
 
@@ -179,30 +164,29 @@ class MixtureModel:
     def means(self) -> np.ndarray:
         return np.eye(self.num_classes, self.dim)
 
-    def conditional(self) -> Conditional:
+    def posterior(self, x: np.ndarray) -> np.ndarray:
+        """Exact P(y | x): an (n, k) matrix of probability rows for an (n, d)
+        feature matrix."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         k, inv_two_var = self.num_classes, self._inv_two_var()
         # exp(-1000.0) is 0.0, so clipping differences at -500 / inv_two_var
         # leaves their probability 0 and keeps the scaled logits finite at the
         # smallest sigma, where 2 * inv_two_var overflows.
         floor = -500.0 / inv_two_var
-
-        def posterior(x: np.ndarray) -> np.ndarray:
-            # The means are e_y, so -||x - e_y||^2 / (2 sigma^2) is
-            # x_y / sigma^2 plus a per-row constant, which the softmax drops.
-            logits = x[:, :k] - x[:, :k].max(axis=1, keepdims=True)
-            np.maximum(logits, floor, out=logits)
-            logits *= inv_two_var
-            logits *= 2.0
-            probs = np.exp(logits)
-            probs /= probs.sum(axis=1, keepdims=True)
-            return probs
-
-        return Conditional(k, posterior)
+        # The means are e_y, so -||x - e_y||^2 / (2 sigma^2) is
+        # x_y / sigma^2 plus a per-row constant, which the softmax drops.
+        logits = x[:, :k] - x[:, :k].max(axis=1, keepdims=True)
+        np.maximum(logits, floor, out=logits)
+        logits *= inv_two_var
+        logits *= 2.0
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs
 
 
 @dataclass(frozen=True)
 class SkewedBinarySpec:
-    """Synthetic skewed binary source with a known conditional.
+    """Synthetic skewed binary source with a known posterior P(y | x).
 
     Clean labels are Bernoulli(positive_rate); features are N(y * separation
     * e_1, I_d). With probability label_noise a label is replaced by a fresh
@@ -226,41 +210,45 @@ class SkewedBinarySpec:
         if not 0.0 <= self.label_noise < 0.5:  # NaN fails too
             raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
 
-    def conditional(self) -> Conditional:
+    def posterior(self, x: np.ndarray) -> np.ndarray:
+        """Exact P(y | x): an (n, 2) matrix of probability rows for an (n, d)
+        feature matrix."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         p1, s, rho = self.positive_rate, self.separation, self.label_noise
         bias = np.log(p1 / (1.0 - p1))
-
-        def posterior(x: np.ndarray) -> np.ndarray:
-            # Only the first coordinate carries signal; the noisy label mixes
-            # the clean posterior with the marginal.
-            logit = bias + s * x[:, 0] - 0.5 * s * s
-            clean = np.where(
-                logit >= 0,
-                1.0 / (1.0 + np.exp(-np.abs(logit))),
-                np.exp(-np.abs(logit)) / (1.0 + np.exp(-np.abs(logit))),
-            )
-            pos = (1.0 - rho) * clean + rho * p1
-            return np.column_stack([1.0 - pos, pos])
-
-        return Conditional(2, posterior)
+        # Only the first coordinate carries signal; the noisy label mixes
+        # the clean posterior with the marginal.
+        logit = bias + s * x[:, 0] - 0.5 * s * s
+        clean = np.where(
+            logit >= 0,
+            1.0 / (1.0 + np.exp(-np.abs(logit))),
+            np.exp(-np.abs(logit)) / (1.0 + np.exp(-np.abs(logit))),
+        )
+        pos = (1.0 - rho) * clean + rho * p1
+        return np.column_stack([1.0 - pos, pos])
 
 
-def gen_mixture(model: MixtureModel, n: int, seed: int) -> tuple[Dataset, Conditional]:
+def gen_mixture(
+    model: MixtureModel, n: int, seed: int
+) -> tuple[Dataset, Callable[[np.ndarray], np.ndarray]]:
     """Draw n samples from the Gaussian mixture.
 
     Labels are uniform over the classes; features come from the labelled
-    component. Returns the dataset and the exact conditional evaluator.
+    component. Returns the dataset and the mixture's posterior.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     labels = substream(seed, "mixture-labels").integers(0, model.num_classes, size=n)
     noise = substream(seed, "mixture-features").standard_normal((n, model.dim))
     features = model.means()[labels] + model.sigma * noise
-    return Dataset(features, labels, model.num_classes), model.conditional()
+    return Dataset(features, labels, model.num_classes), model.posterior
 
 
-def gen_skewed_binary(spec: SkewedBinarySpec, n: int, seed: int) -> tuple[Dataset, Conditional]:
-    """Draw n samples from the skewed binary source."""
+def gen_skewed_binary(
+    spec: SkewedBinarySpec, n: int, seed: int
+) -> tuple[Dataset, Callable[[np.ndarray], np.ndarray]]:
+    """Draw n samples from the skewed binary source. Returns the dataset and
+    the source's posterior."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p1 = spec.positive_rate
@@ -272,7 +260,7 @@ def gen_skewed_binary(spec: SkewedBinarySpec, n: int, seed: int) -> tuple[Datase
         replace = substream(seed, "skew-noise").random(n) < spec.label_noise
         redraw = (substream(seed, "skew-redraw").random(n) < p1).astype(np.int64)
         labels = np.where(replace, redraw, clean)
-    return Dataset(features, labels, 2), spec.conditional()
+    return Dataset(features, labels, 2), spec.posterior
 
 
 def sample_categorical_rows(probs: np.ndarray, seed: int) -> np.ndarray:

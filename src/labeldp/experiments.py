@@ -193,10 +193,11 @@ def run_simulation(config: SimulationConfig) -> list[dict]:
         for si, sigma in enumerate(config.sigmas):
             mixture = MixtureModel(m, config.dim, float(sigma))
             for rep in range(config.feature_redraws):
-                ds, conditional = gen_mixture(
+                ds, posterior = gen_mixture(
                     mixture, config.n, derive_seed(config.seed, "sim-x", mi, si, rep)
                 )
                 features = ds.features
+                probs = posterior(features)
                 # The step size comes from the cell's full X, which is fixed
                 # across its trials. It is part of the behaviour, not a cache:
                 # PATE's teachers and student and LP-2ST's stage-1 model train
@@ -205,11 +206,11 @@ def run_simulation(config: SimulationConfig) -> list[dict]:
                     learning_rate=0.9 * stability_threshold(ds),
                     iterations=config.iterations,
                 )
-                leau = leau_exact(conditional, features, spec)
+                leau = leau_exact(probs, spec)
                 for ei, eps in enumerate(config.epsilons):
                     pipeline = mechanism_pipeline(config.mechanism, m, float(eps), hyper)
                     eau, stderr = eau_monte_carlo(
-                        conditional,
+                        probs,
                         features,
                         pipeline,
                         spec,
@@ -351,9 +352,9 @@ def run_ctr(config: CtrConfig) -> list[dict]:
     so only the training and test copies live through training."""
     if config.csv_path is not None:
         dataset = load_csv(config.csv_path, config.label_column)
-        conditional = None
+        posterior = None
     else:
-        dataset, conditional = gen_skewed_binary(
+        dataset, posterior = gen_skewed_binary(
             config.source, config.n, derive_seed(config.seed, "ctr-data")
         )
     train, _val, test = split(dataset, config.split_fractions, derive_seed(config.seed, "ctr-split"))
@@ -386,8 +387,8 @@ def run_ctr(config: CtrConfig) -> list[dict]:
     entries = [("constant-baseline", math.inf, baseline)]
     entries += [(mech, eps, model) for (mech, eps), model in zip(cells, models)]
 
-    if conditional is not None:
-        leau = leau_exact(conditional, train.features, spec)
+    if posterior is not None:
+        leau = leau_exact(posterior(train.features), spec)
     else:
         leau = leau_estimate(candidates, test, spec)
 

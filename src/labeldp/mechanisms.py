@@ -217,13 +217,18 @@ def alibi(train: Dataset, epsilon: float, seed: int) -> MechanismReport:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     k = train.num_classes
-    onehot = np.zeros((len(train), k))
-    onehot[np.arange(len(train)), train.labels] = 1.0
     scale = 0.0 if math.isinf(epsilon) else 2.0 / epsilon
-    noisy = onehot
-    if scale > 0:
-        noisy = onehot + substream(seed, "alibi").laplace(0.0, scale, size=onehot.shape)
-    denoised = np.argmax(noisy, axis=1).astype(np.int64)
+    if math.isinf(scale):
+        # Noise of a scale beyond the float range makes every entry +-inf,
+        # which says nothing about the label, and np.argmax would break the
+        # ties toward class 0: the release is uniform, as in aggregate_votes.
+        denoised = substream(seed, "alibi").integers(0, k, size=len(train))
+    else:
+        noisy = np.zeros((len(train), k))
+        noisy[np.arange(len(train)), train.labels] = 1.0
+        if scale > 0:
+            noisy += substream(seed, "alibi").laplace(0.0, scale, size=noisy.shape)
+        denoised = np.argmax(noisy, axis=1).astype(np.int64)
     diagnostics = {
         "mechanism": "alibi",
         "noise_scale": scale,

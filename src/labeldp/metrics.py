@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Conditional, _first_non_distribution, sample_categorical_rows
+from .data import _first_non_distribution, sample_categorical_rows
 from .mechanisms import keep_probability
 from .models import Model
 from .rng import derive_seed
@@ -121,7 +121,7 @@ MC_BLOCK_ENTRIES = 1 << 17
 
 
 def eau_monte_carlo(
-    conditional: Conditional,
+    probs: np.ndarray,
     features: np.ndarray,
     pipeline: Callable[[np.ndarray, np.ndarray, list], Sequence[Model]],
     spec: UtilitySpec,
@@ -131,7 +131,8 @@ def eau_monte_carlo(
     """Monte-Carlo EAU of the simple prediction attack (attacks.spa) with the
     feature matrix held fixed.
 
-    Per trial: resample labels from the conditional, run the training
+    probs is the (n, k) matrix of P(y | x) at the n rows of features. Per
+    trial: draw each row's label from its row of probs, run the training
     pipeline, run spa on the released model, and record the mean row
     utility. Returns (mean, stderr) over trials with the unbiased
     sample standard deviation; trials accumulate in index order so the
@@ -148,13 +149,16 @@ def eau_monte_carlo(
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     features = np.asarray(features, dtype=np.float64)
-    conditional_probs = conditional(features)  # fixed X: evaluate once
-    block = max(1, MC_BLOCK_ENTRIES // conditional_probs.size)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[0] != features.shape[0]:
+        raise ValueError(f"probs must have one row per feature row, got shape {probs.shape} "
+                         f"for {features.shape[0]} rows")
+    block = max(1, MC_BLOCK_ENTRIES // probs.size)
     values = np.empty(trials)
     for start in range(0, trials, block):
         block_trials = range(start, min(start + block, trials))
         labels = np.stack([
-            sample_categorical_rows(conditional_probs, derive_seed(seed, "mc-labels", t))
+            sample_categorical_rows(probs, derive_seed(seed, "mc-labels", t))
             for t in block_trials
         ])
         seeds = [derive_seed(seed, "mc-pipeline", t) for t in block_trials]
@@ -170,10 +174,9 @@ def eau_monte_carlo(
     return mean, stderr
 
 
-def leau_exact(conditional: Conditional, features: np.ndarray, spec: UtilitySpec) -> float:
-    """Label-independent EAU computed exactly: the mean over rows of
-    max_y E[u(y, y_i) | x_i], enumerating candidate labels."""
-    probs = conditional(np.asarray(features, dtype=np.float64))
+def leau_exact(probs: np.ndarray, spec: UtilitySpec) -> float:
+    """Label-independent EAU computed exactly from the (n, k) matrix of
+    P(y | x_i): the mean over rows of max_y E[u(y, y_i) | x_i]."""
     return float(expected_utilities(probs, spec).max(axis=1).mean())
 
 

@@ -13,11 +13,11 @@ import ctypes
 import functools
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Conditional, Dataset, _atomic_write, _first_non_distribution
+from .data import Dataset, _atomic_write, _first_non_distribution
 
 PROB_CLAMP = 1e-15
 _LOSS_CAP = -np.log(PROB_CLAMP)
@@ -467,16 +467,17 @@ def train_logistic(
 
 
 class BayesModel(Model):
-    """Predicts with the exact conditional P(y | x) of the data source."""
+    """Predicts with the exact P(y | x) of the data source. posterior maps an
+    (n, d) feature matrix to the (n, num_classes) matrix of P(y | x)."""
 
     kind = "bayes"
 
-    def __init__(self, conditional: Conditional):
-        self.conditional = conditional
-        self.num_classes = conditional.num_classes
+    def __init__(self, posterior: Callable[[np.ndarray], np.ndarray], num_classes: int):
+        self.posterior = posterior
+        self.num_classes = num_classes
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return self.conditional(features)
+        return self.posterior(features)
 
 
 class ConstantModel(Model):

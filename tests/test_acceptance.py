@@ -182,14 +182,15 @@ def test_criterion_6_oracle_consistency():
     # (i) Monte-Carlo SPA on the released exact conditional (the Bayes
     # classifier, label-independent) vs exact L-EAU on 6 mixture configurations.
     for m, sigma in [(2, 1.0), (2, 10.0), (2, 100.0), (100, 1.0), (100, 10.0), (100, 100.0)]:
-        ds, cond = gen_mixture(MixtureModel(m, 100, sigma), 50, seed=31)
+        ds, posterior = gen_mixture(MixtureModel(m, 100, sigma), 50, seed=31)
+        probs = posterior(ds.features)
         spec = UtilitySpec.zero_one()
 
-        def pipeline(features, labels, seeds, cond=cond):
-            return [BayesModel(cond) for _ in labels]
+        def pipeline(features, labels, seeds, posterior=posterior, m=m):
+            return [BayesModel(posterior, m) for _ in labels]
 
-        est, se = eau_monte_carlo(cond, ds.features, pipeline, spec, trials=200, seed=37)
-        exact = leau_exact(cond, ds.features, spec)
+        est, se = eau_monte_carlo(probs, ds.features, pipeline, spec, trials=200, seed=37)
+        exact = leau_exact(probs, spec)
         close = abs(est - exact) <= 3.0 * max(se, 1e-12)
         ok &= close
         details.append(f"m={m},s={sigma:g}:{'ok' if close else 'off'}")

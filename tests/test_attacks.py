@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from labeldp.attacks import marginal_guess, spa
-from labeldp.data import Conditional, MixtureModel, gen_mixture
+from labeldp.data import MixtureModel, gen_mixture
 from labeldp.metrics import UtilitySpec, eau_empirical
 from labeldp.models import BayesModel, ConstantModel, majority_table
 
@@ -38,8 +38,8 @@ class TestSpa:
         assert spa(FixedScoreModel([0.98, 0.02]), x, spec)[0] == 0
 
     def test_zero_one_equals_weighted_under_uniform_marginal(self):
-        ds, cond = gen_mixture(MixtureModel(4, 5, 2.0), 200, seed=1)
-        model = BayesModel(cond)
+        ds, posterior = gen_mixture(MixtureModel(4, 5, 2.0), 200, seed=1)
+        model = BayesModel(posterior, 4)
         a = spa(model, ds.features, UtilitySpec.zero_one())
         b = spa(model, ds.features, UtilitySpec.weighted([0.25] * 4))
         np.testing.assert_array_equal(a, b)
@@ -49,29 +49,32 @@ class TestSpa:
         assert np.all(spa(model, np.zeros((8, 2)), UtilitySpec.zero_one()) == 1)
 
 
-def bayes_spa(features, cond):
-    """SPA on the released exact conditional: the Bayes-classifier attack."""
-    return spa(BayesModel(cond), features, UtilitySpec.zero_one())
+def bayes_spa(features, posterior, num_classes):
+    """SPA on the released exact posterior: the Bayes-classifier attack."""
+    return spa(BayesModel(posterior, num_classes), features, UtilitySpec.zero_one())
 
 
 class TestSpaOnBayesModel:
     def test_deterministic_conditional_is_perfect(self):
-        cond = Conditional(2, lambda X: np.column_stack([X[:, 0] < 0, X[:, 0] >= 0]).astype(float))
+        def posterior(X):
+            return np.column_stack([X[:, 0] < 0, X[:, 0] >= 0]).astype(float)
+
         X = np.array([[-1.0], [1.0], [2.0], [-3.0]])
-        np.testing.assert_array_equal(bayes_spa(X, cond), [0, 1, 1, 0])
+        np.testing.assert_array_equal(bayes_spa(X, posterior, 2), [0, 1, 1, 0])
 
     def test_uniform_conditional_ties_to_class_zero(self):
-        cond = Conditional(3, lambda X: np.full((X.shape[0], 3), 1.0 / 3.0))
-        assert np.all(bayes_spa(np.zeros((5, 1)), cond) == 0)
+        def posterior(X):
+            return np.full((X.shape[0], 3), 1.0 / 3.0)
+
+        assert np.all(bayes_spa(np.zeros((5, 1)), posterior, 3) == 0)
 
     def test_mixture_boundary_matches_brute_force(self):
         """Oracle: densities computed from scratch; the decision follows the
         perpendicular bisector of the two means."""
         model = MixtureModel(2, 6, 1.0)
-        cond = model.conditional()
         rng = np.random.default_rng(5)
         X = rng.normal(size=(100, 6), scale=2.0)
-        out = bayes_spa(X, cond)
+        out = bayes_spa(X, model.posterior, 2)
         means = model.means()
         expected = np.array(
             [np.argmin([np.sum((x - mu) ** 2) for mu in means]) for x in X]
@@ -79,9 +82,9 @@ class TestSpaOnBayesModel:
         np.testing.assert_array_equal(out, expected)
 
     def test_is_the_argmax_of_the_conditional(self):
-        ds, cond = gen_mixture(MixtureModel(3, 4, 1.0), 100, seed=2)
-        base = bayes_spa(ds.features, cond)
-        np.testing.assert_array_equal(base, np.argmax(cond(ds.features), axis=1))
+        ds, posterior = gen_mixture(MixtureModel(3, 4, 1.0), 100, seed=2)
+        base = bayes_spa(ds.features, posterior, 3)
+        np.testing.assert_array_equal(base, np.argmax(posterior(ds.features), axis=1))
 
 
 class TestMarginalGuess:

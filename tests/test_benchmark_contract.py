@@ -8,10 +8,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from labeldp import cli, experiments
-from labeldp.data import MixtureModel, gen_mixture, write_csv
+from labeldp.data import (
+    Dataset, MixtureModel, SkewedBinarySpec, gen_mixture, gen_skewed_binary, write_csv,
+)
 from labeldp.models import LogisticHyper, save_model, train_logistic
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -52,6 +55,16 @@ def test_hooked_calls_bind_their_arguments_by_name():
         "rows", "out.csv", "csv", columns="columns", manifest="manifest"
     ).arguments
     assert write["path"] == "out.csv"
+
+
+def test_csv_io_setup_unpacks_the_skewed_binary_draw():
+    """The csv-io set-up unpacks `dataset, _ = gen_skewed_binary(spec, n,
+    seed)`; a changed return value would show only as a crashed set-up."""
+    dataset, posterior = gen_skewed_binary(SkewedBinarySpec(0.03, 20, 0.5, 0.1), 50, 0)
+    assert isinstance(dataset, Dataset) and callable(posterior)
+    probs = posterior(dataset.features)
+    assert probs.shape == (50, 2)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_traced_model_classes_define_predict_proba(tracer):

@@ -130,28 +130,25 @@ class TestMixture:
     def test_posterior_at_component_mean(self):
         """m=2, sigma=1, query at e_0: the squared distance gap is 2, so
         P(y=0 | e_0) = 1 / (1 + e^-1) = 0.7310585786300049."""
-        _, cond = gen_mixture(MixtureModel(2, 100, 1.0), 1, seed=0)
+        _, posterior = gen_mixture(MixtureModel(2, 100, 1.0), 1, seed=0)
         x = np.eye(2, 100)[0]
-        probs = cond(x[None, :])[0]
+        probs = posterior(x[None, :])[0]
         np.testing.assert_allclose(probs[0], 0.7310585786300049, atol=1e-12)
         np.testing.assert_allclose(probs[1], 0.2689414213699951, atol=1e-12)
 
     def test_posterior_matches_density_ratio_oracle(self):
         model = MixtureModel(4, 7, 2.5)
-        cond = model.conditional()
         rng = np.random.default_rng(3)
         X = rng.normal(size=(50, 7), scale=3.0)
         expected = np.array([brute_posterior(x, model.means(), model.sigma) for x in X])
-        np.testing.assert_allclose(cond(X), expected, atol=1e-10)
+        np.testing.assert_allclose(model.posterior(X), expected, atol=1e-10)
 
     def test_small_sigma_is_degenerate(self):
-        cond = MixtureModel(2, 4, 1e-3).conditional()
-        probs = cond(np.eye(2, 4)[0][None, :])[0]
+        probs = MixtureModel(2, 4, 1e-3).posterior(np.eye(2, 4)[0][None, :])[0]
         assert probs[0] > 1.0 - 1e-12
 
     def test_large_sigma_is_uniform(self):
-        cond = MixtureModel(5, 8, 1e6).conditional()
-        probs = cond(np.ones((1, 8)))[0]
+        probs = MixtureModel(5, 8, 1e6).posterior(np.ones((1, 8)))[0]
         np.testing.assert_allclose(probs, 0.2, atol=1e-9)
 
     def test_too_many_classes_is_invalid(self):
@@ -174,9 +171,8 @@ class TestMixture:
         assert 0 < MixtureModel(2, 3, sigma)._inv_two_var() < math.inf
 
     def test_rows_are_distributions(self):
-        cond = MixtureModel(3, 10, 2.0).conditional()
         X = np.random.default_rng(0).normal(size=(1000, 10), scale=5.0)
-        probs = cond(X)
+        probs = MixtureModel(3, 10, 2.0).posterior(X)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -214,7 +210,7 @@ class TestPosteriorAgainstDistanceOracle:
         model = MixtureModel(k, d, sigma)
         rng = np.random.default_rng(k * d + n)
         x = model.means()[rng.integers(0, k, n)] + sigma * rng.normal(size=(n, d))
-        got, want = model.conditional()(x), self.one_shot(model, x)
+        got, want = model.posterior(x), self.one_shot(model, x)
         assert np.abs(got - want).max() <= 1e-13
         np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
@@ -223,46 +219,39 @@ class TestPosteriorAgainstDistanceOracle:
         """At 9e153 a squared distance over 2 sigma^2 overflows; at 6e-155
         1 / sigma^2 does. Neither may warn or leave a non-finite row."""
         model = MixtureModel(2, 3, sigma)
-        ds, cond = gen_mixture(model, 200, seed=4)
+        ds, posterior = gen_mixture(model, 200, seed=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probs = cond(ds.features)
+            probs = posterior(ds.features)
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestSampleCategoricalRows:
-    """Label draws from P(. | x), one per row: sample_categorical_rows(cond(X), seed)."""
+    """Label draws from P(. | x), one per row: sample_categorical_rows(posterior(X), seed)."""
 
     def test_deterministic_conditional_is_exact(self):
-        from labeldp.data import Conditional
-
-        cond = Conditional(3, lambda X: np.tile([0.0, 0.0, 1.0], (X.shape[0], 1)))
-        labels = sample_categorical_rows(cond(np.zeros((100, 2))), seed=0)
+        labels = sample_categorical_rows(np.tile([0.0, 0.0, 1.0], (100, 1)), seed=0)
         assert np.all(labels == 2)
 
     def test_uniform_conditional_concentrates(self):
         """Binomial oracle: class-1 rate over 1e6 draws is 0.5 +- 0.0015."""
-        from labeldp.data import Conditional
-
-        cond = Conditional(2, lambda X: np.full((X.shape[0], 2), 0.5))
-        labels = sample_categorical_rows(cond(np.zeros((10**6, 1))), seed=1)
+        labels = sample_categorical_rows(np.full((10**6, 2), 0.5), seed=1)
         assert abs(labels.mean() - 0.5) < 0.0015
 
     def test_same_seed_identical(self):
-        cond = MixtureModel(3, 4, 1.0).conditional()
-        X = np.random.default_rng(2).normal(size=(500, 4))
-        a = sample_categorical_rows(cond(X), seed=9)
-        b = sample_categorical_rows(cond(X), seed=9)
+        probs = MixtureModel(3, 4, 1.0).posterior(np.random.default_rng(2).normal(size=(500, 4)))
+        a = sample_categorical_rows(probs, seed=9)
+        b = sample_categorical_rows(probs, seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_per_row_frequencies_match_conditional(self):
         """Chi-squared goodness of fit on 1e5 draws of one fixed row."""
-        cond = MixtureModel(3, 3, 1.0).conditional()
+        posterior = MixtureModel(3, 3, 1.0).posterior
         row = np.array([[0.4, 0.3, 0.1]])
-        expected = cond(row)[0]
+        expected = posterior(row)[0]
         X = np.repeat(row, 10**5, axis=0)
-        draws = sample_categorical_rows(cond(X), seed=4)
+        draws = sample_categorical_rows(posterior(X), seed=4)
         counts = np.bincount(draws, minlength=3)
         result = stats.chisquare(counts, f_exp=expected * 10**5)
         assert result.pvalue > 0.001
@@ -278,21 +267,21 @@ class TestSkewedBinary:
 
     def test_noiseless_wide_separation_is_bayes_learnable(self):
         spec = SkewedBinarySpec(0.3, 3, separation=50.0, label_noise=0.0)
-        ds, cond = gen_skewed_binary(spec, 2000, seed=1)
-        bayes = np.argmax(cond(ds.features), axis=1)
+        ds, posterior = gen_skewed_binary(spec, 2000, seed=1)
+        bayes = np.argmax(posterior(ds.features), axis=1)
         assert np.mean(bayes == ds.labels) == 1.0
 
     def test_uninformative_features_cap_accuracy_at_half(self):
         spec = SkewedBinarySpec(0.5, 3, separation=0.0, label_noise=0.0)
-        ds, cond = gen_skewed_binary(spec, 20000, seed=2)
-        bayes = np.argmax(cond(ds.features), axis=1)
+        ds, posterior = gen_skewed_binary(spec, 20000, seed=2)
+        bayes = np.argmax(posterior(ds.features), axis=1)
         assert abs(np.mean(bayes == ds.labels) - 0.5) < 0.02
 
     def test_conditional_marginal_matches_positive_rate(self):
         # Integrating P(y=1|x) over generated features must recover p1.
         spec = SkewedBinarySpec(0.1, 4, separation=1.0, label_noise=0.2)
-        ds, cond = gen_skewed_binary(spec, 10**5, seed=3)
-        assert abs(cond(ds.features)[:, 1].mean() - 0.1) < 0.005
+        ds, posterior = gen_skewed_binary(spec, 10**5, seed=3)
+        assert abs(posterior(ds.features)[:, 1].mean() - 0.1) < 0.005
 
     def test_reproducible(self):
         spec = SkewedBinarySpec(0.2, 2, 1.0, 0.1)

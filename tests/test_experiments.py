@@ -143,6 +143,25 @@ class TestSimulation:
         # Different feature draws give different exact L-EAU values.
         assert len({r["leau"] for r in reports}) == 3
 
+    def test_posterior_evaluated_once_per_feature_draw(self, monkeypatch):
+        """The features of an (m, sigma, rep) group are fixed across its
+        epsilons, so L-EAU and every cell's label draws share one posterior
+        matrix."""
+        calls = []
+        posterior = MixtureModel.posterior
+
+        def counted(model, x):
+            calls.append((model.num_classes, model.sigma))
+            return posterior(model, x)
+
+        monkeypatch.setattr(MixtureModel, "posterior", counted)
+        cfg = SimulationConfig(
+            class_counts=(2, 3), dim=4, sigmas=(1.0, 2.0), n=10, trials=2,
+            epsilons=(0.5, 2.0, 8.0), feature_redraws=2, iterations=5, seed=0,
+        )
+        assert len(run_simulation(cfg)) == 2 * 2 * 2 * 3
+        assert sorted(calls) == sorted([(m, s) for m in (2, 3) for s in (1.0, 2.0)] * 2)
+
 
 class TestBlasThreadScope:
     TINY = SimulationConfig(class_counts=(2,), dim=3, sigmas=(1.0,), n=10, trials=2,

@@ -282,6 +282,18 @@ class TestAlibi:
         report = alibi(ds, 1.5, seed=0)
         assert report.params.epsilon == 1.5 and report.params.note == BASIC
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_noise_scale_beyond_float_range_releases_uniform_labels(self, k):
+        """At eps = 1e-320 the scale 2/eps overflows to inf and every noisy
+        entry is +-inf; the release must not tie toward class 0. Classes are
+        balanced, so each released share is within 4 stderr of 1/k."""
+        n = 30000
+        ds = Dataset(np.zeros((n, 1)), np.arange(n) % k, k)
+        report = alibi(ds, 1e-320, seed=7)
+        shares = np.bincount(report.labels, minlength=k) / n
+        stderr = math.sqrt((1.0 / k) * (1.0 - 1.0 / k) / n)
+        assert np.all(np.abs(shares - 1.0 / k) <= 4 * stderr), shares
+
 
 class TestPate:
     def test_consensus_votes_pass_through_at_infinite_epsilon(self):

@@ -8,7 +8,7 @@ import pytest
 
 from labeldp import metrics
 from labeldp.attacks import marginal_guess
-from labeldp.data import Conditional, Dataset, MixtureModel, gen_mixture
+from labeldp.data import Dataset, MixtureModel, gen_mixture
 from labeldp.mechanisms import randomized_response
 from labeldp.metrics import (
     UtilitySpec,
@@ -118,20 +118,19 @@ class TestEau:
     def test_monte_carlo_label_revealing_pipeline(self):
         """Deterministic conditional plus a memorizing pipeline: every trial
         recovers the labels exactly, so the estimate is 1 with stderr 0."""
-        cond = Conditional(2, lambda X: np.column_stack([X[:, 0] < 0, X[:, 0] >= 0]).astype(float))
         X = np.linspace(-1, 1, 20)[:, None]
+        probs = np.column_stack([X[:, 0] < 0, X[:, 0] >= 0]).astype(float)
 
         def pipeline(features, labels, seeds):
             return [majority_table(Dataset(features, row, 2)) for row in labels]
 
-        est, se = eau_monte_carlo(cond, X, pipeline, UtilitySpec.zero_one(), trials=10, seed=0)
+        est, se = eau_monte_carlo(probs, X, pipeline, UtilitySpec.zero_one(), trials=10, seed=0)
         assert est == 1.0 and se == 0.0
 
     def test_monte_carlo_exhausted_budget_hits_chance(self):
         """With eps=0 the privatized labels carry no information, so SPA
         accuracy sits at 1/m (brute-force expectation over resampling)."""
         m = 4
-        cond = Conditional(m, lambda X: np.full((X.shape[0], m), 1.0 / m))
         X = np.random.default_rng(0).normal(size=(40, 3))
         hyper = LogisticHyper(iterations=25)
 
@@ -143,21 +142,23 @@ class TestEau:
                 for row, seed in zip(labels, seeds)
             ]
 
-        est, se = eau_monte_carlo(cond, X, pipeline, UtilitySpec.zero_one(), trials=300, seed=1)
+        est, se = eau_monte_carlo(np.full((40, m), 1.0 / m), X, pipeline, UtilitySpec.zero_one(),
+                                  trials=300, seed=1)
         assert abs(est - 1.0 / m) <= 3 * se
 
     def test_monte_carlo_bayes_model_matches_exact_leau(self):
         """A pipeline that releases the exact conditional ignores the labels,
         so SPA on it is the label-independent attack."""
         mixture = MixtureModel(3, 5, 2.0)
-        ds, cond = gen_mixture(mixture, 60, seed=2)
+        ds, posterior = gen_mixture(mixture, 60, seed=2)
+        probs = posterior(ds.features)
         spec = UtilitySpec.zero_one()
 
         def pipeline(features, labels, seeds):
-            return [BayesModel(cond) for _ in labels]
+            return [BayesModel(posterior, 3) for _ in labels]
 
-        est, se = eau_monte_carlo(cond, ds.features, pipeline, spec, trials=400, seed=3)
-        assert abs(est - leau_exact(cond, ds.features, spec)) <= 3 * max(se, 1e-12)
+        est, se = eau_monte_carlo(probs, ds.features, pipeline, spec, trials=400, seed=3)
+        assert abs(est - leau_exact(probs, spec)) <= 3 * max(se, 1e-12)
 
 
 class TestMonteCarloBlocks:
@@ -167,7 +168,7 @@ class TestMonteCarloBlocks:
     @staticmethod
     def run(monkeypatch, block, stacked, trials=8):
         mixture = MixtureModel(3, 4, 1.0)
-        ds, cond = gen_mixture(mixture, 30, seed=4)
+        ds, posterior = gen_mixture(mixture, 30, seed=4)
         monkeypatch.setattr(metrics, "MC_BLOCK_ENTRIES", block * 30 * 3)
         hyper = LogisticHyper(iterations=20)
         blocks = []
@@ -179,7 +180,7 @@ class TestMonteCarloBlocks:
             return [train_logistic(Dataset(features, row, 3), hyper, seed)
                     for row, seed in zip(labels, seeds)]
 
-        result = eau_monte_carlo(cond, ds.features, pipeline,
+        result = eau_monte_carlo(posterior(ds.features), ds.features, pipeline,
                                  UtilitySpec.zero_one(), trials=trials, seed=9)
         return result, blocks
 
@@ -190,31 +191,35 @@ class TestMonteCarloBlocks:
         assert ones == [1] * 8
         assert stacked == single
 
+    def test_probs_must_have_one_row_per_feature_row(self):
+        with pytest.raises(ValueError, match=r"one row per feature row, got shape \(4, 2\) for 5"):
+            eau_monte_carlo(np.full((4, 2), 0.5), np.zeros((5, 1)),
+                            lambda f, labels, s: [ConstantModel([0.5, 0.5])] * len(labels),
+                            UtilitySpec.zero_one(), trials=4, seed=0)
+
     def test_pipeline_must_return_one_model_per_trial(self):
-        cond = Conditional(2, lambda X: np.full((X.shape[0], 2), 0.5))
         with pytest.raises(ValueError, match="returned 1 models for 4 label vectors"):
-            eau_monte_carlo(cond, np.zeros((5, 1)), lambda f, labels, s: [ConstantModel([0.5, 0.5])],
+            eau_monte_carlo(np.full((5, 2), 0.5), np.zeros((5, 1)),
+                            lambda f, labels, s: [ConstantModel([0.5, 0.5])],
                             UtilitySpec.zero_one(), trials=4, seed=0)
 
 
 class TestLeau:
     def test_deterministic_conditional_gives_one(self):
-        cond = Conditional(2, lambda X: np.tile([0.0, 1.0], (X.shape[0], 1)))
-        assert leau_exact(cond, np.zeros((10, 1)), UtilitySpec.zero_one()) == 1.0
+        assert leau_exact(np.tile([0.0, 1.0], (10, 1)), UtilitySpec.zero_one()) == 1.0
 
     def test_uniform_conditional_gives_one_over_m(self):
-        cond = Conditional(5, lambda X: np.full((X.shape[0], 5), 0.2))
-        assert leau_exact(cond, np.zeros((7, 1)), UtilitySpec.zero_one()) == pytest.approx(0.2)
+        assert leau_exact(np.full((7, 5), 0.2), UtilitySpec.zero_one()) == pytest.approx(0.2)
 
     def test_single_binary_row(self):
-        cond = Conditional(2, lambda X: np.tile([0.2689, 0.7311], (X.shape[0], 1)))
-        assert leau_exact(cond, np.zeros((1, 1)), UtilitySpec.zero_one()) == pytest.approx(0.7311)
+        probs = np.array([[0.2689, 0.7311]])
+        assert leau_exact(probs, UtilitySpec.zero_one()) == pytest.approx(0.7311)
 
     def test_estimate_with_bayes_candidate_matches_exact(self):
-        ds, cond = gen_mixture(MixtureModel(2, 4, 1.0), 4000, seed=4)
+        ds, posterior = gen_mixture(MixtureModel(2, 4, 1.0), 4000, seed=4)
         spec = UtilitySpec.zero_one()
-        est = leau_estimate([BayesModel(cond)], ds, spec)
-        exact = leau_exact(cond, ds.features, spec)
+        est = leau_estimate([BayesModel(posterior, 2)], ds, spec)
+        exact = leau_exact(posterior(ds.features), spec)
         assert abs(est - exact) < 0.03
 
     def test_estimate_constant_weighted_is_half(self):
@@ -226,10 +231,10 @@ class TestLeau:
         assert est == pytest.approx(0.5, abs=1e-12)
 
     def test_estimate_is_monotone_in_candidates(self):
-        ds, cond = gen_mixture(MixtureModel(2, 3, 1.0), 500, seed=5)
+        ds, posterior = gen_mixture(MixtureModel(2, 3, 1.0), 500, seed=5)
         spec = UtilitySpec.zero_one()
-        good = leau_estimate([BayesModel(cond)], ds, spec)
-        both = leau_estimate([BayesModel(cond), ConstantModel([0.5, 0.5])], ds, spec)
+        good = leau_estimate([BayesModel(posterior, 2)], ds, spec)
+        both = leau_estimate([BayesModel(posterior, 2), ConstantModel([0.5, 0.5])], ds, spec)
         assert both >= good
 
     def test_estimate_needs_candidates(self):

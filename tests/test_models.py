@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from labeldp.data import (
-    Conditional,
     Dataset,
     MixtureModel,
     SkewedBinarySpec,
@@ -773,19 +772,18 @@ class TestFoldedStep:
 
 class TestAnalyticModels:
     def test_bayes_equidistant_point_is_symmetric(self):
-        cond = MixtureModel(2, 4, 1.0).conditional()
-        model = BayesModel(cond)
+        model = BayesModel(MixtureModel(2, 4, 1.0).posterior, 2)
         midpoint = np.array([[0.5, 0.5, 0.0, 0.0]])
         np.testing.assert_allclose(model.predict_proba(midpoint)[0], [0.5, 0.5], atol=1e-12)
 
     def test_bayes_at_component_mean(self):
-        cond = MixtureModel(2, 50, 1.0).conditional()
-        probs = BayesModel(cond).predict_proba(np.eye(2, 50)[:1])[0]
+        model = BayesModel(MixtureModel(2, 50, 1.0).posterior, 2)
+        probs = model.predict_proba(np.eye(2, 50)[:1])[0]
         np.testing.assert_allclose(probs, [0.731059, 0.268941], atol=1e-6)
 
     def test_bayes_one_hot_conditional(self):
-        cond = Conditional(2, lambda X: np.tile([1.0, 0.0], (X.shape[0], 1)))
-        assert np.all(BayesModel(cond).predict(np.zeros((5, 1))) == 0)
+        model = BayesModel(lambda X: np.tile([1.0, 0.0], (X.shape[0], 1)), 2)
+        assert np.all(model.predict(np.zeros((5, 1))) == 0)
 
     def test_constant_model_ignores_input(self):
         model = ConstantModel([0.97, 0.03])
@@ -1145,7 +1143,7 @@ class TestModelContracts:
             ds = Dataset(X[:50], rng.integers(0, 3, 50), 3)
             model = train_logistic(ds, LogisticHyper(iterations=20), seed=0)
         elif kind == "bayes":
-            model = BayesModel(MixtureModel(3, 3, 2.0).conditional())
+            model = BayesModel(MixtureModel(3, 3, 2.0).posterior, 3)
         elif kind == "constant":
             model = ConstantModel([0.2, 0.3, 0.5])
         else:
