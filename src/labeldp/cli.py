@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -22,13 +21,11 @@ import numpy as np
 
 from . import experiments, mechanisms, metrics
 from .attacks import marginal_guess, spa
-from .data import CsvFormatError, _atomic_write, load_csv, load_csv_features
+from .data import CsvFormatError, _write_rows, load_csv, load_csv_features
 from .metrics import UtilitySpec
 from .models import LogisticHyper, TrainingDivergedError, load_model
 
 CHECK_EXIT = 3
-# Rows _write_rows turns into Python ints and text at a time.
-_WRITE_ROWS = 4096
 
 
 def _fmt(value, full_precision: bool):
@@ -106,19 +103,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
-def _write_rows(path: str, header: str, *columns: np.ndarray) -> None:
-    """Write a CSV of the header and the lines `i,a_i,b_i,...` of integer
-    columns. Rows become text a block at a time, so no text or list as long
-    as the file is built."""
-    line = ",".join(["{}"] * (len(columns) + 1)) + "\n"
-    with _atomic_write(path) as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _WRITE_ROWS):
-            stop = start + _WRITE_ROWS
-            block = (column[start:stop].tolist() for column in columns)
-            fh.writelines(itertools.starmap(line.format, zip(range(start, stop), *block)))
-
-
 def _echo(resolved: dict) -> None:
     print("resolved-config " + experiments._json_text(resolved, sort_keys=True))
 
@@ -183,7 +167,7 @@ def cmd_privatize(args) -> int:
         LogisticHyper(iterations=args.iterations), args.seed, top_k=args.top_k,
     )
     labels, note = report.labels, report.params.note
-    _write_rows(args.output, "row_index,private_label", labels)
+    _write_rows(args.output, ["row_index", "private_label"], range(len(labels)), labels)
     experiments.write_manifest(args.output, {
         "mechanism": args.mechanism, "epsilon": args.epsilon,
         "seed": args.seed, "accounting_rule": note,
@@ -231,10 +215,12 @@ def cmd_attack(args) -> int:
         raise ValueError("marginal-guess attack needs --marginal")
     else:
         inferred = marginal_guess(marginal, features.shape[0], spec)
+    rows = range(len(inferred))
     if true_labels is None:
-        _write_rows(args.output, "row_index,inferred_label", inferred)
+        _write_rows(args.output, ["row_index", "inferred_label"], rows, inferred)
     else:
-        _write_rows(args.output, "row_index,inferred_label,true_label", inferred, true_labels)
+        _write_rows(args.output, ["row_index", "inferred_label", "true_label"],
+                    rows, inferred, true_labels)
         eau = metrics.eau_empirical(inferred, true_labels, spec)
         print(_record({"attack": args.attack, "empirical_eau": eau}, args.full_precision))
     return 0

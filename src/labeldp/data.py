@@ -27,6 +27,8 @@ class CsvFormatError(ValueError):
 # Entries of a feature array whose finiteness _first_non_finite tests at a
 # time: a 64 KiB mask.
 _FINITE_BLOCK_ENTRIES = 2**16
+# Cells _write_rows turns into text at a time.
+_WRITE_CELLS = 2**12
 # 2**63: CSV labels lie in [-_INT64_END, _INT64_END), the floats that fit int64.
 _INT64_END = 2.0**63
 
@@ -452,13 +454,28 @@ def _atomic_write(path: str, newline: str | None = None) -> Iterator[TextIO]:
         raise
 
 
+def _write_rows(path: str, header: list, *columns) -> None:
+    """Write a CSV of the header cells and one line per row of the 1-D
+    columns (arrays, ranges or lists): every CSV file labeldp writes.
+
+    Cells are spelled by str, so a float keeps full precision (its repr).
+    Rows become text a block of at most _WRITE_CELLS cells at a time, so no
+    text or list as long as the file is built.
+    """
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    step = max(1, _WRITE_CELLS // len(columns))
+    with _atomic_write(path, newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, len(columns[0]), step):
+            block = (column[start : start + step] for column in columns)
+            block = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+            fh.writelines(itertools.starmap(line.format, zip(*block)))
+
+
 def write_csv(dataset: Dataset, path: str, label_column: str = "label") -> None:
     """Write a dataset in the format load_csv reads back (full float precision)."""
-    with _atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(dataset.dim)] + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    header = [f"x{i}" for i in range(dataset.dim)] + [label_column]
+    _write_rows(path, header, *dataset.features.T, dataset.labels)
 
 
 def split(

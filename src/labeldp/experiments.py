@@ -26,6 +26,7 @@ from .data import (
     load_csv,
     split,
     _atomic_write,
+    _write_rows,
 )
 from .mechanisms import MECHANISMS, randomized_response, release
 from .metrics import (
@@ -403,14 +404,6 @@ def run_ctr(config: CtrConfig) -> list[dict]:
     return rows
 
 
-def _cell_value(value):
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
-
-
 def write_results(rows, path: str, fmt: str, columns: list, manifest: dict) -> None:
     """Serialize dict rows in the order of `columns`, plus a sidecar
     manifest echoing the full configuration (including seeds).
@@ -421,12 +414,10 @@ def write_results(rows, path: str, fmt: str, columns: list, manifest: dict) -> N
     """
     if fmt not in ("csv", "structured-records"):
         raise ValueError(f"unknown format {fmt!r}")
-    with _atomic_write(path) as fh:
-        if fmt == "csv":
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell_value(row[c]) for c in columns) + "\n")
-        else:
+    if fmt == "csv":
+        _write_rows(path, columns, *([row[c] for row in rows] for c in columns))
+    else:
+        with _atomic_write(path) as fh:
             for row in rows:
                 fh.write(_json_text({c: row[c] for c in columns}) + "\n")
     write_manifest(path, {"columns": columns, "format": fmt, "config": manifest})

@@ -80,9 +80,8 @@ def keep_probability(epsilon: float, k: int) -> float:
     """Randomized-response keep probability e^eps / (e^eps + k - 1)."""
     if not epsilon >= 0:  # NaN fails >= too
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if math.isinf(epsilon):
-        return 1.0
-    # Computed as 1 / (1 + (k-1) e^-eps) to avoid overflow at large epsilon.
+    # Computed as 1 / (1 + (k-1) e^-eps) to avoid overflow at large epsilon;
+    # at eps = inf it is exactly 1.
     return 1.0 / (1.0 + (k - 1) * math.exp(-epsilon))
 
 
@@ -212,26 +211,21 @@ def alibi(train: Dataset, epsilon: float, seed: int) -> MechanismReport:
     A one-hot label change moves the encoding by 2 in L1, so coordinate-wise
     Laplace noise of scale 2/eps makes the noisy encodings epsilon-label-DP;
     the denoised labels follow by post-processing. Under a uniform prior the
-    MAP label is the argmax of the noisy vector. ALIBI trains nothing.
+    MAP label is the argmax of the noisy vector.
+
+    The argmax is unchanged by scaling every entry by eps/2, so the noise is
+    drawn at unit scale and eps/2 is added at the true label: nothing can
+    overflow, eps = inf releases the labels, and as eps -> 0 the release is
+    the argmax of pure noise, which is uniform. ALIBI trains nothing.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    k = train.num_classes
-    scale = 0.0 if math.isinf(epsilon) else 2.0 / epsilon
-    if math.isinf(scale):
-        # Noise of a scale beyond the float range makes every entry +-inf,
-        # which says nothing about the label, and np.argmax would break the
-        # ties toward class 0: the release is uniform, as in aggregate_votes.
-        denoised = substream(seed, "alibi").integers(0, k, size=len(train))
-    else:
-        noisy = np.zeros((len(train), k))
-        noisy[np.arange(len(train)), train.labels] = 1.0
-        if scale > 0:
-            noisy += substream(seed, "alibi").laplace(0.0, scale, size=noisy.shape)
-        denoised = np.argmax(noisy, axis=1).astype(np.int64)
+    noisy = substream(seed, "alibi").laplace(size=(len(train), train.num_classes))
+    noisy[np.arange(len(train)), train.labels] += epsilon / 2
+    denoised = np.argmax(noisy, axis=1)
     diagnostics = {
         "mechanism": "alibi",
-        "noise_scale": scale,
+        "noise_scale": 2.0 / epsilon,
         "agreement_rate": float(np.mean(denoised == train.labels)),
     }
     return MechanismReport(train.with_labels(denoised), account([epsilon], BASIC), diagnostics)

@@ -47,10 +47,15 @@ def test_own_layers_name_public_functions(tracer):
 def test_hooked_calls_bind_their_arguments_by_name():
     """The tracer's hooks read train_logistic's `train` and `hyper` and
     write_results' `path` from the bound arguments, and the csv-io set-up
-    calls train_logistic(dataset, hyper, seed) positionally; a renamed or
-    reordered parameter would show only as a crashed set-up or traced run."""
+    calls train_logistic(dataset, hyper, seed), write_csv(dataset, csv_path)
+    and save_model(model, model_path) positionally; a renamed or reordered
+    parameter would show only as a crashed set-up or traced run."""
     fit = inspect.signature(train_logistic).bind("dataset", "hyper", "seed").arguments
     assert (fit["train"], fit["hyper"]) == ("dataset", "hyper")
+    dataset_csv = inspect.signature(write_csv).bind("dataset", "csv_path").arguments
+    assert list(dataset_csv.values()) == ["dataset", "csv_path"]
+    model_file = inspect.signature(save_model).bind("model", "model_path").arguments
+    assert list(model_file.values()) == ["model", "model_path"]
     write = inspect.signature(experiments.write_results).bind(
         "rows", "out.csv", "csv", columns="columns", manifest="manifest"
     ).arguments

@@ -591,9 +591,9 @@ class TestCsvCommandsPinned:
 
 
 class TestStreamedWriters:
-    """privatize and attack write their rows a block at a time: the peak
-    that tracemalloc (which sees numpy's buffers) reads from opening the
-    output file to closing it must not grow with the row count."""
+    """write_csv, privatize and attack write their rows a block at a time:
+    the peak that tracemalloc (which sees numpy's buffers) reads from
+    opening the output file to closing it must not grow with the row count."""
 
     @staticmethod
     def writer_peak(tmp_path, capsys, monkeypatch, command, n):
@@ -601,7 +601,9 @@ class TestStreamedWriters:
         ds = Dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, n), 2)
         data_path, out = str(tmp_path / f"data{n}.csv"), str(tmp_path / f"out{n}.csv")
         write_csv(ds, data_path)
-        if command == "privatize":
+        if command == "write_csv":
+            argv = None
+        elif command == "privatize":
             argv = ["privatize", "--input", data_path, "--epsilon", "1"]
         else:
             model_path = str(tmp_path / "model.txt")
@@ -609,23 +611,27 @@ class TestStreamedWriters:
             argv = ["attack", "--model", model_path, "--input", data_path,
                     "--label-column", "label"]
         peaks = {}
+        atomic_write = data._atomic_write
 
         @contextlib.contextmanager
         def traced(path, *args, **kwargs):
             tracemalloc.start()
             try:
-                with data._atomic_write(path, *args, **kwargs) as fh:
+                with atomic_write(path, *args, **kwargs) as fh:
                     yield fh
             finally:
                 peaks[path] = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
 
-        monkeypatch.setattr(cli, "_atomic_write", traced)
-        code, _, err = run_cli(capsys, *argv, "--output", out)
-        assert code == 0, err
+        monkeypatch.setattr(data, "_atomic_write", traced)
+        if argv is None:
+            write_csv(ds, out)
+        else:
+            code, _, err = run_cli(capsys, *argv, "--output", out)
+            assert code == 0, err
         return peaks[out]
 
-    @pytest.mark.parametrize("command", ["privatize", "attack"])
+    @pytest.mark.parametrize("command", ["write_csv", "privatize", "attack"])
     def test_writer_peak_does_not_grow_with_rows(self, tmp_path, capsys, monkeypatch, command):
         small = self.writer_peak(tmp_path, capsys, monkeypatch, command, 10_000)
         large = self.writer_peak(tmp_path, capsys, monkeypatch, command, 50_000)

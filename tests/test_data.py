@@ -360,6 +360,28 @@ class TestCsv:
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
 
+    @pytest.mark.parametrize("d", [1, 20, 5000])
+    @pytest.mark.parametrize("label_column", ["label", 'a,"b"'])
+    def test_write_csv_bytes_match_a_per_row_writer(self, tmp_path, d, label_column):
+        """write_csv against a csv.writer loop spelling each feature as
+        repr(float(v)), on rows that cross block boundaries (d = 5000 makes
+        one row wider than a block) and on the extremes of float64."""
+        rows_per_block = max(1, data._WRITE_CELLS // (d + 1))
+        n = 2 * rows_per_block + 1
+        rng = np.random.default_rng(d)
+        features = rng.normal(size=(n, d))
+        features.flat[:3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        ds = Dataset(features, rng.integers(0, 3, n), 3)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f"x{i}" for i in range(d)] + [label_column])
+            for row, label in zip(ds.features, ds.labels):
+                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        path = tmp_path / "written.csv"
+        write_csv(ds, str(path), label_column)
+        assert path.read_bytes() == expected.read_bytes()
+
     # numpy's C reader skips blank lines, warns on an empty input and takes
     # any width; the reader must still report these files as before.
     @pytest.mark.parametrize("text, row", [("a,label\n1,0\n\n2,1\n", 1),

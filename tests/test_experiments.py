@@ -622,6 +622,28 @@ class TestWriteResults:
         write_results([], str(path), "csv", columns=SIMULATION_COLUMNS, manifest={})
         assert path.read_text() == ",".join(SIMULATION_COLUMNS) + "\n"
 
+    def test_csv_cells_keep_their_spelling(self, tmp_path):
+        """Every cell type a harness row holds reads as a per-cell speller
+        writes it: floats (numpy's too, inf and nan) as their repr, ints as
+        str, strings unchanged."""
+
+        def cell_value(value):
+            if isinstance(value, (np.floating, float)):
+                return repr(float(value))
+            if isinstance(value, (np.integer, int)):
+                return str(int(value))
+            return str(value)
+
+        values = [0.1, np.float64(1 / 3), math.inf, np.float64(-math.inf), math.nan, 1,
+                  np.int64(-7), np.float64(5e-324)]
+        columns = [f"c{i}" for i in range(len(values))] + ["mechanism"]
+        # Each number once in every numeric column, so ints and floats mix.
+        rows = [dict(zip(columns, values[i:] + values[:i] + ["rr"])) for i in range(len(values))]
+        path = tmp_path / "cells.csv"
+        write_results(rows, str(path), "csv", columns=columns, manifest={})
+        lines = [",".join(cell_value(row[c]) for c in columns) + "\n" for row in rows]
+        assert path.read_text() == ",".join(columns) + "\n" + "".join(lines)
+
     def test_rerun_is_byte_identical(self, tmp_path, sim_rows):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         manifest = config_manifest(SMALL_SIM)

@@ -282,17 +282,33 @@ class TestAlibi:
         report = alibi(ds, 1.5, seed=0)
         assert report.params.epsilon == 1.5 and report.params.note == BASIC
 
+    @pytest.mark.parametrize("epsilon", [1e-320, 1.2e-308])
     @pytest.mark.parametrize("k", [2, 3])
-    def test_noise_scale_beyond_float_range_releases_uniform_labels(self, k):
-        """At eps = 1e-320 the scale 2/eps overflows to inf and every noisy
-        entry is +-inf; the release must not tie toward class 0. Classes are
-        balanced, so each released share is within 4 stderr of 1/k."""
+    def test_noise_scale_beyond_float_range_releases_uniform_labels(self, k, epsilon):
+        """At eps = 1e-320 the scale 2/eps overflows to inf; at 1.2e-308 it
+        is finite but single draws of that scale overflow to +-inf. Either
+        way the release must not tie toward class 0. Classes are balanced,
+        so each released share is within 4 stderr of 1/k."""
         n = 30000
         ds = Dataset(np.zeros((n, 1)), np.arange(n) % k, k)
-        report = alibi(ds, 1e-320, seed=7)
+        report = alibi(ds, epsilon, seed=7)
         shares = np.bincount(report.labels, minlength=k) / n
         stderr = math.sqrt((1.0 / k) * (1.0 - 1.0 / k) / n)
         assert np.all(np.abs(shares - 1.0 / k) <= 4 * stderr), shares
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_unit_noise_matches_the_scaled_noise_release(self, k):
+        """Oracle: the one-hot label plus Laplace(0, 2/eps) noise on the same
+        substream, argmax per row. Where that scale's draws stay finite
+        (eps >= 1e-300) both forms release the same labels."""
+        n = 2000
+        rng = np.random.default_rng(k)
+        ds = Dataset(np.zeros((n, 1)), rng.integers(0, k, n), k)
+        for epsilon in [1e-300, 1e-6, 0.01, 0.5, 1.0, 4.0, 30.0, 700.0, 1e300]:
+            for seed in range(3):
+                noise = substream(seed, "alibi").laplace(0.0, 2.0 / epsilon, size=(n, k))
+                expected = np.argmax(np.eye(k)[ds.labels] + noise, axis=1)
+                np.testing.assert_array_equal(alibi(ds, epsilon, seed).labels, expected)
 
 
 class TestPate:
