@@ -21,7 +21,7 @@ import numpy as np
 
 from . import experiments, mechanisms, metrics
 from .attacks import marginal_guess, spa
-from .data import CsvFormatError, _write_rows, load_csv, load_csv_features
+from .data import _write_rows, load_csv, load_csv_features
 from .metrics import UtilitySpec
 from .models import LogisticHyper, TrainingDivergedError, load_model
 
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CsvFormatError, OSError, MemoryError, TrainingDivergedError) as exc:
+    except (ValueError, OSError, MemoryError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -221,11 +221,8 @@ class SkewedBinarySpec:
         # Only the first coordinate carries signal; the noisy label mixes
         # the clean posterior with the marginal.
         logit = bias + s * x[:, 0] - 0.5 * s * s
-        clean = np.where(
-            logit >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(logit))),
-            np.exp(-np.abs(logit)) / (1.0 + np.exp(-np.abs(logit))),
-        )
+        e = np.exp(-np.abs(logit))
+        clean = np.where(logit >= 0, 1.0, e) / (1.0 + e)
         pos = (1.0 - rho) * clean + rho * p1
         return np.column_stack([1.0 - pos, pos])
 
@@ -267,10 +264,17 @@ def gen_skewed_binary(
 
 def sample_categorical_rows(probs: np.ndarray, seed: int) -> np.ndarray:
     """One draw per row of a row-stochastic matrix, by inverse CDF."""
-    cdf = np.cumsum(probs, axis=1)
     u = substream(seed, "resample").random(probs.shape[0])
-    labels = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(labels, probs.shape[1] - 1).astype(np.int64)
+    return _inverse_cdf(probs, u).astype(np.int64)
+
+
+def _inverse_cdf(probs: np.ndarray, u) -> np.ndarray:
+    """The class each uniform u in [0, 1) picks from probability rows over the
+    last axis: the first class whose cumulative sum exceeds u, clamped to
+    k - 1 against rounding. A class of probability 0 is picked only through
+    that clamp. u has the shape of probs without its last axis."""
+    cdf = np.cumsum(probs, axis=-1)
+    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1), probs.shape[-1] - 1)
 
 
 def load_csv(path: str, label_column: str) -> Dataset:

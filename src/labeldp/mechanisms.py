@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _first_non_distribution
+from .data import Dataset, _first_non_distribution, _inverse_cdf
 from .models import LogisticHyper, train_logistic
 from .rng import substream
 
@@ -95,15 +95,21 @@ def randomized_response(labels: np.ndarray, k: int, epsilon: float, seed: int) -
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")
-    p = keep_probability(epsilon, k)
-    rng = substream(seed, "rr")
-    keep = rng.random(labels.shape[0]) < p
-    # label + offset lies in [1, 2k - 1), so subtracting k where it reaches k
+    return _keep_or_move(labels, k, keep_probability(epsilon, k), substream(seed, "rr"))
+
+
+def _keep_or_move(values: np.ndarray, m: int, p: float, rng) -> np.ndarray:
+    """The randomized-response step on integers in [0, m), m >= 2: keep each
+    value with probability p, otherwise move it uniformly to one of the
+    other m - 1. Draws one uniform per value for the keeps, then one offset
+    in [1, m) per value."""
+    keep = rng.random(values.shape[0]) < p
+    # value + offset lies in [1, 2m - 1), so subtracting m where it reaches m
     # is the modulo, at about half its cost.
-    flipped = rng.integers(1, k, size=labels.shape[0])
-    flipped += labels
-    flipped -= k * (flipped >= k)
-    return np.where(keep, labels, flipped)
+    moved = rng.integers(1, m, size=values.shape[0])
+    moved += values
+    moved -= m * (moved >= m)
+    return np.where(keep, values, moved)
 
 
 def rr_with_prior(
@@ -139,15 +145,12 @@ def rr_with_prior(
     in_set = (top == labels[:, None]).any(axis=1)
     mapped = np.where(in_set, labels, top[:, 0])
 
-    rng = substream(seed, "rr-prior")
-    keep = rng.random(n) < keep_probability(epsilon, top_k)
+    p = keep_probability(epsilon, top_k)  # also rejects a NaN or negative epsilon at top 1
     if top_k == 1:
         return mapped.astype(np.int64)
     pos = (top == mapped[:, None]).argmax(axis=1)
-    offset = rng.integers(1, top_k, size=n)
-    new_pos = (pos + offset) % top_k
-    chosen = np.take_along_axis(top, new_pos[:, None], axis=1)[:, 0]
-    return np.where(keep, mapped, chosen).astype(np.int64)
+    new_pos = _keep_or_move(pos, top_k, p, substream(seed, "rr-prior"))
+    return np.take_along_axis(top, new_pos[:, None], axis=1)[:, 0].astype(np.int64)
 
 
 def lp_mst(
@@ -242,8 +245,7 @@ def aggregate_votes(histogram: np.ndarray, epsilon_per_query: float, rng) -> int
     # An infinite total (noise of scale 2/eps beyond the float range) says
     # as little about the votes as a zero one: both sample uniformly.
     probs = hist / total if 0 < total < math.inf else np.full(hist.shape, 1.0 / hist.size)
-    u = rng.random()
-    return int(min(np.searchsorted(np.cumsum(probs), u, side="right"), hist.size - 1))
+    return int(_inverse_cdf(probs, rng.random()))
 
 
 def pate(
@@ -285,10 +287,7 @@ def pate(
     vote_rng = substream(seed, "pate-votes")
     votes = np.zeros((num_queries, k), dtype=np.float64)
     for teacher in teachers:
-        probs = teacher.predict_proba(query_x)
-        cdf = np.cumsum(probs, axis=1)
-        u = vote_rng.random(num_queries)
-        sampled = np.minimum((cdf < u[:, None]).sum(axis=1), k - 1)
+        sampled = _inverse_cdf(teacher.predict_proba(query_x), vote_rng.random(num_queries))
         votes[np.arange(num_queries), sampled] += 1.0
 
     agg_rng = substream(seed, "pate-aggregate")

@@ -411,8 +411,6 @@ def train_logistic(
     i", without the trial for a single label vector) when a loss turns
     non-finite.
     """
-    if len(train) < 1:
-        raise ValueError("training set is empty")
     stacked = train.labels.ndim == 2
     labels = train.labels if stacked else train.labels[None, :]
     trials, k = labels.shape[0], train.num_classes
@@ -598,8 +596,6 @@ def majority_table(train: Dataset) -> MajorityTableModel | list[MajorityTableMod
 def log_loss(model: Model, dataset: Dataset) -> float:
     """Mean negative log-probability of the true labels, clamped to
     [1e-15, 1 - 1e-15] before the log."""
-    if len(dataset) < 1:
-        raise ValueError("dataset is empty")
     probs = model.predict_proba(dataset.features)
     picked = probs[np.arange(len(dataset)), dataset.labels]
     picked = np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)

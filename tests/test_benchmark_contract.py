@@ -140,3 +140,40 @@ def test_simulation_runs_through_spa(monkeypatch, tmp_path, workload):
             monkeypatch.setattr(module, "spa", counted)
     SPA_RUNS[workload](tmp_path)
     assert calls
+
+
+def _count_calls(monkeypatch, short, attr, calls):
+    """Rebind every labeldp module attribute that is `labeldp.<short>.<attr>`
+    to a wrapper that counts its calls under `attr`."""
+    original = getattr(importlib.import_module(f"labeldp.{short}"), attr)
+
+    def counted(*args, **kwargs):
+        calls[attr] = calls.get(attr, 0) + 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("labeldp") and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, counted)
+
+
+def test_ctr_runs_through_the_traced_mechanisms(monkeypatch):
+    """ctr-mech traces randomized_response, rr_with_prior and aggregate_votes
+    (perfbench/workloads.py); a helper that inlined one would leave its layer
+    empty."""
+    calls = {}
+    for attr in ("randomized_response", "rr_with_prior", "aggregate_votes"):
+        _count_calls(monkeypatch, "mechanisms", attr, calls)
+    experiments.run_ctr(experiments.CtrConfig(
+        positive_rate=0.5, dim=2, n=60, epsilons=(1.0,), iterations=3,
+        mechanisms=("rr", "lp2st", "pate")))
+    assert set(calls) == {"randomized_response", "rr_with_prior", "aggregate_votes"}, calls
+
+
+def test_simulation_runs_through_sample_categorical_rows(monkeypatch):
+    """sim-mc traces data.sample_categorical_rows (perfbench/workloads.py)."""
+    calls = {}
+    _count_calls(monkeypatch, "data", "sample_categorical_rows", calls)
+    experiments.run_simulation(experiments.SimulationConfig(
+        class_counts=(2,), dim=3, sigmas=(1.0,), n=10, trials=2, epsilons=(1.0,),
+        iterations=3))
+    assert calls.get("sample_categorical_rows", 0) >= 1, calls

@@ -257,6 +257,41 @@ class TestSampleCategoricalRows:
         assert result.pvalue > 0.001
 
 
+    def test_zero_uniform_skips_classes_of_probability_zero(self, monkeypatch):
+        """u = 0.0 picks the first class whose cumulative sum exceeds it, not a
+        leading class of probability 0."""
+
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(data, "substream", lambda seed, tag: Zeros())
+        labels = sample_categorical_rows(np.array([[0.0, 1.0], [0.0, 1.0]]), 0)
+        np.testing.assert_array_equal(labels, [1, 1])
+        np.testing.assert_array_equal(sample_categorical_rows(np.array([[0.0, 0.0, 1.0]]), 0), [2])
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_inverse_cdf_is_the_right_sided_search(self, k):
+        """Oracle: searchsorted(cumsum(row), u, side="right") clamped to k - 1,
+        on rows with zero entries, for u at random, exactly at each cumulative
+        sum, and at 0.0; row by row and over the matrix at once."""
+        rng = np.random.default_rng(k)
+        rows = rng.dirichlet(np.ones(k), 40)
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[:, -1] += 1.0 - rows.sum(axis=1)
+        rows[0] = np.eye(k)[-1]
+        cdfs = np.cumsum(rows, axis=1)
+        us = np.column_stack([rng.random((40, 3)), cdfs, np.zeros(40)])
+        us = np.minimum(us, np.nextafter(1.0, 0.0))
+        for u in us.T:
+            expected = [
+                min(np.searchsorted(cdf, ui, side="right"), k - 1) for cdf, ui in zip(cdfs, u)
+            ]
+            np.testing.assert_array_equal(data._inverse_cdf(rows, u), expected)
+            for row, ui, want in zip(rows, u, expected):
+                assert data._inverse_cdf(row, ui) == want
+
+
 class TestSkewedBinary:
     def test_positive_count_concentrates(self):
         """Binomial oracle: count is within 3 sigma of n * p1."""

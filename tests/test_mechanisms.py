@@ -107,6 +107,21 @@ class TestRandomizedResponse:
         np.testing.assert_array_equal(out, expected)
 
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 4.0, math.inf])
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_flip_is_the_wrapped_sum_of_the_same_draws(self, k, epsilon):
+        """Oracle: keep, else label + offset with k subtracted where the sum
+        reaches k, drawn from the same substream."""
+        labels = np.random.default_rng(k).integers(0, k, 3000)
+        labels[:k] = np.arange(k)
+        rng = substream(7, "rr")
+        keep = rng.random(labels.size) < keep_probability(epsilon, k)
+        flipped = labels + rng.integers(1, k, size=labels.size)
+        flipped -= k * (flipped >= k)
+        out = randomized_response(labels, k, epsilon, 7)
+        np.testing.assert_array_equal(out, np.where(keep, labels, flipped))
+
+
 class TestRrWithPrior:
     def test_uniform_prior_full_top_k_matches_plain_rr(self):
         """Two-sample chi-squared at alpha=0.001 over 1e5 draws per side."""
@@ -125,6 +140,34 @@ class TestRrWithPrior:
         prior = np.array([[0.2, 0.8], [0.9, 0.1], [0.2, 0.8], [0.9, 0.1]])
         out = rr_with_prior(labels, prior, top_k=1, epsilon=0.5, seed=5)
         np.testing.assert_array_equal(out, [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("epsilon", [0.5, 4.0, math.inf])
+    @pytest.mark.parametrize("k, top_k", [
+        (k, top_k) for k in (2, 3, 100) for top_k in sorted({1, 2, 3, k}) if top_k <= k
+    ])
+    def test_restricted_flip_is_the_modulo_of_the_same_draws(self, k, top_k, epsilon):
+        """Oracle: map out-of-set labels to the top class, keep, else move the
+        top-set position by an offset modulo top_k, drawn from the same
+        substream; priors with tied entries break ties by class index."""
+        gen = np.random.default_rng([k, top_k])
+        n = 2000
+        prior = gen.integers(0, 3, size=(n, k)).astype(np.float64) + (gen.random((n, k)) < 0.1)
+        prior[prior.sum(axis=1) == 0, 0] = 1.0
+        prior /= prior.sum(axis=1, keepdims=True)
+        labels = gen.integers(0, k, n)
+        top = np.argsort(-prior, axis=1, kind="stable")[:, :top_k]
+        mapped = np.where((top == labels[:, None]).any(axis=1), labels, top[:, 0])
+        if top_k == 1:
+            expected = mapped
+        else:
+            rng = substream(11, "rr-prior")
+            keep = rng.random(n) < keep_probability(epsilon, top_k)
+            pos = (top == mapped[:, None]).argmax(axis=1)
+            new_pos = (pos + rng.integers(1, top_k, size=n)) % top_k
+            expected = np.where(keep, mapped, top[np.arange(n), new_pos])
+        out = rr_with_prior(labels, prior, top_k, epsilon, 11)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, expected)
 
     def test_binary_keep_rate_with_prior(self):
         """Same keep-rate oracle as plain RR: output-0 rate 0.75 +- 0.0013."""
