@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: bound, calibrate, privatize, attack, simulate, thm1, ctr.
-Option precedence is inline flags over config-file values over defaults,
-and the fully resolved configuration is echoed as a JSON line before any
-work runs. Numeric output on stdout uses 6 significant digits unless
---full-precision is passed; result files always carry full precision.
+Option precedence is inline flags over config-file values over --preset
+values over defaults, and the fully resolved configuration is echoed as a
+JSON line before any work runs. Numeric output on stdout uses 6 significant
+digits unless --full-precision is passed; result files carry full precision.
 A harness's (simulate, thm1, ctr) flags and config keys are the fields of
 its config class in `experiments`, with their defaults.
 """
@@ -52,27 +52,22 @@ def _type_name(default) -> str:
     return "str" if default is None else type(default).__name__
 
 
-def _type_ok(value, default) -> bool:
-    """Whether a config-file value has the type of its default: an int
-    passes for a float, a list for a tuple, a bool for neither."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
-    if isinstance(value, bool):
-        return False
-    if default is None:
-        return value is None or isinstance(value, str)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _as_default_type(value, default):
-    """A config-file value that passed _type_ok, in its default's type: a
-    list becomes a tuple and an int for a float becomes that float, so a
-    file value runs and echoes as its flag spelling does."""
-    if isinstance(default, tuple):
-        return tuple(_as_default_type(v, default[0]) for v in value)
-    return float(value) if isinstance(default, float) else value
+def _file_value(value, default):
+    """A config-file value in its default's type, or TypeError: an int passes
+    for a float and becomes that float, a list passes for a tuple and becomes
+    a tuple, a bool passes for neither; so a file value runs and echoes as its
+    flag spelling does."""
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(_file_value(v, default[0]) for v in value)
+    if isinstance(default, tuple) or isinstance(value, bool):
+        raise TypeError
+    if default is None and isinstance(value, str):
+        return value
+    if isinstance(default, float) and isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, type(default)):  # None passes for a None default
+        return value
+    raise TypeError
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -80,26 +75,23 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     file_values = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_values) - set(defaults)
+        unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        for key, value in file_values.items():
-            if not _type_ok(value, defaults[key]):
+        for key, value in loaded.items():
+            try:
+                file_values[key] = _file_value(value, defaults[key])
+            except TypeError:
                 raise ValueError(
                     f"config key {key!r} must be {_type_name(defaults[key])}, got {value!r}"
-                )
+                ) from None
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = _as_default_type(file_values[key], default)
-        else:
-            resolved[key] = default
+        resolved[key] = flag if flag is not None else file_values.get(key, default)
     return resolved
 
 
@@ -248,7 +240,7 @@ def _options(command: str) -> dict:
 
 
 def _converter(default):
-    """argparse type of an option, by _type_ok's rule: a tuple default takes
+    """argparse type of an option, by _file_value's rule: a tuple default takes
     comma-separated items of its first item's type, None takes a string."""
     if isinstance(default, tuple):
         item = _converter(default[0])
@@ -263,12 +255,13 @@ def _converter(default):
 
 def cmd_harness(args) -> int:
     _help, config_name, run_name, columns_name, check_name, noun = HARNESSES[args.command]
+    config_class = getattr(experiments, config_name)
     options = _options(args.command)
-    if getattr(args, "preset", None) == "fig1-reduced":
-        options["trials"] = 100
+    if getattr(args, "preset", None) is not None:
+        options.update(config_class.presets[args.preset])
     resolved = _resolve(args, options)
     _echo(resolved)
-    config = getattr(experiments, config_name)(**resolved)
+    config = config_class(**resolved)
     results = getattr(experiments, run_name)(config)
     experiments.write_results(
         results, args.output, args.format,
@@ -328,10 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(func=cmd_attack)
 
-    for command, (help_text, *_names) in HARNESSES.items():
+    for command, (help_text, config_name, *_names) in HARNESSES.items():
         p = sub.add_parser(command, help=help_text)
-        if command == "simulate":
-            p.add_argument("--preset", choices=["fig1", "fig1-reduced"], default="fig1")
+        presets = getattr(getattr(experiments, config_name), "presets", None)
+        if presets:
+            p.add_argument("--preset", choices=list(presets), default=next(iter(presets)))
         p.add_argument("--config", default=None, help="JSON config file")
         for name, default in _options(command).items():
             flag = "--csv" if name == "csv_path" else "--" + name.replace("_", "-")

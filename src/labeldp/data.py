@@ -493,7 +493,7 @@ def split(
     fracs = tuple(float(f) for f in fractions)
     if len(fracs) != 3:
         raise ValueError("fractions must be a (train, val, test) triple")
-    if any(f <= 0 for f in fracs):
+    if any(not f > 0 for f in fracs):
         raise ValueError(f"all fractions must be positive, got {fracs}")
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fracs)}")

@@ -84,7 +84,10 @@ def _check_grids(config, names) -> None:
 @dataclass(frozen=True)
 class SimulationConfig:
     """Gaussian-mixture study grid; defaults match the published protocol
-    (d=100, n=100, T=1000, sigma in {1,10,100}, m in {2,100})."""
+    (d=100, n=100, T=1000, sigma in {1,10,100}, m in {2,100}). `presets`
+    are named overrides of these defaults, a class constant, not a field."""
+
+    presets: ClassVar[dict] = {"fig1": {}, "fig1-reduced": {"trials": 100}}
 
     class_counts: tuple = (2, 100)
     dim: int = 100

@@ -65,7 +65,7 @@ def account(stage_epsilons, rule: str) -> PrivacyParams:
     Every implemented mechanism is pure epsilon-DP, so delta stays 0.
     """
     eps = [float(e) for e in stage_epsilons]
-    if any(e < 0 for e in eps):
+    if any(not e >= 0 for e in eps):  # NaN fails >= too
         raise ValueError(f"stage epsilons must be >= 0, got {eps}")
     if rule == BASIC:
         total = math.fsum(eps) if all(math.isfinite(e) for e in eps) else math.inf

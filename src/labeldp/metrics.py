@@ -242,7 +242,7 @@ def reconstruction_bound(epsilon: float, delta: float, domain_size: float) -> fl
 def hoeffding_lower_bound(epsilon: float, n: int) -> float:
     """Concentration lower bound on the RR-majority construction's SPA EAU:
     1 - 2 exp(-(e^eps/(e^eps + 1) - 1/2)^2 n), clamped below at 0."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")

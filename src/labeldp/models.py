@@ -115,7 +115,7 @@ class LogisticHyper:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 

@@ -100,7 +100,7 @@ def test_criterion_2_rr_label_dp_property():
 
 def test_criterion_3_simulation_reduced_preset():
     start = time.perf_counter()
-    reports = run_simulation(SimulationConfig(trials=100, seed=7))
+    reports = run_simulation(SimulationConfig(**SimulationConfig.presets["fig1-reduced"], seed=7))
     elapsed = time.perf_counter() - start
 
     violations = check_simulation(reports)  # covers (a), (d), and L-EAU constancy

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -1135,6 +1136,71 @@ class TestHarnessOptions:
         with pytest.raises(SystemExit):
             main(["ctr", "--epsilons", "inf,x", "--output", "o.csv"])
         assert "argument --epsilons: invalid float list value: 'inf,x'" in capsys.readouterr().err
+
+
+class TestPresets:
+    """--preset lays one of SimulationConfig.presets over the field defaults;
+    a config file and a flag each override it."""
+
+    @staticmethod
+    def echoed(tmp_path, capsys, monkeypatch, *argv):
+        """The resolved config of a simulate run whose runner returns no
+        rows, so the default grid does not run."""
+        import labeldp.experiments as experiments
+
+        monkeypatch.setattr(experiments, "run_simulation", lambda config: [])
+        out_file = tmp_path / "p.csv"
+        code, out, err = run_cli(capsys, "simulate", *argv, "--output", str(out_file))
+        assert code == 0, err
+        echoed = json.loads(out.split("\n")[0][len("resolved-config "):])
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())["config"]
+        assert manifest.pop("type") == "SimulationConfig" and manifest == echoed
+        return echoed
+
+    @pytest.mark.parametrize("argv, trials", [
+        (["--preset", "fig1-reduced"], 100),
+        (["--preset", "fig1"], 1000),
+        ([], 1000),
+    ], ids=["fig1-reduced", "fig1", "no-preset"])
+    def test_preset_sets_trials(self, tmp_path, capsys, monkeypatch, argv, trials):
+        assert self.echoed(tmp_path, capsys, monkeypatch, *argv)["trials"] == trials
+
+    @pytest.mark.parametrize("file_trials, flags, trials", [
+        (None, [], 100),
+        (50, [], 50),
+        (50, ["--trials", "7"], 7),
+        (None, ["--trials", "7"], 7),
+    ], ids=["preset", "file-over-preset", "flag-over-file", "flag-over-preset"])
+    def test_flag_over_file_over_preset(self, tmp_path, capsys, monkeypatch,
+                                        file_trials, flags, trials):
+        argv = ["--preset", "fig1-reduced", *flags]
+        if file_trials is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"trials": file_trials}))
+            argv += ["--config", str(cfg)]
+        assert self.echoed(tmp_path, capsys, monkeypatch, *argv)["trials"] == trials
+
+    def test_choices_are_the_preset_names_in_order(self):
+        from labeldp.experiments import SimulationConfig
+
+        [action] = [a for a in harness_parsers()["simulate"]._actions if a.dest == "preset"]
+        assert action.choices == list(SimulationConfig.presets)
+        assert action.default == next(iter(SimulationConfig.presets))
+
+    def test_every_preset_key_is_a_field(self):
+        from labeldp.experiments import SimulationConfig
+
+        fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+        for name, values in SimulationConfig.presets.items():
+            assert set(values) <= fields, name
+            SimulationConfig(**values)  # and its values are valid
+
+    @pytest.mark.parametrize("command", ["thm1", "ctr"])
+    def test_harness_without_presets_has_no_preset_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "x", "--output", "o.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --preset x" in capsys.readouterr().err
 
 
 class TestAtomicWrites:

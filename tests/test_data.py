@@ -694,6 +694,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, (1.0, 0.0, 0.0), seed=0)
 
+    def test_nan_fraction_rejected(self):
+        ds, _ = gen_mixture(MixtureModel(2, 2, 1.0), 10, seed=0)
+        with pytest.raises(ValueError, match="all fractions must be positive"):
+            split(ds, (math.nan, 0.5, 0.5), seed=0)
+
     def test_fractions_must_sum_to_one(self):
         ds, _ = gen_mixture(MixtureModel(2, 2, 1.0), 10, seed=0)
         with pytest.raises(ValueError):

@@ -469,5 +469,14 @@ class TestAccount:
         with pytest.raises(ValueError):
             account([1.0, -0.5], BASIC)
 
+    @pytest.mark.parametrize("rule", [BASIC, PARALLEL])
+    @pytest.mark.parametrize("stages", [[math.nan, 1.0], [1.0, math.nan], [math.nan]],
+                             ids=["first", "last", "alone"])
+    def test_nan_stage_rejected(self, stages, rule):
+        """A NaN stage raises like a negative one: max() would drop it
+        under PARALLEL, and BASIC would report inf."""
+        with pytest.raises(ValueError, match=r"stage epsilons must be >= 0, got \["):
+            account(stages, rule)
+
     def test_delta_stays_zero(self):
         assert account([1.0], BASIC).delta == 0.0

@@ -292,6 +292,10 @@ class TestBounds:
         assert hoeffding_lower_bound(1.0, 10**9) == 1.0
         assert hoeffding_lower_bound(1e-9, 100) == 0.0
 
+    def test_hoeffding_rejects_nan_n(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got nan"):
+            hoeffding_lower_bound(1.0, math.nan)
+
     def test_against_high_precision_grid(self):
         """mpmath reference on a 50-point (eps, delta) grid, 1e-12 agreement."""
         eps_grid = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0]

@@ -137,6 +137,10 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match="learning_rate must be positive"):
             LogisticHyper(learning_rate=lr)
 
+    def test_nan_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations must be >= 1, got nan"):
+            LogisticHyper(iterations=math.nan)
+
     def test_deterministic(self):
         ds = toy_separable()
         a = train_logistic(ds, LogisticHyper(iterations=100), seed=0)
