@@ -104,7 +104,7 @@ class Dataset:
                     trial = f" of trial {bad[0]}" if labels.ndim == 2 else ""
                     raise ValueError(f"labels row {bad[-1]}{trial}: {problem} value {labels[bad]}")
         labels = labels.astype(np.int64, copy=False)
-        if self.num_classes < 2:
+        if not self.num_classes >= 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError(
@@ -141,9 +141,9 @@ class MixtureModel:
     sigma: float
 
     def __post_init__(self):
-        if self.num_classes < 2:
+        if not self.num_classes >= 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        if self.num_classes > self.dim:
+        if not self.num_classes <= self.dim:
             raise ValueError(
                 f"invalid model: {self.num_classes} classes need {self.num_classes} "
                 f"basis vectors but dim is {self.dim}"
@@ -205,7 +205,7 @@ class SkewedBinarySpec:
     def __post_init__(self):
         if not 0.0 < self.positive_rate < 1.0:
             raise ValueError(f"positive_rate must be in (0, 1), got {self.positive_rate}")
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise ValueError("dim must be >= 1")
         if not 0.0 <= self.separation < np.inf:  # NaN fails too
             raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
@@ -235,7 +235,7 @@ def gen_mixture(
     Labels are uniform over the classes; features come from the labelled
     component. Returns the dataset and the mixture's posterior.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n}")
     labels = substream(seed, "mixture-labels").integers(0, model.num_classes, size=n)
     noise = substream(seed, "mixture-features").standard_normal((n, model.dim))
@@ -248,7 +248,7 @@ def gen_skewed_binary(
 ) -> tuple[Dataset, Callable[[np.ndarray], np.ndarray]]:
     """Draw n samples from the skewed binary source. Returns the dataset and
     the source's posterior."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p1 = spec.positive_rate
     clean = (substream(seed, "skew-labels").random(n) < p1).astype(np.int64)

@@ -51,21 +51,15 @@ from .models import (
 )
 from .rng import derive_seed
 
-SIMULATION_COLUMNS = [
-    "m", "sigma", "epsilon", "x_rep", "trials",
-    "eau", "eau_stderr", "leau", "advantage", "theoretical_bound",
-]
+ATTACK_COLUMNS = ["eau", "eau_stderr", "leau", "advantage", "theoretical_bound"]
+SIMULATION_COLUMNS = ["m", "sigma", "epsilon", "x_rep", "trials", *ATTACK_COLUMNS]
 THM1_COLUMNS = ["epsilon", "n", "trials", "empirical_eau", "hoeffding_lower_bound"]
-CTR_COLUMNS = [
-    "mechanism", "epsilon", "test_log_loss",
-    "eau", "eau_stderr", "leau", "advantage", "theoretical_bound", "utility_bound",
-]
+CTR_COLUMNS = ["mechanism", "epsilon", "test_log_loss", *ATTACK_COLUMNS, "utility_bound"]
 
 
 def _attack_columns(eau: float, eau_stderr: float, leau: float, bound: float) -> dict:
-    """The attack columns shared by simulate and ctr rows, in column order."""
-    return {"eau": eau, "eau_stderr": eau_stderr, "leau": leau,
-            "advantage": eau - leau, "theoretical_bound": bound}
+    """The attack columns of a simulate or ctr row, in column order."""
+    return dict(zip(ATTACK_COLUMNS, (eau, eau_stderr, leau, eau - leau, bound)))
 
 
 def _check_mechanisms(names) -> None:
@@ -102,10 +96,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_grids(self, ("class_counts", "sigmas", "epsilons"))
-        for name in ("dim", "n", "feature_redraws", "iterations"):
-            if getattr(self, name) < 1:
+        for name in ("dim", "n", "feature_redraws"):
+            if not getattr(self, name) >= 1:  # NaN fails >= too
                 raise ValueError(f"{name} must be positive")
-        if self.trials < 2:
+        LogisticHyper(iterations=self.iterations)  # checks iterations
+        if not self.trials >= 2:
             raise ValueError(f"trials must be >= 2 (a cell reports a standard error), "
                              f"got {self.trials}")
         bad = [eps for eps in self.epsilons if not eps >= 0]  # NaN fails >= too
@@ -249,7 +244,7 @@ class Thm1Config:
         _check_grids(self, ("n_values",))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
         if any(n < 2 or n % 2 for n in self.n_values):
             raise ValueError(f"each n must be even and >= 2, got {self.n_values}")
@@ -324,11 +319,12 @@ class CtrConfig:
 
     def __post_init__(self):
         _check_grids(self, ("mechanisms", "epsilons"))
+        LogisticHyper(iterations=self.iterations)  # checks iterations
         if self.csv_path is None:
             # Building the synthetic source checks its four fields; a CSV
             # run draws no source, so they shape nothing and go unchecked.
             self.source  # noqa: B018
-            if self.n < 25:
+            if not self.n >= 25:
                 raise ValueError(f"synthetic source needs n >= 25: a smaller n leaves a "
                                  f"part of the {self.split_fractions} split empty")
         if any(not e > 0 for e in self.epsilons):
@@ -452,14 +448,18 @@ def config_manifest(config) -> dict:
     return {"type": type(config).__name__, **_jsonable(dataclasses.asdict(config))}
 
 
-def _non_finite(row: dict, cell: dict) -> list[str]:
-    """A line per non-finite attack column: every comparison the checks
-    make is false for NaN, so non-finite values are violations of their own."""
-    return [
-        f"cell {cell}: {name} is {row[name]}"
-        for name in ("eau", "eau_stderr", "leau", "advantage")
-        if not math.isfinite(row[name])
-    ]
+def _check_attack(row: dict) -> list[str]:
+    """Violations of one simulate or ctr row's attack columns, naming the
+    cell by its other columns. Every comparison is false for NaN, so a
+    non-finite attack column is a violation of its own. ctr rows carry
+    eau_stderr 0.0 (one release per cell), so their margin is zero."""
+    cell = {key: value for key, value in row.items() if key not in ATTACK_COLUMNS}
+    violations = [f"cell {cell}: {name} is {row[name]}"
+                  for name in ATTACK_COLUMNS if not math.isfinite(row[name])]
+    if row["advantage"] > row["theoretical_bound"] + 3.0 * row["eau_stderr"]:
+        violations.append(f"cell {cell}: advantage {row['advantage']:.6f} exceeds bound "
+                          f"{row['theoretical_bound']:.6f} + 3*stderr")
+    return violations
 
 
 def check_simulation(rows) -> list[str]:
@@ -467,13 +467,7 @@ def check_simulation(rows) -> list[str]:
     violations = []
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        cell = {key: row[key] for key in ("m", "sigma", "epsilon", "x_rep", "trials")}
-        violations += _non_finite(row, cell)
-        if row["advantage"] > row["theoretical_bound"] + 3.0 * row["eau_stderr"]:
-            violations.append(
-                f"cell {cell}: advantage {row['advantage']:.6f} exceeds bound "
-                f"{row['theoretical_bound']:.6f} + 3*stderr"
-            )
+        violations += _check_attack(row)
         groups.setdefault((row["m"], row["sigma"], row["x_rep"]), []).append(row)
     for key, cells in groups.items():
         leaus = {row["leau"] for row in cells}
@@ -500,11 +494,4 @@ def check_thm1(rows) -> list[str]:
 
 
 def check_ctr(rows) -> list[str]:
-    violations = []
-    for row in rows:
-        cell = {key: row[key] for key in ("mechanism", "epsilon", "test_log_loss", "utility_bound")}
-        violations += _non_finite(row, cell)
-        if row["advantage"] > row["theoretical_bound"]:
-            violations.append(f"cell {cell}: advantage {row['advantage']:.6f} exceeds the "
-                              f"universal bound {row['theoretical_bound']:.6f}")
-    return violations
+    return [violation for row in rows for violation in _check_attack(row)]

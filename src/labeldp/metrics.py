@@ -146,7 +146,7 @@ def eau_monte_carlo(
     """
     from .attacks import spa  # local import to avoid a cycle
 
-    if trials < 2:
+    if not trials >= 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     features = np.asarray(features, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)

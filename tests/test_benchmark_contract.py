@@ -1,10 +1,13 @@
 """The benchmark's tracer names library functions and model classes; a
 cut that removes one of them would only show up in a traced benchmark run.
-These checks read perfbench/tracer.py's tables without installing it."""
+These checks read perfbench/tracer.py's tables without installing it. The
+benchmark's correctness gate (perfbench/run.py's failed_cells against
+perfbench/reference/) runs here too, once per workload at seed 0."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -17,15 +20,41 @@ from labeldp.data import (
 )
 from labeldp.models import LogisticHyper, save_model, train_logistic
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+
+
+def _load(name, path):
+    """Import a perfbench script by path, leaving sys.path as it was (run.py
+    puts its own directory first to import its neighbours)."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracer", TRACER_PATH)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _load("perfbench_run", PERFBENCH / "run.py")
+
+
+@pytest.mark.parametrize("name", ["sim-mc", "ctr-mech", "thm1-majority", "csv-io"])
+def test_workload_rows_match_the_reference(bench, tmp_path, name):
+    """The benchmark's correctness gate at seed 0: one untraced repetition
+    of the workload, in a fresh worker process, passes its --check and
+    matches perfbench/reference/<name>.json within the gate's tolerances."""
+    reference = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())["0"]
+    rep = bench.run_rep(name, 0, str(tmp_path / "work"), None, 100.0)
+    assert bench.failed_cells(rep, bench.WORKLOADS[name].cells, None, reference) == []
 
 
 def test_own_layers_name_public_functions(tracer):

@@ -907,6 +907,27 @@ class TestHarnessCommands:
         assert err.splitlines() == [f"error: {message}"]
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("generator, argv", [
+        pytest.param("gen_mixture", SIM_ARGS, id="simulate"),
+        pytest.param("gen_skewed_binary", ["ctr", "--n", "2000"], id="ctr"),
+    ])
+    def test_zero_iterations_is_one_error_line_before_any_data(
+        self, tmp_path, capsys, monkeypatch, generator, argv
+    ):
+        """Each config builds its LogisticHyper, so the trainer's own check
+        rejects --iterations 0 before any row is drawn."""
+        import labeldp.experiments as experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data generated before iterations was validated")
+
+        monkeypatch.setattr(experiments, generator, refuse)
+        out_file = tmp_path / "iterations.csv"
+        code, _, err = run_cli(capsys, *argv, "--iterations", "0", "--output", str(out_file))
+        assert code == 1
+        assert err.splitlines() == ["error: iterations must be >= 1, got 0"]
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("option, value", [
         pytest.param("--separation", "inf", id="separation"),
         pytest.param("--label-noise", "0.7", id="label-noise"),

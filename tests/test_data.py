@@ -26,6 +26,26 @@ from labeldp.data import (
 )
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Dataset(np.zeros((2, 1)), np.array([0, 1]), num_classes=math.nan),
+                 "num_classes must be >= 2, got nan", id="dataset-num-classes"),
+    pytest.param(lambda: MixtureModel(math.nan, 3, 1.0), "need at least 2 classes, got nan",
+                 id="mixture-num-classes"),
+    pytest.param(lambda: MixtureModel(2, math.nan, 1.0),
+                 "invalid model: 2 classes need 2 basis vectors but dim is nan",
+                 id="mixture-dim"),
+    pytest.param(lambda: SkewedBinarySpec(0.1, math.nan), "dim must be >= 1", id="skewed-dim"),
+    pytest.param(lambda: gen_mixture(MixtureModel(2, 2, 1.0), math.nan, 0),
+                 "n must be >= 1, got nan", id="gen-mixture-n"),
+    pytest.param(lambda: gen_skewed_binary(SkewedBinarySpec(0.1, 2), math.nan, 0),
+                 "n must be >= 1, got nan", id="gen-skewed-binary-n"),
+])
+def test_nan_size_rejected(build, message):
+    """NaN passes a `<` test; each size check rejects it with its own message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def brute_posterior(x, means, sigma):
     """Independent oracle: normalize the full Gaussian densities."""
     dens = np.array([math.exp(-np.sum((x - mu) ** 2) / (2 * sigma**2)) for mu in means])

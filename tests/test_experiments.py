@@ -570,6 +570,23 @@ class TestFitReleasedDeduplicates:
         assert models[2].weights.tobytes() == models[0].weights.tobytes()
 
 
+@pytest.mark.parametrize("config, kwargs, message", [
+    pytest.param(SimulationConfig, dict(dim=math.nan), "^dim must be positive$", id="sim-dim"),
+    pytest.param(SimulationConfig, dict(n=math.nan), "^n must be positive$", id="sim-n"),
+    pytest.param(SimulationConfig, dict(feature_redraws=math.nan),
+                 "^feature_redraws must be positive$", id="sim-feature-redraws"),
+    pytest.param(SimulationConfig, dict(trials=math.nan), "^trials must be >= 2 .*got nan$",
+                 id="sim-trials"),
+    pytest.param(Thm1Config, dict(trials=math.nan), "^trials must be >= 1$", id="thm1-trials"),
+    pytest.param(CtrConfig, dict(n=math.nan), "^synthetic source needs n >= 25: ",
+                 id="ctr-n"),
+])
+def test_nan_size_rejected(config, kwargs, message):
+    """NaN passes a `<` test; each size check rejects it with its own message."""
+    with pytest.raises(ValueError, match=message):
+        config(**kwargs)
+
+
 def sim_row(m=2, sigma=1.0, epsilon=1.0, x_rep=0, trials=10, *, eau, eau_stderr=0.0,
             leau, theoretical_bound=1.0):
     """A simulate row, keyed by SIMULATION_COLUMNS, with advantage = eau - leau."""
@@ -585,7 +602,7 @@ class TestCheckFunctions:
                "theoretical_bound": 0.5, "utility_bound": 2.0}
         assert check_ctr([bad]) == [
             "cell {'mechanism': 'rr', 'epsilon': 1.0, 'test_log_loss': 0.3, 'utility_bound': "
-            "2.0}: advantage 0.800000 exceeds the universal bound 0.500000"
+            "2.0}: advantage 0.800000 exceeds bound 0.500000 + 3*stderr"
         ]
 
     def test_check_ctr_flags_non_finite_values(self):

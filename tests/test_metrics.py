@@ -127,6 +127,16 @@ class TestEau:
         est, se = eau_monte_carlo(probs, X, pipeline, UtilitySpec.zero_one(), trials=10, seed=0)
         assert est == 1.0 and se == 0.0
 
+    @pytest.mark.parametrize("trials", [1, math.nan])
+    def test_monte_carlo_needs_two_trials(self, trials):
+        """NaN passes a `<` test; the check rejects it before any trial runs."""
+        def pipeline(features, labels, seeds):
+            raise AssertionError("a trial ran")
+
+        with pytest.raises(ValueError, match=f"^need at least 2 trials, got {trials}$"):
+            eau_monte_carlo(np.full((4, 2), 0.5), np.zeros((4, 1)), pipeline,
+                            UtilitySpec.zero_one(), trials=trials, seed=0)
+
     def test_monte_carlo_exhausted_budget_hits_chance(self):
         """With eps=0 the privatized labels carry no information, so SPA
         accuracy sits at 1/m (brute-force expectation over resampling)."""
